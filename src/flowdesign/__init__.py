@@ -7,45 +7,44 @@ minimum installation cost. Exact solvers cover the polynomial cases, FPTAS
 routines cover the rest, and brute-force oracles back the tests.
 """
 
-from .core import (
-    FixedInstance,
-    Instance,
-    Solution,
-    UNBOUNDED,
-    VerificationReport,
-    parse_instance,
-    read_solution,
-    verify,
-    write_instance,
-    write_solution,
-)
-from .errors import (
-    AllVariableCostsZero,
-    DimensionMismatch,
-    Disconnected,
-    Infeasible,
-    NonConvergence,
-    NotSeriesParallel,
-    OddSum,
-    SchemaError,
-    TooLarge,
-    UnsupportedCase,
-    ValidationError,
-)
-from .pathdesign import (
-    solve_fixed_cost_only,
-    solve_path_fptas,
-    solve_variable_cost_only,
-)
-from .resistance import effective_conductance, effective_resistance, min_energy_flow
-from .rsp import RspInstance, rsp_exact, rsp_fptas
-from .spdesign import (
-    discretize_conductances,
-    dp_exact,
-    solve_fixed_conductance_fptas,
-    solve_sp_fptas,
-)
-from .sptree import decompose, resistance_sp, sp_unit_flow
+import importlib
+
+# Public names by defining submodule. Names resolve on first access (PEP 562),
+# so importing one submodule, such as the CLI, does not import numpy through
+# the numeric ones.
+_SUBMODULE_EXPORTS = {
+    "core": (
+        "FixedInstance", "Instance", "Solution", "UNBOUNDED", "VerificationReport",
+        "parse_instance", "read_solution", "verify", "write_instance", "write_solution",
+    ),
+    "errors": (
+        "AllVariableCostsZero", "DimensionMismatch", "Disconnected", "Infeasible",
+        "NonConvergence", "NotSeriesParallel", "OddSum", "SchemaError", "TooLarge",
+        "UnsupportedCase", "ValidationError",
+    ),
+    "pathdesign": ("solve_fixed_cost_only", "solve_path_fptas", "solve_variable_cost_only"),
+    "resistance": ("effective_conductance", "effective_resistance", "min_energy_flow"),
+    "rsp": ("RspInstance", "rsp_exact", "rsp_fptas"),
+    "spdesign": (
+        "discretize_conductances", "dp_exact", "solve_fixed_conductance_fptas", "solve_sp_fptas",
+    ),
+    "sptree": ("decompose", "resistance_sp", "sp_unit_flow"),
+}
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

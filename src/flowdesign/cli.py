@@ -6,6 +6,9 @@ that identical inputs always produce byte-identical stdout.
 
 Exit codes: 0 success, 1 usage or IO error, 2 infeasible, 3 unsupported
 instance shape for the requested mode.
+
+The numpy-backed modules (spdesign, oracles) are imported only by the
+commands and modes that use them, so path-mode solves start without numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import json
 import math
 import sys
 
-from . import core, oracles, pathdesign, spdesign
-from .core import FixedInstance, Instance
+from . import core, pathdesign
+from .core import Instance
 from .errors import (
     DimensionMismatch,
     Disconnected,
@@ -89,6 +92,8 @@ def _solve_path_exact(inst: Instance):
 
 
 def _solve_sp_exact(inst: Instance):
+    from . import spdesign
+
     if not all(math.isfinite(v) for v in inst.ybar):
         raise UnsupportedCase("sp-exact needs finite ybar everywhere")
     if any(v != 0.0 for v in inst.c):
@@ -106,6 +111,8 @@ def _solve_sp_exact(inst: Instance):
 
 
 def _solve_brute(inst: Instance):
+    from . import oracles
+
     if inst.unbounded():
         return oracles.brute_paths_unbounded(inst)
     if all(math.isfinite(v) for v in inst.ybar):
@@ -118,9 +125,12 @@ def _cmd_solve(args) -> int:
     mode = args.mode
     if mode == "auto":
         mode = _pick_mode(inst)
-    if mode in ("path-fptas", "sp-fptas") and not (0.0 < args.eps <= 1.0):
-        print(f"error: --eps must be in (0, 1], got {args.eps}", file=sys.stderr)
-        return EXIT_USAGE
+    if mode in ("path-fptas", "sp-fptas"):
+        try:
+            core.check_epsilon(args.eps, mode)
+        except ValidationError as exc:
+            print(f"error: --eps: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     if mode == "path-exact":
         sol = _solve_path_exact(inst)
     elif mode == "path-fptas":
@@ -128,6 +138,8 @@ def _cmd_solve(args) -> int:
     elif mode == "sp-exact":
         sol = _solve_sp_exact(inst)
     elif mode == "sp-fptas":
+        from . import spdesign
+
         sol = spdesign.solve_sp_fptas(inst, args.eps)
     else:
         sol = _solve_brute(inst)
@@ -168,6 +180,8 @@ def _parse_numbers(text: str):
 
 
 def _cmd_gen(args) -> int:
+    from . import oracles
+
     if args.family == "partition":
         if not args.numbers:
             print("error: --family partition needs --numbers", file=sys.stderr)
@@ -233,6 +247,8 @@ def _cmd_gen(args) -> int:
 
 def _random_steiner(seed: int, n: int, r: float):
     import random
+
+    from . import oracles
 
     rng = random.Random(seed)
     arcs = [(i, rng.randrange(i)) for i in range(1, n)]

@@ -28,6 +28,24 @@ _INSTANCE_OPTIONAL = ("ybar",)
 _SOLUTION_FIELDS = ("x", "y", "cost", "achievedR")
 
 
+_EPSILON_DOMAINS = {
+    "path-fptas": ("(0, 1]", lambda eps: 0.0 < eps <= 1.0),
+    "sp-fptas": ("(0, 1)", lambda eps: 0.0 < eps < 1.0),
+}
+
+
+def check_epsilon(epsilon: float, mode: str = "path-fptas") -> None:
+    """Raise ValidationError unless epsilon lies in the accuracy domain of mode.
+
+    The domains live only here. Every approximation scheme takes epsilon in
+    (0, 1], as path-fptas does, except the continuous series-parallel
+    pipeline (sp-fptas), whose discretization is stated for (0, 1).
+    """
+    domain, contains = _EPSILON_DOMAINS[mode]
+    if not contains(epsilon):
+        raise ValidationError(f"epsilon must be in {domain}, got {epsilon}")
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 

@@ -50,3 +50,7 @@ class AllVariableCostsZero(ValueError):
 
 class UnsupportedCase(ValueError):
     """The instance shape is outside what the requested solver handles."""
+
+
+class BoundExceeded(RuntimeError):
+    """A computed size broke its proven analytic bound: a defect, not bad input."""

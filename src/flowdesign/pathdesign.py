@@ -7,21 +7,27 @@ closed-form conductance
     y_a = (sum_{a' in P+} c_{a'}^{r/(r+1)})^{1/r} / (c_a^{1/(r+1)} * B^{1/r})
 
 which meets the resistance budget with equality; zero-variable-cost arcs
-get UNBOUNDED conductance and contribute only their fixed cost. Finding the
-best path is exact when one cost vector vanishes (a shortest-path problem)
-and otherwise approximated by searching a geometric grid of the KKT
-multiplier, solving one restricted shortest path problem per grid point.
+get UNBOUNDED conductance and contribute only their fixed cost. The path
+then costs phi(S_P) + Gamma_P, with S_P the sum of c_a^{r/(r+1)}, Gamma_P
+the sum of gamma_a and phi(S) = S^{(r+1)/r} / B^{1/r} increasing. Finding
+the best path is exact when one cost vector vanishes (a shortest-path
+problem) and otherwise approximated by one label-setting pass over the
+(S, Gamma) Pareto frontier (``rsp.frontier_fptas``).
+
+``lambda_bounds`` and ``lambda_grid`` describe the KKT multiplier of the
+budget constraint: the bracket and geometric grid of an earlier scheme that
+solved one restricted shortest path per grid point.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
-from .core import UNBOUNDED, Instance, Solution
-from .errors import AllVariableCostsZero, Disconnected, Infeasible, ValidationError
-from .rsp import RspInstance, rsp_fptas
+from .core import UNBOUNDED, Instance, Solution, check_epsilon
+from .errors import AllVariableCostsZero, BoundExceeded, Disconnected, ValidationError
+from .rsp import frontier_fptas, lex_dijkstra
+from .rsp import rsp_fptas  # noqa: F401  (bench/spans.py wraps this binding)
 
 
 @dataclass(frozen=True)
@@ -39,38 +45,6 @@ class LambdaGrid:
     U: float
     epsilon: float
     points: tuple[float, ...]
-
-
-def _adjacency(n, arcs):
-    adj = [[] for _ in range(n)]
-    for a, (u, v) in enumerate(arcs):
-        if u != v:
-            adj[u].append((a, v))
-            adj[v].append((a, u))
-    return adj
-
-
-def _dijkstra(n, arcs, weights, s, t):
-    """Shortest s-t path, ties by lexicographic arc sequence. Arcs are two-way."""
-    adj = _adjacency(n, arcs)
-    best = {s: (0.0, ())}
-    heap = [(0.0, (), s)]
-    settled = set()
-    while heap:
-        d, seq, v = heapq.heappop(heap)
-        if v in settled:
-            continue
-        settled.add(v)
-        if v == t:
-            return d, seq
-        for a, w in adj[v]:
-            if w in settled:
-                continue
-            cand = (d + weights[a], seq + (a,))
-            if w not in best or cand < best[w]:
-                best[w] = cand
-                heapq.heappush(heap, (cand[0], cand[1], w))
-    raise Disconnected("no s-t path exists")
 
 
 def optimal_y_for_path(path, c, B: float, r: float, gamma=None):
@@ -111,13 +85,21 @@ def to_solution(inst: Instance, ps: PathSolution) -> Solution:
     return Solution(x=tuple(x), y=tuple(y), cost=ps.objective, achievedR=achieved)
 
 
+def _shortest_path(inst: Instance, weights) -> tuple[float, tuple[int, ...]]:
+    """Least-weight s-t path as (weight, arcs), ties by lexicographic arc sequence."""
+    hit = lex_dijkstra(inst.n, inst.arcs, weights, (0.0,) * inst.m, inst.s, inst.t)
+    if hit is None:
+        raise Disconnected("no s-t path exists")
+    return hit[0], hit[2]
+
+
 def solve_fixed_cost_only(inst: Instance) -> PathSolution:
     """Exact solver for c == 0: a shortest path under the fixed costs gamma."""
     if any(v > 0.0 for v in inst.c):
         raise ValidationError("solve_fixed_cost_only needs c == 0 on every arc")
     if not inst.unbounded():
         raise ValidationError("conductance bounds are not supported here")
-    d, seq = _dijkstra(inst.n, inst.arcs, inst.gamma, inst.s, inst.t)
+    d, seq = _shortest_path(inst, inst.gamma)
     y = (UNBOUNDED,) * len(seq)
     return PathSolution(path=seq, y=y, objective=d)
 
@@ -130,7 +112,7 @@ def solve_variable_cost_only(inst: Instance) -> PathSolution:
         raise ValidationError("conductance bounds are not supported here")
     e = inst.r / (inst.r + 1.0)
     weights = tuple(v ** e for v in inst.c)
-    _, seq = _dijkstra(inst.n, inst.arcs, weights, inst.s, inst.t)
+    _, seq = _shortest_path(inst, weights)
     y, objective = optimal_y_for_path(seq, inst.c, inst.B, inst.r)
     return PathSolution(path=seq, y=y, objective=objective)
 
@@ -149,7 +131,8 @@ def lambda_bounds(inst: Instance) -> tuple[float, float]:
 def lambda_grid(inst: Instance, epsilon: float) -> LambdaGrid:
     """Geometric grid covering [L, U] plus one point above U.
 
-    The in-range point count is asserted against its analytic bound.
+    The in-range point count is checked against its analytic bound; a grid
+    that breaks it raises BoundExceeded.
     """
     L, U = lambda_bounds(inst)
     step = (1.0 + epsilon / 3.0) ** (inst.r + 1.0)
@@ -166,55 +149,34 @@ def lambda_grid(inst: Instance, epsilon: float) -> LambdaGrid:
     pos = [v for v in inst.c if v > 0.0]
     ratio = max(pos) / min(pos)
     bound = math.ceil(3.0 * math.log2((inst.n - 1.0) ** ((inst.r + 1.0) / inst.r) * ratio) / epsilon) + 1
-    assert inside <= bound, f"lambda grid has {inside} points, bound {bound}"
+    if inside > bound:
+        raise BoundExceeded(f"lambda grid has {inside} points, bound {bound}")
     return LambdaGrid(L=L, U=U, epsilon=epsilon, points=tuple(points))
 
 
 def solve_path_fptas(inst: Instance, epsilon: float) -> PathSolution:
     """(1+epsilon)-approximation for general costs with ybar unbounded.
 
-    Per grid multiplier lambda the subproblem is a restricted shortest path
-    with cost (lambda*r)^(1/(r+1)) * c^(r/(r+1)) + gamma, length c^(r/(r+1))
-    and length budget (lambda*r)^(r/(r+1)) * B, solved at factor 1+eps/3;
-    the grid itself costs another 1+eps/3 and (1+eps/3)^2 <= 1+eps on (0,1].
-    The winning path's conductances are re-derived in closed form, so the
-    budget is met exactly no matter what the approximation did.
+    The path minimizes phi(S_P) + Gamma_P up to a 1+epsilon factor, found by
+    one label-setting pass over (Gamma rounded down, S exact); see
+    ``rsp.frontier_fptas`` for the bounds, the bracket and the proof. The
+    winning path's conductances are derived in closed form, so the budget is
+    met exactly.
     """
-    if not (0.0 < epsilon <= 1.0):
-        raise ValidationError("epsilon must be in (0, 1]")
+    check_epsilon(epsilon)
     if not inst.unbounded():
         raise ValidationError("conductance bounds are not supported here")
     if all(v == 0.0 for v in inst.c):
         return solve_fixed_cost_only(inst)
-    # Fail loudly (and uniformly) when the terminals are not connected.
-    _dijkstra(inst.n, inst.arcs, (0.0,) * inst.m, inst.s, inst.t)
 
     r = inst.r
     e = r / (r + 1.0)
+    p = (r + 1.0) / r
+    scale = inst.B ** (1.0 / r)
     lengths = tuple(v ** e for v in inst.c)
-    grid = lambda_grid(inst, epsilon)
-
-    best = None
-    for lam in grid.points:
-        factor = (lam * r) ** (1.0 / (r + 1.0))
-        costs = tuple(factor * lengths[a] + inst.gamma[a] for a in range(inst.m))
-        budget = (lam * r) ** e * inst.B
-        sub = RspInstance(
-            n=inst.n, arcs=inst.arcs, s=inst.s, t=inst.t,
-            cost=costs, length=lengths, budget=budget,
-        )
-        try:
-            path = rsp_fptas(sub, epsilon / 3.0)
-        except Infeasible:
-            continue
-        value = sum(costs[a] for a in path)
-        if best is None or (value, path) < best:
-            best = (value, path)
-
-    if best is None:
-        # Unreachable once connectivity holds: the top grid point's budget
-        # admits every simple path.
-        raise Disconnected("no s-t path exists")
-    path = best[1]
+    path = frontier_fptas(
+        inst.n, inst.arcs, inst.s, inst.t, lengths, inst.gamma,
+        lambda S: S ** p / scale, epsilon,
+    )
     y, objective = optimal_y_for_path(path, inst.c, inst.B, r, inst.gamma)
     return PathSolution(path=path, y=y, objective=objective)

@@ -1,4 +1,4 @@
-"""Restricted shortest path: cheapest s-t path subject to a length budget.
+"""Restricted shortest path, and the (length, fixed cost) frontier behind it.
 
 Costs live on one axis, lengths on the other. The exact solver keeps, per
 node, the Pareto frontier of (cost, length) labels and settles them in
@@ -7,6 +7,10 @@ classic cost-indexed DP: for every reachable integer cost it implicitly
 knows the minimal length. Lengths are never rounded anywhere, so a returned
 path always satisfies the budget exactly; the FPTAS scales and rounds only
 the cost axis.
+
+``frontier_fptas`` runs the same label-setting scheme without a budget: it
+minimizes phi(length) + fixed cost for a nondecreasing phi, which is how the
+unbounded design problem prices a path, in one pass over the frontier.
 
 Arcs are traversable in both directions and returned paths are simple.
 """
@@ -17,7 +21,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .errors import Infeasible, ValidationError
+from .core import check_epsilon
+from .errors import Disconnected, Infeasible, ValidationError
 
 
 @dataclass(frozen=True)
@@ -57,20 +62,22 @@ def _adjacency(n, arcs):
 def _label_search(n, arcs, s, t, cost, length, budget, cost_cap):
     """Cheapest feasible path by label-setting over (cost, length) frontiers.
 
-    Labels pop in (cost, length, sequence) order; a label weakly dominated
-    by one already settled at its node is discarded, so every surviving
-    label is simple and the first one settled at t is the answer.
+    Labels pop in (cost, length, sequence) order, so every label already
+    settled at a node costs no more than the one in hand: the newcomer is
+    weakly dominated exactly when its length is not below the shortest one
+    settled there. Surviving labels are simple, and the first one settled
+    at t is the answer.
     """
     adj = _adjacency(n, arcs)
-    frontier: list[list[tuple[float, float]]] = [[] for _ in range(n)]
+    shortest = [math.inf] * n
     heap = [(0, 0.0, (), s, 1 << s)]
     while heap:
         dc, dl, seq, v, mask = heapq.heappop(heap)
-        if any(fc <= dc and fl <= dl for fc, fl in frontier[v]):
+        if dl >= shortest[v]:
             continue
         if v == t:
             return seq, dc, dl
-        frontier[v].append((dc, dl))
+        shortest[v] = dl
         for a, w in adj[v]:
             if mask & (1 << w):
                 continue
@@ -78,9 +85,7 @@ def _label_search(n, arcs, s, t, cost, length, budget, cost_cap):
             if nc > cost_cap:
                 continue
             nl = dl + length[a]
-            if nl > budget:
-                continue
-            if any(fc <= nc and fl <= nl for fc, fl in frontier[w]):
+            if nl > budget or nl >= shortest[w]:
                 continue
             heapq.heappush(heap, (nc, nl, seq + (a,), w, mask | (1 << w)))
     return None
@@ -107,8 +112,11 @@ def rsp_exact(inst: RspInstance, cost_cap=None) -> tuple[int, ...]:
     return hit[0]
 
 
-def _dijkstra2(n, arcs, w1, w2, s, t):
-    """Lexicographic bi-criteria shortest path: minimize (sum w1, sum w2, seq)."""
+def lex_dijkstra(n, arcs, w1, w2, s, t):
+    """Lexicographic bi-criteria shortest path: minimize (sum w1, sum w2, seq).
+
+    Returns (sum w1, sum w2, seq), or None when t is unreachable from s.
+    """
     adj = _adjacency(n, arcs)
     best = {s: (0.0, 0.0, ())}
     heap = [(0.0, 0.0, (), s)]
@@ -138,16 +146,15 @@ def rsp_fptas(inst: RspInstance, epsilon: float) -> tuple[int, ...]:
     delta = epsilon * LB / n. Rounding drops at most delta per arc and a
     simple path has at most n-1 of them, hence the guarantee.
     """
-    if not (0.0 < epsilon <= 1.0):
-        raise ValidationError("epsilon must be in (0, 1]")
+    check_epsilon(epsilon)
 
-    by_len = _dijkstra2(inst.n, inst.arcs, inst.length, inst.cost, inst.s, inst.t)
+    by_len = lex_dijkstra(inst.n, inst.arcs, inst.length, inst.cost, inst.s, inst.t)
     if by_len is None or by_len[0] > inst.budget:
         raise Infeasible("no s-t path satisfies the length budget")
     ub = by_len[1]
     ub_path = by_len[2]
 
-    by_cost = _dijkstra2(inst.n, inst.arcs, inst.cost, inst.length, inst.s, inst.t)
+    by_cost = lex_dijkstra(inst.n, inst.arcs, inst.cost, inst.length, inst.s, inst.t)
     if by_cost[1] <= inst.budget:
         return by_cost[2]  # the unconstrained cheapest path is feasible: exact
     c0 = by_cost[0]
@@ -186,3 +193,130 @@ def rsp_fptas(inst: RspInstance, epsilon: float) -> tuple[int, ...]:
     if sum(inst.cost[a] for a in best) <= sum(inst.cost[a] for a in ub_path):
         return best
     return ub_path
+
+
+def _frontier_pass(adj, s, t, level, length, fixed, phi, delta, cap):
+    """One label-setting pass over (rounded fixed cost, exact length).
+
+    ``level[a]`` is fixed[a] rounded down to a multiple of delta, counted in
+    units of delta. Labels pop in (level, length) order; a label whose
+    length is not below the shortest one settled at its node is dominated
+    and dropped. A label is also dropped once its lower bound
+    phi(length) + level * delta reaches cap, which tightens to the best
+    objective phi(length) + fixed found at t. Returns (objective, path) for
+    the best label settled at t, or None when none was settled.
+    """
+    shortest = [math.inf] * len(adj)
+    back = [(0, -1)]  # label id -> (parent label id, arc); label 0 sits at s
+    heap = [(0, 0.0, 0, s, 1 << s, 0.0)]
+    best = None
+    while heap:
+        g, dl, i, v, mask, gam = heapq.heappop(heap)
+        if g * delta >= cap:
+            break
+        if dl >= shortest[v]:
+            continue
+        shortest[v] = dl
+        if v == t:
+            value = phi(dl) + gam
+            if best is None or value < best[0]:
+                best = (value, i)
+                cap = min(cap, value)
+            continue
+        for a, w in adj[v]:
+            nl = dl + length[a]
+            if nl >= shortest[w] or mask & (1 << w):
+                continue
+            ng = g + level[a]
+            if ng * delta + phi(nl) >= cap:
+                continue
+            back.append((i, a))
+            heapq.heappush(heap, (ng, nl, len(back) - 1, w, mask | (1 << w), gam + fixed[a]))
+    if best is None:
+        return None
+    path = []
+    i = best[1]
+    while i:
+        i, a = back[i]
+        path.append(a)
+    return best[0], tuple(reversed(path))
+
+
+def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...]:
+    """A simple s-t path whose phi(L_P) + F_P is at most (1+epsilon) times the least.
+
+    L_P and F_P sum the nonnegative ``length`` and ``fixed`` over the path's
+    arcs; phi is nondecreasing and nonnegative. Because phi is monotone, some
+    optimal path P* lies on the (L, F) Pareto frontier, and one label-setting
+    pass that rounds only F finds a frontier point close enough to it.
+
+    Bounds. The least-length path (L_min) and the least-fixed-cost path
+    (F_min) are both candidates, so the better of them gives UB >= OPT, and
+    LB = max(phi(L_min), F_min) <= OPT. If that is 0 but UB > 0, a path
+    either pays a positive fixed cost or is free of fixed cost and then no
+    shorter than the least-fixed-cost path; so LB = min(phi(its length), the
+    least positive fixed cost) is <= OPT, and both terms are positive since
+    both seeds cost more than 0.
+
+    Bracket (Hassin's doubling, as in ``rsp_fptas``). While UB > 2 LB, probe
+    P = 2 LB with delta = P/n and cap P. If the probe settles nothing at t,
+    OPT >= P (the frontier argument below, with cap P, would otherwise reach
+    t), so LB := P. If it settles a label at t, that label has
+    phi(L) + g delta < P and loses less than n delta = P to rounding, so
+    UB < 2P = 4 LB. Either way the final pass sees UB <= 4 LB.
+
+    Final pass and guarantee. Round F down to multiples of
+    delta = epsilon LB / n, so a simple path (at most n-1 arcs) loses less
+    than epsilon LB <= epsilon OPT. Labels pop in nondecreasing rounded cost
+    g, so everything settled at a node has g no larger than the label in
+    hand, and a label is dominated exactly when its length is not below the
+    shortest settled there. By induction along P*, each prefix of P* has a
+    settled label with no larger g and no larger L: the extension of the
+    prefix's dominating label either is pushed and later settles, or is
+    turned away by a settled label at the same node that dominates it (a
+    node already on the label's own path is such a node). Unless a label's
+    lower bound phi(L) + g delta reaches the cap first, which means the
+    incumbent or an earlier path at t already costs at most OPT, the chain
+    reaches t with g <= g(P*) and L <= L(P*), hence a cost below
+    phi(L(P*)) + F(P*) + epsilon LB <= (1+epsilon) OPT. The pass stops once
+    g delta reaches the best cost found; level counts stay below
+    UB / delta <= 4n / epsilon.
+
+    Paths stay simple: a label that returns to a node on its own path has a
+    length no smaller than the settled prefix that visited it, so it is
+    dominated there; the visited-node mask turns it away before the push.
+    """
+    check_epsilon(epsilon)
+    adj = _adjacency(n, arcs)
+    by_len = lex_dijkstra(n, arcs, length, fixed, s, t)
+    if by_len is None:
+        raise Disconnected("no s-t path exists")
+    by_fixed = lex_dijkstra(n, arcs, fixed, length, s, t)
+    ub, best = min(
+        (phi(by_len[0]) + by_len[1], by_len[2]),
+        (phi(by_fixed[1]) + by_fixed[0], by_fixed[2]),
+    )
+    if ub <= 0.0:
+        return best
+
+    lb = max(phi(by_len[0]), by_fixed[0])
+    if lb <= 0.0:
+        lb = min(phi(by_fixed[1]), min(v for v in fixed if v > 0.0))
+
+    def solve(delta, cap):
+        level = tuple(int(v / delta) for v in fixed)
+        return _frontier_pass(adj, s, t, level, length, fixed, phi, delta, cap)
+
+    while 2.0 * lb < ub:
+        probe = 2.0 * lb
+        hit = solve(probe / n, probe)
+        if hit is None:
+            lb = probe
+        else:
+            ub, best = min((ub, best), hit)
+            break
+
+    hit = solve(epsilon * lb / n, ub)
+    if hit is not None:
+        ub, best = min((ub, best), hit)
+    return best

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FixedInstance, Instance, Solution, verify
+from .core import FixedInstance, Instance, Solution, check_epsilon, verify
 from .errors import Infeasible, UnsupportedCase, ValidationError
 from .sptree import (
     Leaf,
@@ -210,8 +210,7 @@ def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Soluti
     optimal rho-total exceeds UB / delta, so the DP budget is clamped to
     ceil(UB / delta) + m.
     """
-    if not (0.0 < epsilon <= 1.0):
-        raise ValidationError("epsilon must be in (0, 1]")
+    check_epsilon(epsilon)
     tree = decompose(inst.n, inst.arcs, inst.s, inst.t)
     m = inst.m
 
@@ -279,8 +278,7 @@ def discretize_conductances(inst: Instance, epsilon: float) -> OptionSet:
     and D = B^(-1/r) is low enough that rounding the optimum up to the grid
     costs at most a 1 + eps/3 factor; the cap ybar_a is always a menu entry.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValidationError("epsilon must be in (0, 1)")
+    check_epsilon(epsilon, "sp-fptas")
     for a in range(inst.m):
         if inst.c[a] <= 0.0:
             raise UnsupportedCase(
@@ -324,8 +322,7 @@ def solve_sp_fptas(inst: Instance, epsilon: float) -> Solution:
     loss (1 + eps/3)^2 stays within 1 + eps on (0, 1). The result is
     re-checked against the original instance before it is returned.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValidationError("epsilon must be in (0, 1)")
+    check_epsilon(epsilon, "sp-fptas")
     for a in range(inst.m):
         if inst.c[a] <= 0.0:
             raise UnsupportedCase(

@@ -10,9 +10,11 @@ import math
 import os
 import random
 import subprocess
+import sys
 
 import pytest
 
+import flowdesign
 from flowdesign import (
     Infeasible,
     Instance,
@@ -242,7 +244,7 @@ def test_criterion_05_path_fptas():
             assert sol.cost <= (1.0 + eps) * oracle * (1.0 + 1e-12), (seed, eps)
             spent = sum(v ** -inst.r for v in sol.y if v > 0.0 and math.isfinite(v))
             assert abs(spent - inst.B) <= 1e-9 * max(1.0, inst.B), (seed, eps, spent)
-            grid = lambda_grid(inst, eps)  # also re-fires its internal bound assert
+            grid = lambda_grid(inst, eps)  # also re-runs its internal bound check
             pos = [v for v in inst.c if v > 0.0]
             bound = (
                 math.ceil(
@@ -407,13 +409,17 @@ def test_criterion_11_byte_identical_runs(tmp_path):
     src = tmp_path / "unbounded.json"
     src.write_text(write_instance(unbounded), encoding="utf-8")
 
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(flowdesign.__file__)))
+    pythonpath = os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH")) if p)
+
     def one_run(root, hashseed):
         root.mkdir()
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=pythonpath)
 
         def run(args):
             proc = subprocess.run(
-                ["flowdesign", *args], capture_output=True, text=True, env=env, timeout=120,
+                [sys.executable, "-m", "flowdesign", *args],
+                capture_output=True, text=True, env=env, timeout=120,
             )
             assert proc.returncode == 0, (args, proc.stderr)
 

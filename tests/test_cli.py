@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -7,7 +8,18 @@ import pytest
 
 from flowdesign import Instance, Solution, parse_instance, read_solution, write_instance, write_solution
 from flowdesign.cli import main
+from flowdesign.oracles import brute_paths_unbounded
 from flowdesign.pathdesign import solve_variable_cost_only, to_solution
+
+
+def child_env():
+    """The environment for a fresh interpreter that imports this flowdesign."""
+    import flowdesign
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flowdesign.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def write_file(tmp_path, name, text):
@@ -54,6 +66,24 @@ class TestSolve:
         _, path = diamond_unbounded(tmp_path)
         assert main(["solve", "--in", path, "--mode", "path-fptas", "--eps", "1.5"]) == 1
         assert "--eps" in capsys.readouterr().err
+
+    def test_eps_one_is_in_the_path_fptas_domain(self, tmp_path, capsys):
+        inst = Instance(
+            n=3, arcs=((0, 1), (1, 2), (0, 2)), s=0, t=2, r=1.0,
+            c=(1.0, 2.0, 5.0), gamma=(1.0, 0.5, 0.0), ybar=(math.inf,) * 3, B=1.0,
+        )
+        path = write_file(tmp_path, "inst.json", write_instance(inst))
+        assert main(["solve", "--in", path, "--mode", "path-fptas", "--eps", "1.0"]) == 0
+        got = read_solution(capsys.readouterr().out)
+        assert got.cost <= 2.0 * brute_paths_unbounded(inst).cost * (1.0 + 1e-12)
+
+    def test_eps_one_is_outside_the_sp_fptas_domain(self, tmp_path, capsys):
+        _, path = bounded_series(tmp_path, B=3.0)
+        for mode in ("sp-fptas", "auto"):
+            assert main(["solve", "--in", path, "--mode", mode, "--eps", "1.0"]) == 1
+            err = capsys.readouterr().err
+            assert "--eps" in err and "(0, 1)" in err
+        assert main(["solve", "--in", path, "--mode", "sp-fptas", "--eps", "0.99"]) == 0
 
     def test_infeasible_exits_2(self, tmp_path, capsys):
         _, path = bounded_series(tmp_path, B=1.9)
@@ -226,3 +256,43 @@ def test_console_script_installed(tmp_path):
     assert proc.returncode == 0
     parse_instance(proc.stdout)
     assert json.loads(proc.stderr)["threshold"] == 24.0
+
+
+class TestColdStart:
+    """The CLI and path mode run without importing numpy."""
+
+    def test_cli_import_leaves_numpy_out(self):
+        code = (
+            "import sys, flowdesign.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported by flowdesign.cli'\n"
+            "from flowdesign import min_energy_flow\n"
+            "assert callable(min_energy_flow) and 'numpy' in sys.modules\n"
+            "import flowdesign\n"
+            "assert all(hasattr(flowdesign, name) for name in flowdesign.__all__)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_path_mode_solve_leaves_numpy_out(self, tmp_path):
+        inst = Instance(
+            n=4, arcs=((0, 1), (1, 3), (0, 2), (2, 3), (1, 2)), s=0, t=3, r=2.0,
+            c=(1.0, 4.0, 3.0, 0.5, 1.0), gamma=(2.0, 0.0, 0.5, 1.0, 0.1),
+            ybar=(math.inf,) * 5, B=1.0,
+        )
+        path = write_file(tmp_path, "inst.json", write_instance(inst))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "flowdesign", "solve", "--in", path,
+             "--mode", "path-fptas", "--eps", "0.1"],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert read_solution(proc.stdout).cost > 0.0
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "flowdesign.pathdesign" in imported
+        assert not {name for name in imported if name.split(".")[0] == "numpy"}

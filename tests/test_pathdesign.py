@@ -240,3 +240,99 @@ def test_budget_spent_exactly_property(k, r, B, data):
     c = tuple(data.draw(st.floats(min_value=0.01, max_value=50.0)) for _ in range(k))
     y, _ = optimal_y_for_path(tuple(range(k)), c, B, r)
     assert sum(v ** -r for v in y) == pytest.approx(B, rel=1e-9)
+
+
+@st.composite
+def unbounded_instances(draw):
+    """Connected instances with n <= 8, some zero costs, ybar unbounded."""
+    n = draw(st.integers(2, 8))
+    arcs = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    arcs += draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+        max_size=8,
+    ))
+    # Fixed costs run against variable costs (gamma near 3/c), so that the
+    # (S, Gamma) frontier has real trade-offs; some arcs are free in c.
+    c = tuple(
+        draw(st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=5.0))) for _ in arcs
+    )
+    gamma = tuple(
+        draw(st.floats(min_value=0.5, max_value=1.5)) * 3.0 / max(v, 0.1) for v in c
+    )
+    return unbounded_instance(
+        n, arcs, c, gamma,
+        r=draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])),
+        B=draw(st.floats(min_value=0.5, max_value=2.0)),
+    )
+
+
+@given(inst=unbounded_instances(), eps=st.sampled_from([0.5, 0.1, 0.01]))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_path_fptas_against_path_enumeration(inst, eps):
+    """The frontier pass stays within 1+eps of the brute-force optimum."""
+    want = brute_paths_unbounded(inst).cost
+    got = solve_path_fptas(inst, eps)
+    assert want * (1.0 - 1e-12) <= got.objective <= (1.0 + eps) * want * (1.0 + 1e-12)
+    nodes = path_nodes(inst, got.path)
+    assert nodes[-1] == inst.t and len(set(nodes)) == len(nodes)
+    assert verify(inst, to_solution(inst, got)).feasible
+
+
+def path_nodes(inst, path):
+    """Nodes of an arc sequence walked from s, checking each arc continues the walk."""
+    nodes = [inst.s]
+    for a in path:
+        u, v = inst.arcs[a]
+        assert nodes[-1] in (u, v)
+        nodes.append(v if nodes[-1] == u else u)
+    return nodes
+
+
+def test_zero_cost_cycle_keeps_the_path_simple():
+    # 1-2-3 is a triangle of arcs that cost nothing on either axis, hung
+    # between two priced arcs; walking round it is free but not simple.
+    arcs = [(0, 1), (1, 2), (2, 3), (3, 1), (1, 4), (3, 4), (0, 4)]
+    c = (1.0, 0.0, 0.0, 0.0, 2.0, 1.0, 9.0)
+    gamma = (1.0, 0.0, 0.0, 0.0, 1.0, 0.5, 9.0)
+    inst = unbounded_instance(5, arcs, c, gamma)
+    for eps in (0.5, 0.1, 0.01):
+        got = solve_path_fptas(inst, eps)
+        nodes = path_nodes(inst, got.path)
+        assert nodes[-1] == inst.t
+        assert len(set(nodes)) == len(nodes), nodes
+        assert got.objective == pytest.approx(brute_paths_unbounded(inst).cost, rel=1e-12)
+
+
+def test_wide_bracket_is_narrowed_before_the_final_pass(monkeypatch):
+    # Arc 0 is nearly free in c but carries a huge gamma, arc 1 the reverse,
+    # so both seed paths cost about 1e3 while LB = phi(min S) is 1e-6.
+    # The cheap middle arc (cost 2) is found only after the doubling bracket.
+    from flowdesign import rsp
+
+    inst = unbounded_instance(2, [(0, 1), (0, 1), (0, 1)], (1e-6, 1e6, 1.0), (1e3, 0.0, 1.0))
+    calls = []
+    orig = rsp._frontier_pass
+
+    def spy(*args):
+        calls.append(args[-2:])  # (delta, cap)
+        return orig(*args)
+
+    monkeypatch.setattr(rsp, "_frontier_pass", spy)
+    for eps in (0.5, 0.01):
+        calls.clear()
+        got = solve_path_fptas(inst, eps)
+        assert got.path == (2,)
+        assert got.objective == pytest.approx(2.0)
+        assert len(calls) > 10
+        delta, cap = calls[-1]
+        assert cap / delta <= 4.0 * inst.n / eps
+
+
+def test_grid_bound_violation_is_a_typed_error(monkeypatch):
+    from flowdesign import pathdesign
+    from flowdesign.errors import BoundExceeded
+
+    inst = unbounded_instance(2, [(0, 1)], (1.0,), (0.0,))
+    monkeypatch.setattr(pathdesign, "lambda_bounds", lambda _: (1.0, 1e12))
+    with pytest.raises(BoundExceeded):
+        lambda_grid(inst, 0.5)
