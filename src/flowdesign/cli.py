@@ -4,8 +4,10 @@ Subcommands: solve, resistance, gen, verify. Results go to stdout (or --out)
 as JSON; everything else, including the run metadata line, goes to stderr so
 that identical inputs always produce byte-identical stdout.
 
-Exit codes: 0 success, 1 usage or IO error, 2 infeasible, 3 unsupported
-instance shape for the requested mode.
+Exit codes: 0 success, 1 usage or IO error, 2 infeasible, 3 instance outside
+what the requested mode handles (its shape, or a cost beyond the float
+range), 4 internal defect (a proven bound broke, or a solver's answer failed
+its own final check).
 
 The numpy-backed modules (spdesign, oracles) are imported only by the
 commands and modes that use them, so path-mode solves start without numpy.
@@ -21,15 +23,18 @@ import sys
 from . import core, pathdesign
 from .core import Instance
 from .errors import (
+    BoundExceeded,
     DimensionMismatch,
     Disconnected,
     Infeasible,
     NonConvergence,
     NotSeriesParallel,
+    OutOfRange,
     SchemaError,
     TooLarge,
     UnsupportedCase,
     ValidationError,
+    VerificationFailed,
 )
 from .sptree import decompose
 
@@ -37,6 +42,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_UNSUPPORTED = 3
+EXIT_DEFECT = 4
 
 
 def _read_text(path: str) -> str:
@@ -323,9 +329,12 @@ def main(argv=None) -> int:
     except (Infeasible, Disconnected) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (NotSeriesParallel, UnsupportedCase) as exc:
+    except (NotSeriesParallel, UnsupportedCase, OutOfRange) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except (BoundExceeded, VerificationFailed) as exc:
+        print(f"defect: {exc}", file=sys.stderr)
+        return EXIT_DEFECT
     except (
         DimensionMismatch,
         SchemaError,

@@ -319,7 +319,7 @@ def write_solution(sol: Solution) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-class _DisjointSets:
+class DisjointSets:
     def __init__(self, n: int):
         self.parent = list(range(n))
 
@@ -331,17 +331,79 @@ class _DisjointSets:
             self.parent[v], v = root, self.parent[v]
         return root
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False when they were already one set."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+
+def st_block_arcs(n: int, arcs, s: int, t: int) -> list[int]:
+    """Indices of the arcs that lie on some simple s-t path, ascending.
+
+    Direction is ignored. An arc lies on a simple s-t path exactly when it
+    shares a biconnected component with a virtual arc s-t, so this is one
+    iterative Hopcroft-Tarjan pass from s that stops at that component.
+    Self-loops, pendant trees, cycles hanging off a cut vertex and other
+    components are left out; the list is empty when s and t are not
+    connected.
+    """
+    virtual = len(arcs)
+    adj = [[] for _ in range(n)]
+    for a, (u, v) in enumerate(arcs):
+        if u != v:
+            adj[u].append((v, a))
+            adj[v].append((u, a))
+    adj[s].append((t, virtual))
+    adj[t].append((s, virtual))
+
+    disc = [-1] * n
+    low = [0] * n
+    disc[s] = 0
+    clock = 1
+    edges: list[int] = []
+    frames = [(s, -1, iter(adj[s]))]
+    while frames:
+        u, via, it = frames[-1]
+        for v, a in it:
+            if a == via:
+                continue
+            if disc[v] < 0:
+                disc[v] = low[v] = clock
+                clock += 1
+                edges.append(a)
+                frames.append((v, a, iter(adj[v])))
+                break
+            if disc[v] < disc[u]:
+                edges.append(a)
+                low[u] = min(low[u], disc[v])
+        else:
+            frames.pop()
+            if not frames:
+                break
+            p = frames[-1][0]
+            low[p] = min(low[p], low[u])
+            if low[u] >= disc[p]:
+                # u's subtree closes a block whose first arc is `via`
+                block = []
+                while True:
+                    a = edges.pop()
+                    block.append(a)
+                    if a == via:
+                        break
+                if virtual in block:
+                    block.remove(virtual)
+                    return sorted(block)
+    return []
 
 
 def _support_resistance(inst: Instance, y, tol: float) -> float:
     """Effective s-t resistance of the installed arcs, shorting infinite ones."""
     from .resistance import effective_resistance
 
-    ds = _DisjointSets(inst.n)
+    ds = DisjointSets(inst.n)
     for a, (u, v) in enumerate(inst.arcs):
         if math.isinf(y[a]):
             ds.union(u, v)

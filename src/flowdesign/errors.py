@@ -54,3 +54,11 @@ class UnsupportedCase(ValueError):
 
 class BoundExceeded(RuntimeError):
     """A computed size broke its proven analytic bound: a defect, not bad input."""
+
+
+class VerificationFailed(RuntimeError):
+    """A solver's answer failed its own final check: a defect, not bad input."""
+
+
+class OutOfRange(ValueError):
+    """A cost or bound of the instance leaves the floating-point range."""

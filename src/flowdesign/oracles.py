@@ -25,6 +25,7 @@ from .errors import (
     Disconnected,
     Infeasible,
     OddSum,
+    OutOfRange,
     TooLarge,
     ValidationError,
 )
@@ -70,13 +71,18 @@ def brute_paths_unbounded(inst: Instance) -> Solution:
     if not inst.unbounded():
         raise ValidationError("this oracle needs ybar unbounded everywhere")
     best = None
+    too_costly = None
     for path in simple_paths(inst.n, inst.arcs, inst.s, inst.t):
-        y, objective = optimal_y_for_path(path, inst.c, inst.B, inst.r, inst.gamma)
+        try:
+            y, objective = optimal_y_for_path(path, inst.c, inst.B, inst.r, inst.gamma)
+        except OutOfRange as exc:
+            too_costly = exc  # costs more than any float, so never the optimum
+            continue
         key = (objective, path)
         if best is None or key < best[0]:
             best = (key, y)
     if best is None:
-        raise Disconnected("no s-t path exists")
+        raise too_costly or Disconnected("no s-t path exists")
     (objective, path), y = best
     return to_solution(inst, PathSolution(path=path, y=y, objective=objective))
 

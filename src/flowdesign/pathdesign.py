@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .core import UNBOUNDED, Instance, Solution, check_epsilon
-from .errors import AllVariableCostsZero, BoundExceeded, Disconnected, ValidationError
+from .errors import AllVariableCostsZero, BoundExceeded, Disconnected, OutOfRange, ValidationError
 from .rsp import frontier_fptas, lex_dijkstra
 from .rsp import rsp_fptas  # noqa: F401  (bench/spans.py wraps this binding)
 
@@ -47,12 +47,21 @@ class LambdaGrid:
     points: tuple[float, ...]
 
 
+def phi(S: float, B: float, r: float) -> float:
+    """S^((r+1)/r) / B^(1/r), the variable cost of a path; +inf past the float range."""
+    try:
+        return S ** ((r + 1.0) / r) / B ** (1.0 / r)
+    except OverflowError:
+        return math.inf
+
+
 def optimal_y_for_path(path, c, B: float, r: float, gamma=None):
     """Closed-form conductances and objective for a fixed path.
 
     gamma defaults to all zeros. Arcs with c_a = 0 get UNBOUNDED; when the
     whole path is free of variable costs the resistance is 0 and only fixed
-    costs remain.
+    costs remain. Raises OutOfRange when the objective or a conductance does
+    not fit in a float.
     """
     if not (B > 0.0):
         raise ValidationError("budget B must be > 0")
@@ -64,9 +73,11 @@ def optimal_y_for_path(path, c, B: float, r: float, gamma=None):
             y.append(S ** (1.0 / r) / (c[a] ** (1.0 / (r + 1.0)) * B ** (1.0 / r)))
         else:
             y.append(UNBOUNDED)
-    objective = S ** ((r + 1.0) / r) / B ** (1.0 / r) if S > 0.0 else 0.0
+    objective = phi(S, B, r) if S > 0.0 else 0.0
     if gamma is not None:
         objective += sum(gamma[a] for a in path)
+    if math.isinf(objective) or any(math.isinf(v) for v, a in zip(y, path) if c[a] > 0.0):
+        raise OutOfRange(f"the cost of path {tuple(path)} leaves the float range")
     return tuple(y), objective
 
 
@@ -100,6 +111,8 @@ def solve_fixed_cost_only(inst: Instance) -> PathSolution:
     if not inst.unbounded():
         raise ValidationError("conductance bounds are not supported here")
     d, seq = _shortest_path(inst, inst.gamma)
+    if math.isinf(d):
+        raise OutOfRange("the least fixed cost of an s-t path leaves the float range")
     y = (UNBOUNDED,) * len(seq)
     return PathSolution(path=seq, y=y, objective=d)
 
@@ -118,13 +131,24 @@ def solve_variable_cost_only(inst: Instance) -> PathSolution:
 
 
 def lambda_bounds(inst: Instance) -> tuple[float, float]:
-    """Bracket [L, U] for the KKT multiplier of the budget constraint."""
+    """Bracket [L, U] for the KKT multiplier of the budget constraint.
+
+    L = min c / (r B^p) and U = max c (n-1)^p / (r B^p) with p = (r+1)/r,
+    computed in log space so that B^p may underflow; raises OutOfRange when
+    a bound itself leaves the float range.
+    """
     pos = [v for v in inst.c if v > 0.0]
     if not pos:
         raise AllVariableCostsZero("every variable cost is zero; use solve_fixed_cost_only")
-    denom = inst.r * inst.B ** ((inst.r + 1.0) / inst.r)
-    L = min(pos) / denom
-    U = max(pos) * (inst.n - 1.0) ** ((inst.r + 1.0) / inst.r) / denom
+    p = (inst.r + 1.0) / inst.r
+    log_denom = math.log(inst.r) + p * math.log(inst.B)
+    try:
+        L = math.exp(math.log(min(pos)) - log_denom)
+        U = math.exp(math.log(max(pos)) + p * math.log(inst.n - 1.0) - log_denom)
+    except OverflowError:
+        raise OutOfRange("the multiplier bracket leaves the float range") from None
+    if L == 0.0:
+        raise OutOfRange("the multiplier bracket leaves the float range")
     return L, U
 
 
@@ -171,12 +195,10 @@ def solve_path_fptas(inst: Instance, epsilon: float) -> PathSolution:
 
     r = inst.r
     e = r / (r + 1.0)
-    p = (r + 1.0) / r
-    scale = inst.B ** (1.0 / r)
     lengths = tuple(v ** e for v in inst.c)
     path = frontier_fptas(
         inst.n, inst.arcs, inst.s, inst.t, lengths, inst.gamma,
-        lambda S: S ** p / scale, epsilon,
+        lambda S: phi(S, inst.B, r), epsilon,
     )
     y, objective = optimal_y_for_path(path, inst.c, inst.B, r, inst.gamma)
     return PathSolution(path=path, y=y, objective=objective)

@@ -1,31 +1,57 @@
 """Minimum-energy unit flows and effective resistance.
 
 For conductances y and exponent r, a flow f routed from s to t has energy
-sum_a |f_a|^{r+1} / y_a^r over the supported arcs. The unique minimizer of
-that energy among unit s-t flows induces node potentials pi with
+sum_a |f_a|^{r+1} / y_a^r over the supported arcs (y_a > 0). The unique
+minimizer of that energy among unit s-t flows induces node potentials pi with
 pi_tail - pi_head = sign(f_a) * (|f_a| / y_a)^r on every supported arc, and
 the effective resistance is R = pi_s - pi_t (equal to the optimal energy).
 
-The solver works in cycle space: it builds a spanning tree of the support,
-starts from the unit flow on the tree's s-t path, and repeatedly performs
-exact one-dimensional minimizations along each fundamental cycle. Each line
-search is strictly convex in the step, so it is solved in closed form for
-r = 1 and by safeguarded Newton otherwise. Round-robin sweeps alone converge
-linearly and can crawl on ill-conditioned cycle overlaps, so the sweeps are
-interleaved with a damped Newton step in the full cycle coordinate space;
-the minimizer is the same (the energy is strictly convex on the affine flow
-space), the polish only changes how fast we land on it.
+The solver works in node space, on the s-t block only: the supported arcs
+that lie on some simple s-t path (``core.st_block_arcs``). Every other arc
+(self-loops, pendant trees, cycles hanging off a cut vertex) carries exactly
+zero flow at the optimum, since any flow there only adds energy. On the
+block, let B be the node-arc incidence and L(c) = B diag(c) B^T the weighted
+Laplacian grounded at t.
+
+* r = 1: one solve L(y) phi = e_s - e_t gives the exact flow f = y B^T phi.
+* r > 1: start from the flow of the same solve with conductances y^r, then
+  take Newton steps on sum w |f|^{r+1} (w = y^-r) under conservation. With
+  g = w sign(f) |f|^r and h = r w |f|^{r-1}, a step solves
+  L(1/h) lambda = B (g/h) and moves by delta = (B^T lambda - g) / h. It is
+  solved for the change of lambda against the residual g - B^T lambda_prev,
+  so its rounding error shrinks with the residual.
+  - h vanishes with f, so it is floored at 1e-15 max h, only to keep 1/h
+    finite. A floor high enough to bind (1e-6 max h) clips the curvature of
+    small-flow arcs, which then crawl towards their optimum at r >= 3.
+  - Each step backtracks on the energy, then re-projects any conservation
+    drift with the fixed L(y^r).
+  - The loop stops once max |delta| <= 0.01 tol max(1, |f|), or once the
+    energy stalls with max |delta| <= tol max(1, |f|). It raises
+    NonConvergence when the step budget runs out, or after 100 stalls with
+    larger steps: the flow then moves below the energy's float resolution,
+    which takes a spread of y^r near 1e18.
+
+Potentials are read off the final flow along a spanning tree that takes the
+arcs of least |f| first. The potential law is then exact where it is most
+sensitive: a potential error on an arc with a small drop moves the flow it
+implies by a factor |drop|^{1/r - 1}.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import DisjointSets, st_block_arcs
 from .errors import Disconnected, NonConvergence, ValidationError
+
+# Floor of the Newton curvature h relative to max h, which keeps 1/h finite.
+_H_FLOOR = 1e-15
+# Steps that fail to lower the energy while still moving the flow by more
+# than tol: past this many the flow sits below the energy's resolution.
+_MAX_STALLS = 100
 
 
 @dataclass(frozen=True)
@@ -56,255 +82,174 @@ def _check_inputs(n, arcs, y, r, s, t):
         raise ValidationError("terminals must be distinct in-range nodes")
 
 
-def _phi(z: float, r: float) -> float:
-    """sign(z) * |z|^r, the arc potential drop per unit of conductance weight."""
-    if z == 0.0:
-        return 0.0
-    return math.copysign(abs(z) ** r, z)
+def _arc_drops(f, y, r):
+    """sign(f) * (|f| / y)^r, the potential drop each arc's flow implies."""
+    return np.sign(f) * (np.abs(f) / y) ** r
 
 
-def _line_search(f, cyc_arcs, sigmas, weights, r):
-    """Exact step theta minimizing the energy along one cycle direction.
+class _BlockSystem:
+    """Incidence operators and grounded Laplacians on the s-t block.
 
-    The derivative g(theta) = sum sigma * phi(f + sigma*theta) / y^r is
-    strictly increasing, so the minimizer is g's unique root.
+    Block nodes are numbered 0..k with t = k, so the grounded system keeps
+    the first k rows and columns and potentials carry an implicit 0 at t.
     """
-    vals = [f[a] for a in cyc_arcs]
 
-    if r == 1.0:
-        num = 0.0
-        den = 0.0
-        for v, sg, w in zip(vals, sigmas, weights):
-            num += sg * v * w
-            den += w
-        return -num / den
+    def __init__(self, n, arcs, block, s, t):
+        index = {}
+        for a in block:
+            for x in arcs[a]:
+                if x != t and x not in index:
+                    index[x] = len(index)
+        k = len(index)
+        index[t] = k
+        self.k = k
+        self.u = np.array([index[arcs[a][0]] for a in block], dtype=np.intp)
+        self.v = np.array([index[arcs[a][1]] for a in block], dtype=np.intp)
+        self.rhs = np.zeros(k)
+        self.rhs[index[s]] = 1.0
 
-    def g(theta):
-        acc = 0.0
-        for v, sg, w in zip(vals, sigmas, weights):
-            acc += sg * w * _phi(v + sg * theta, r)
-        return acc
+        # L's nonzeros as (flat position, sign, arc), skipping t's row and column
+        pos, sign, arc = [], [], []
+        ar = np.arange(len(block))
+        for p, q, sg in ((self.u, self.u, 1.0), (self.v, self.v, 1.0),
+                         (self.u, self.v, -1.0), (self.v, self.u, -1.0)):
+            keep = (p < k) & (q < k)
+            pos.append(p[keep] * k + q[keep])
+            sign.append(np.full(int(keep.sum()), sg))
+            arc.append(ar[keep])
+        self._pos = np.concatenate(pos)
+        self._sign = np.concatenate(sign)
+        self._arc = np.concatenate(arc)
 
-    d0 = g(0.0)
-    if d0 == 0.0:
-        return 0.0
-    # Bracket the root: move against the gradient, doubling the step.
-    span = 1.0 + max(abs(v) for v in vals)
-    if d0 > 0.0:
-        hi, lo = 0.0, -span
-        while g(lo) > 0.0:
-            lo *= 2.0
-            if lo < -1e30:
-                raise NonConvergence("line search failed to bracket")
-    else:
-        lo, hi = 0.0, span
-        while g(hi) < 0.0:
-            hi *= 2.0
-            if hi > 1e30:
-                raise NonConvergence("line search failed to bracket")
+    def laplacian(self, cond):
+        k = self.k
+        L = np.bincount(self._pos, weights=self._sign * cond[self._arc], minlength=k * k)
+        return L.reshape(k, k)
 
-    theta = 0.5 * (lo + hi)
-    for _ in range(120):
-        gv = g(theta)
-        if gv > 0.0:
-            hi = theta
-        elif gv < 0.0:
-            lo = theta
-        else:
-            return theta
-        # Newton step when it stays inside the bracket, bisection otherwise.
-        gp = 0.0
-        for v, sg, w in zip(vals, sigmas, weights):
-            z = abs(v + sg * theta)
-            if z > 0.0:
-                gp += w * r * z ** (r - 1.0)
-        nxt = theta - gv / gp if gp > 0.0 else None
-        if nxt is None or not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
-            return nxt
-        theta = nxt
-    return theta
+    def divergence(self, f):
+        """Net outflow at each grounded node (t's row dropped)."""
+        k = self.k
+        return np.bincount(self.u, f, k + 1)[:k] - np.bincount(self.v, f, k + 1)[:k]
+
+    def drop(self, phi):
+        """B^T phi: potential drop tail to head, with phi_t = 0."""
+        full = np.append(phi, 0.0)
+        return full[self.u] - full[self.v]
 
 
-def _descend(f, cycles, m, y, r, tol, max_line_searches):
-    """Drive the cycle derivatives of the energy to (near) zero, in place.
+def _solve(L, rhs):
+    try:
+        return np.linalg.solve(L, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"singular block Laplacian: {exc}") from None
 
-    Alternates exact per-cycle line searches with a damped Newton step over
-    all cycle coordinates at once. Converged means the largest cycle
-    derivative is below tol * (1 + energy) and the last joint step moved no
-    arc by more than tol * max(1, |f|).
-    """
-    k = len(cycles)
-    w = np.array([y[a] ** -r if y[a] > 0.0 else 0.0 for a in range(m)])
-    member = np.zeros((k, m))
-    for i, (cyc_arcs, sigmas, _) in enumerate(cycles):
-        for b, sg in zip(cyc_arcs, sigmas):
-            member[i, b] += sg
 
-    fv = np.asarray(f)
+def _newton(sys_, y, r, tol, max_steps):
+    """Minimum-energy unit flow on the block for r > 1 (see module docstring)."""
+    c0 = (y / y.max()) ** r  # conductances y^r, rescaled; the flow does not change
+    w = 1.0 / c0
+    L0inv = _solve(sys_.laplacian(c0), np.eye(sys_.k))
 
-    def energy_of(vec):
-        return float(np.sum(w * np.abs(vec) ** (r + 1.0)))
+    def project(f):
+        return f + c0 * sys_.drop(L0inv @ (sys_.rhs - sys_.divergence(f)))
 
-    def grad_cycles(vec):
-        ga = (r + 1.0) * w * np.sign(vec) * np.abs(vec) ** r
-        return member @ ga
+    def energy(f):
+        return float(np.sum(w * np.abs(f) ** (r + 1.0)))
 
-    # Aim two orders below the caller's tolerance: the potential-flow
-    # coupling error downstream is the residual amplified by |drop|^{1/r-1},
-    # so delivering exactly tol would leak visibly larger flow errors.
-    target = 0.01 * tol
-    prev_energy = math.inf
-    searches = 0
+    f = project(np.zeros(len(y)))
+    e = energy(f)
+    pi = np.zeros(sys_.k)  # multipliers of the last step, for the residual form
+    steps = stalls = 0
     while True:
-        # one exact round-robin sweep; guarantees progress from anywhere
-        for cyc_arcs, sigmas, weights in cycles:
-            searches += 1
-            if searches > max_line_searches:
-                raise NonConvergence("energy descent exhausted its line-search budget")
-            theta = _line_search(f, cyc_arcs, sigmas, weights, r)
-            if theta != 0.0:
-                for b, sg in zip(cyc_arcs, sigmas):
-                    f[b] += sg * theta
+        af = np.abs(f)
+        h = r * w * af ** (r - 1.0)
+        h = np.maximum(h, _H_FLOOR * float(h.max()))
+        # Solve for the change mu of the multipliers against the residual
+        # rho = g - B^T pi, so that rounding error shrinks with the residual.
+        rho = w * np.sign(f) * af ** r - sys_.drop(pi)
+        mu = _solve(sys_.laplacian(1.0 / h), sys_.divergence(rho / h))
+        pi += mu
+        delta = (sys_.drop(mu) - rho) / h
+        size = float(np.max(np.abs(delta)))
+        scale = max(1.0, float(af.max()))
+        if size <= 0.01 * tol * scale:
+            return f
+        if steps >= max_steps:
+            raise NonConvergence(f"energy descent exhausted its budget of {max_steps} Newton steps")
+        steps += 1
 
-        fv = np.asarray(f)
-        fmax = max(1.0, float(np.max(np.abs(fv))))
-        energy = energy_of(fv)
-        moved = math.inf
-
-        # Newton polish in cycle coordinates, with Levenberg damping and a
-        # backtracking energy check so it can never undo the sweep's work.
-        damping = 0.0
-        for _ in range(60):
-            searches += 1
-            if searches > max_line_searches:
-                raise NonConvergence("energy descent exhausted its line-search budget")
-            g = grad_cycles(fv)
-            if np.max(np.abs(g)) <= target * (1.0 + energy):
-                moved = 0.0
-                break
-            h = np.minimum(w * r * (r + 1.0) * np.abs(fv) ** (r - 1.0), 1e30)
-            H = (member * h) @ member.T
-            scale = max(float(np.max(np.diag(H))), 1.0)
-            try:
-                d = np.linalg.solve(H + (damping + 1e-14) * scale * np.eye(k), -g)
-            except np.linalg.LinAlgError:
-                damping = max(2.0 * damping, 1e-8)
-                continue
-            step = member.T @ d
-            alpha = 1.0
-            improved = False
-            for _ in range(40):
-                trial = fv + alpha * step
-                if energy_of(trial) < energy:
-                    improved = True
-                    break
-                alpha *= 0.5
-            if not improved:
-                damping = max(2.0 * damping, 1e-8)
-                continue
-            fv = fv + alpha * step
-            energy = energy_of(fv)
-            moved = alpha * float(np.max(np.abs(step)))
-            damping *= 0.25
-            if alpha == 1.0 and moved <= target * fmax:
-                break
-
-        g = grad_cycles(fv)
-        f[:] = fv.tolist()
-        if np.max(np.abs(g)) <= target * (1.0 + energy) and moved <= target * fmax:
-            return
-        if energy == prev_energy and np.max(np.abs(g)) <= tol * (1.0 + energy):
-            return  # at the floating-point floor but within the caller's tolerance
-        prev_energy = energy
+        # The decrement delta^T H delta, not -g^T delta: the latter is a sum
+        # of cancelling terms on bridges, where delta is rounding noise.
+        decrement = float(delta @ (h * delta))
+        alpha = 1.0
+        trial = f + delta
+        e_trial = energy(trial)
+        while e_trial > e and alpha * decrement > 1e-15 * e:
+            alpha *= 0.5
+            trial = f + alpha * delta
+            e_trial = energy(trial)
+        f = project(trial)
+        e, e_old = energy(f), e
+        if e >= e_old:
+            if size <= tol * scale:
+                return f  # the energy stalls at the floating-point floor
+            stalls += 1
+            if stalls > _MAX_STALLS:
+                raise NonConvergence(
+                    f"energy descent stalled {stalls} times with steps of {size:.3e} left"
+                )
 
 
 def min_energy_flow(n, arcs, y, r, s, t, tol: float = 1e-10, max_line_searches: int = 1_000_000) -> FlowState:
     """Minimum-energy unit s-t flow on the supported arcs (y_a > 0).
 
-    Raises Disconnected when the support does not connect s to t, and
-    NonConvergence if the sweep budget runs out first.
+    max_line_searches bounds the number of Newton steps (r > 1; r = 1 takes
+    none). Raises Disconnected when the support does not connect s to t, and
+    NonConvergence if the step budget runs out first.
     """
     _check_inputs(n, arcs, y, r, s, t)
     m = len(arcs)
-
-    adj = [[] for _ in range(n)]
-    for a, (u, v) in enumerate(arcs):
-        if y[a] > 0.0 and u != v:
-            adj[u].append((a, v))
-            adj[v].append((a, u))
-
-    parent: list[tuple[int, int] | None] = [None] * n
-    seen = [False] * n
-    seen[t] = True
-    queue = deque([t])
-    order = []
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for a, w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = (u, a)
-                queue.append(w)
-    if not seen[s]:
+    support = [a for a in range(m) if y[a] > 0.0 and arcs[a][0] != arcs[a][1]]
+    block = [support[i] for i in st_block_arcs(n, [arcs[a] for a in support], s, t)]
+    if not block:
         raise Disconnected("s and t are not connected by installed arcs")
 
-    tree_arcs = {p[1] for p in parent if p is not None}
+    sys_ = _BlockSystem(n, arcs, block, s, t)
+    yb = np.array([y[a] for a in block], dtype=float)
+    if r == 1.0:
+        cond = yb / yb.max()
+        fb = cond * sys_.drop(_solve(sys_.laplacian(cond), sys_.rhs))
+    else:
+        fb = _newton(sys_, yb, r, tol, max_line_searches)
 
-    f = [0.0] * m
-    v = s
-    while v != t:
-        pv, a = parent[v]
-        f[a] += 1.0 if arcs[a][0] == v else -1.0
-        v = pv
+    f = np.zeros(m)
+    f[block] = fb
+    ys = np.array([y[a] for a in support], dtype=float)
+    drops = _arc_drops(f[support], ys, r)
 
-    def chain(x):
-        """Arcs from x down to t as (arc, sigma along the walk)."""
-        out = []
-        while parent[x] is not None:
-            px, a = parent[x]
-            out.append((a, 1.0 if arcs[a][0] == x else -1.0))
-            x = px
-        return out
-
-    cycles = []
-    for a, (u, v) in enumerate(arcs):
-        if y[a] <= 0.0 or a in tree_arcs:
-            continue
-        if u == v:
-            continue  # a self-loop carries no flow at optimality
-        if not seen[u]:
-            continue  # support component without the terminals
-        cu, cv = chain(u), chain(v)
-        while cu and cv and cu[-1][0] == cv[-1][0]:
-            cu.pop()
-            cv.pop()
-        steps = [(a, 1.0)]
-        steps.extend(cv)
-        steps.extend((b, -sg) for b, sg in reversed(cu))
-        cyc_arcs = tuple(b for b, _ in steps)
-        sigmas = tuple(sg for _, sg in steps)
-        weights = tuple(y[b] ** -r for b in cyc_arcs)
-        cycles.append((cyc_arcs, sigmas, weights))
-
-    if cycles:
-        _descend(f, cycles, m, y, r, tol, max_line_searches)
-
+    # Potentials along a spanning forest of the support, least |f| first.
+    ds = DisjointSets(n)
+    tree = [[] for _ in range(n)]
+    for i in np.argsort(np.abs(f[support]), kind="stable").tolist():
+        u, v = arcs[support[i]]
+        if ds.union(u, v):
+            d = float(drops[i])
+            tree[u].append((v, -d))
+            tree[v].append((u, d))
     pi = [0.0] * n
-    for u in order:
-        if parent[u] is None:
-            continue
-        pu, a = parent[u]
-        drop = _phi(f[a], r) / y[a] ** r  # potential falls in the flow direction
-        pi[u] = pi[pu] + drop if arcs[a][0] == u else pi[pu] - drop
+    seen = [False] * n
+    seen[t] = True
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        for z, d in tree[x]:
+            if not seen[z]:
+                seen[z] = True
+                pi[z] = pi[x] + d
+                stack.append(z)
 
-    energy = 0.0
-    for a in range(m):
-        if y[a] > 0.0 and f[a] != 0.0:
-            energy += abs(f[a]) ** (r + 1.0) / y[a] ** r
-    return FlowState(f=tuple(f), pi=tuple(pi), energy=energy)
+    energy = float(np.sum(np.abs(fb) * _arc_drops(np.abs(fb), yb, r)))
+    return FlowState(f=tuple(f.tolist()), pi=tuple(pi), energy=energy)
 
 
 def effective_resistance(n, arcs, y, r, s, t, tol: float = 1e-10) -> float:

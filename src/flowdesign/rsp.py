@@ -256,7 +256,9 @@ def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...
     either pays a positive fixed cost or is free of fixed cost and then no
     shorter than the least-fixed-cost path; so LB = min(phi(its length), the
     least positive fixed cost) is <= OPT, and both terms are positive since
-    both seeds cost more than 0.
+    both seeds cost more than 0. phi may return +inf past the float range;
+    an infinite LB means every path costs +inf, and the better seed is
+    returned as it is.
 
     Bracket (Hassin's doubling, as in ``rsp_fptas``). While UB > 2 LB, probe
     P = 2 LB with delta = P/n and cap P. If the probe settles nothing at t,
@@ -296,10 +298,9 @@ def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...
         (phi(by_len[0]) + by_len[1], by_len[2]),
         (phi(by_fixed[1]) + by_fixed[0], by_fixed[2]),
     )
-    if ub <= 0.0:
-        return best
-
     lb = max(phi(by_len[0]), by_fixed[0])
+    if ub <= 0.0 or math.isinf(lb):
+        return best  # every path costs 0, or more than a float holds
     if lb <= 0.0:
         lb = min(phi(by_fixed[1]), min(v for v in fixed if v > 0.0))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FixedInstance, Instance, Solution, check_epsilon, verify
-from .errors import Infeasible, UnsupportedCase, ValidationError
+from .errors import BoundExceeded, Infeasible, UnsupportedCase, ValidationError, VerificationFailed
 from .sptree import (
     Leaf,
     Parallel,
@@ -95,7 +95,7 @@ def fill_table(tree: SPTree, options: OptionSet, U: int, r: float) -> DPTable:
 
     Option prices must already be nonnegative integers (scale first if not).
     The amount of (node, k, k') work is counted and checked against its
-    analytic envelope (2m - 1) * (U + 1)^2.
+    analytic envelope (2m - 1) * (U + 1)^2; exceeding it raises BoundExceeded.
     """
     if U < 0:
         raise ValidationError("budget U must be >= 0")
@@ -128,7 +128,8 @@ def fill_table(tree: SPTree, options: OptionSet, U: int, r: float) -> DPTable:
 
     m = sum(1 for n in nodes if isinstance(n, Leaf))
     envelope = (2 * m - 1) * (U + 1) ** 2
-    assert iterations <= envelope, f"DP did {iterations} iterations, envelope {envelope}"
+    if iterations > envelope:
+        raise BoundExceeded(f"DP did {iterations} iterations, envelope {envelope}")
     return DPTable(
         nodes=tuple(nodes),
         resistance=tuple(res[id(n)] for n in nodes),
@@ -245,7 +246,8 @@ def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Soluti
                 row = []
                 for mu, p in opts:
                     rho = int(p / delta)
-                    assert delta * rho <= p * (1.0 + 1e-9) and p <= delta * rho + delta * (1.0 + 1e-9)
+                    if not (delta * rho <= p * (1.0 + 1e-9) and p <= delta * rho + delta * (1.0 + 1e-9)):
+                        raise BoundExceeded(f"price {p} rounds to {rho} units of {delta}")
                     row.append((mu, rho))
                 rows.append(tuple(row))
             scaled = OptionSet(tuple(rows))
@@ -306,7 +308,8 @@ def discretize_conductances(inst: Instance, epsilon: float) -> OptionSet:
                 mu = ylow * step ** i
             grid_count = len(mus)
             bound = math.ceil((6.0 / epsilon) * math.log2(ub * 6.0 * inst.c[a] * m / (epsilon * L))) + 1
-            assert grid_count <= bound, f"arc {a}: grid {grid_count} exceeds bound {bound}"
+            if grid_count > bound:
+                raise BoundExceeded(f"arc {a}: grid {grid_count} exceeds bound {bound}")
             if not mus or mus[-1] != ub:
                 mus.append(ub)
         else:
@@ -320,7 +323,8 @@ def solve_sp_fptas(inst: Instance, epsilon: float) -> Solution:
 
     Discretize at eps, then run the fixed-menu scheme at eps/3; the combined
     loss (1 + eps/3)^2 stays within 1 + eps on (0, 1). The result is
-    re-checked against the original instance before it is returned.
+    re-checked against the original instance before it is returned; a
+    design that fails the check raises VerificationFailed.
     """
     check_epsilon(epsilon, "sp-fptas")
     for a in range(inst.m):
@@ -341,5 +345,6 @@ def solve_sp_fptas(inst: Instance, epsilon: float) -> Solution:
     )
     sol = solve_fixed_conductance_fptas(fixed, epsilon / 3.0)
     report = verify(inst, sol, tol=1e-9)
-    assert report.feasible, f"reconstructed solution failed verification: {report.reasons}"
+    if not report.feasible:
+        raise VerificationFailed(f"reconstructed solution failed verification: {report.reasons}")
     return sol

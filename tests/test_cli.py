@@ -100,6 +100,29 @@ class TestSolve:
         assert main(["solve", "--in", path]) == 3
         assert "unsupported" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["path-fptas", "brute", "auto"])
+    def test_cost_beyond_the_float_range_exits_3(self, tmp_path, capsys, mode):
+        # phi(S) = S^2 / B = (2e154)^2 overflows: no float holds the cost
+        inst = Instance(
+            n=3, arcs=((0, 1), (1, 2)), s=0, t=2, r=1.0,
+            c=(1e308, 1e308), gamma=(1.0, 1.0), ybar=(math.inf,) * 2, B=1.0,
+        )
+        path = write_file(tmp_path, "huge.json", write_instance(inst))
+        assert main(["solve", "--in", path, "--mode", mode]) == 3
+        cap = capsys.readouterr()
+        assert "unsupported" in cap.err and "float range" in cap.err
+        assert cap.out == ""
+
+    def test_brute_skips_paths_beyond_the_float_range(self, tmp_path, capsys):
+        inst = Instance(
+            n=3, arcs=((0, 1), (1, 2), (0, 2)), s=0, t=2, r=1.0,
+            c=(1e308, 1e308, 4.0), gamma=(1.0, 1.0, 1.0), ybar=(math.inf,) * 3, B=1.0,
+        )
+        path = write_file(tmp_path, "mixed.json", write_instance(inst))
+        for mode in ("brute", "path-fptas"):
+            assert main(["solve", "--in", path, "--mode", mode]) == 0
+            assert read_solution(capsys.readouterr().out).x == (0, 0, 1)
+
     def test_sp_exact_solves_knapsack_encoding(self, tmp_path, capsys):
         inst = Instance(
             n=2, arcs=((0, 1), (0, 1)), s=0, t=1, r=1.0,
@@ -256,6 +279,43 @@ def test_console_script_installed(tmp_path):
     assert proc.returncode == 0
     parse_instance(proc.stdout)
     assert json.loads(proc.stderr)["threshold"] == 24.0
+
+
+class TestGuardsUnderOptimize:
+    """Defect guards raise typed errors under python -O and exit 4."""
+
+    def run_optimized(self, tmp_path, patch):
+        _, path = bounded_series(tmp_path, B=3.0)
+        code = (
+            "import sys\n"
+            "assert not __debug__\n"
+            "from flowdesign import cli, core, spdesign\n"
+            f"{patch}\n"
+            f"sys.exit(cli.main(['solve', '--in', {path!r}, '--mode', 'sp-fptas', '--eps', '0.5']))\n"
+        )
+        return subprocess.run(
+            [sys.executable, "-O", "-c", code], env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+
+    def test_failed_final_verify_exits_4(self, tmp_path):
+        proc = self.run_optimized(
+            tmp_path,
+            "spdesign.verify = lambda inst, sol, tol: core.VerificationReport(False, 0.0, 0.0, ('forced',))",
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "defect" in proc.stderr and "verification" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_broken_grid_bound_exits_4(self, tmp_path):
+        proc = self.run_optimized(
+            tmp_path,
+            "import math, types\n"
+            "ns = {k: getattr(math, k) for k in dir(math) if not k.startswith('_')}\n"
+            "ns['log2'] = lambda x: 0.0  # shrinks the analytic grid bound to 1\n"
+            "spdesign.math = types.SimpleNamespace(**ns)",
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "defect" in proc.stderr and "exceeds bound" in proc.stderr
 
 
 class TestColdStart:

@@ -170,6 +170,21 @@ class TestLambdaMachinery:
         with pytest.raises(AllVariableCostsZero):
             lambda_bounds(inst)
 
+    def test_bounds_survive_an_underflowing_budget_power(self):
+        # r B^((r+1)/r) underflows to 0 at B = 1e-300, r = 2; in log space
+        # L = c / (r B^1.5) = 1e-300 / (2e-450) is still a float.
+        inst = unbounded_instance(2, [(0, 1)], (1e-300,), (0.0,), r=2.0, B=1e-300)
+        L, U = lambda_bounds(inst)
+        assert L == pytest.approx(5e149, rel=1e-9)
+        assert U == L
+
+    def test_bounds_beyond_the_float_range_are_a_typed_error(self):
+        from flowdesign.errors import OutOfRange
+
+        inst = unbounded_instance(2, [(0, 1)], (1.0,), (0.0,), r=2.0, B=1e-300)
+        with pytest.raises(OutOfRange):
+            lambda_bounds(inst)
+
     def test_grid_covers_range(self):
         inst = unbounded_instance(3, [(0, 1), (1, 2)], (0.5, 7.0), (1.0, 0.0), r=1.5, B=0.75)
         grid = lambda_grid(inst, 0.25)

@@ -170,3 +170,163 @@ def test_self_loop_carries_nothing():
     state = min_energy_flow(2, arcs, (2.0, 5.0), 1.0, 0, 1)
     assert state.f[1] == 0.0
     assert state.energy == pytest.approx(0.5)
+
+
+# --- node-space solver: decorated graphs checked through their KKT residuals ---
+
+KKT_TOL = 1e-6
+
+
+def kkt_residuals(n, arcs, y, r, s, t, state):
+    """Largest conservation residual, and the largest potential-law gap over
+    max(1, |f|), the way the benchmark checker certifies a flow."""
+    net = [0.0] * n
+    for (u, v), fa in zip(arcs, state.f):
+        net[u] += fa
+        net[v] -= fa
+    net[s] -= 1.0
+    net[t] += 1.0
+    scale = max(1.0, max(abs(v) for v in state.f))
+    law = 0.0
+    for (u, v), fa, ya in zip(arcs, state.f, y):
+        drop = state.pi[u] - state.pi[v]
+        want = ya * math.copysign(abs(drop) ** (1.0 / r), drop)
+        law = max(law, abs(fa - want))
+    return max(abs(v) for v in net), law / scale
+
+
+def decorated_graph(rng, core_nodes=5):
+    """Two random connected pieces joined by a chain of bridges (s in the
+    first, t in the second), decorated with pendant trees, a dead cycle on a
+    cut vertex, parallel arcs, self-loops and a separate component. Arcs point
+    either way. Returns (n, arcs, s, t, dead), where dead holds arcs known to
+    lie on no simple s-t path."""
+    arcs, dead = [], set()
+    n = 0
+
+    def piece(size):
+        nonlocal n
+        base = n
+        n += size
+        for i in range(1, size):
+            arcs.append((base + i, base + rng.randrange(i)))
+        for _ in range(rng.randint(1, size)):
+            arcs.append((base + rng.randrange(size), base + rng.randrange(size)))
+            if arcs[-1][0] == arcs[-1][1]:
+                dead.add(len(arcs) - 1)
+        return base
+
+    first = piece(rng.randint(2, core_nodes))
+    chain = [n - 1]
+    for _ in range(rng.randint(1, 2)):
+        chain.append(n)
+        n += 1
+    second = piece(rng.randint(2, core_nodes))
+    chain.append(second)
+    for u, v in zip(chain, chain[1:]):
+        arcs.append((u, v))
+    s, t = first, n - 1
+
+    for _ in range(rng.randint(1, 4)):  # pendant trees
+        arcs.append((rng.randrange(n), n))
+        dead.add(len(arcs) - 1)
+        n += 1
+    hub = rng.randrange(n)  # a dead cycle on a cut vertex
+    arcs += [(hub, n), (n, n + 1), (n + 1, hub)]
+    dead.update(range(len(arcs) - 3, len(arcs)))
+    n += 2
+    arcs += [(n, n + 1), (n + 1, n)]  # a separate component
+    dead.update(range(len(arcs) - 2, len(arcs)))
+    n += 2
+    for _ in range(rng.randint(1, 3)):  # parallel copies and self-loops
+        a = rng.randrange(len(arcs))
+        arcs.append(arcs[a])
+        if a in dead:
+            dead.add(len(arcs) - 1)
+        v = rng.randrange(n)
+        arcs.append((v, v))
+        dead.add(len(arcs) - 1)
+    arcs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in arcs]
+    return n, tuple(arcs), s, t, dead
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
+def test_decorated_graphs_meet_kkt(r):
+    rng = random.Random(f"decorated:{r}")
+    for trial in range(40):
+        n, arcs, s, t, dead = decorated_graph(rng)
+        y = tuple(rng.uniform(0.1, 10.0) for _ in arcs)
+        state = min_energy_flow(n, arcs, y, r, s, t)
+        conservation, law = kkt_residuals(n, arcs, y, r, s, t, state)
+        assert conservation <= KKT_TOL, f"trial {trial}"
+        assert law <= KKT_TOL, f"trial {trial}"
+        assert all(state.f[a] == 0.0 for a in dead), f"trial {trial}"
+        R = state.pi[s] - state.pi[t]
+        assert state.energy == pytest.approx(R, rel=1e-9), f"trial {trial}"
+        if r == 1.0:
+            assert R == pytest.approx(laplacian_resistance(n, arcs, y, s, t), rel=1e-9)
+
+
+def test_block_arcs_are_those_on_simple_paths():
+    from flowdesign.core import st_block_arcs
+    from flowdesign.oracles import simple_paths
+
+    rng = random.Random(404)
+    for trial in range(60):
+        n, arcs, s, t, _ = decorated_graph(rng, core_nodes=4)
+        on_path = set()
+        for path in simple_paths(n, arcs, s, t):
+            on_path.update(path)
+        assert st_block_arcs(n, arcs, s, t) == sorted(on_path), f"trial {trial}"
+    assert st_block_arcs(4, ((0, 1), (2, 3)), 0, 3) == []
+
+
+def test_large_r2_instance_meets_kkt():
+    rng = random.Random(2002)
+    n = 200
+    arcs = random_connected(rng, n, 200)
+    y = tuple(rng.uniform(0.1, 10.0) for _ in arcs)
+    state = min_energy_flow(n, arcs, y, 2.0, 0, n - 1)
+    conservation, law = kkt_residuals(n, arcs, y, 2.0, 0, n - 1, state)
+    assert conservation <= KKT_TOL
+    assert law <= KKT_TOL
+    assert state.energy == pytest.approx(state.pi[0] - state.pi[n - 1], rel=1e-9)
+
+
+def test_tiny_newton_budget_raises():
+    from flowdesign.errors import NonConvergence
+
+    rng = random.Random(77)
+    arcs = random_connected(rng, 12, 12)
+    y = tuple(rng.uniform(0.1, 10.0) for _ in arcs)
+    with pytest.raises(NonConvergence):
+        min_energy_flow(12, arcs, y, 2.0, 0, 11, max_line_searches=1)
+    min_energy_flow(12, arcs, y, 1.0, 0, 11, max_line_searches=0)  # r = 1 takes no steps
+
+
+@pytest.mark.parametrize("r", [3.0, 4.0])
+def test_wide_conductance_spread_converges_in_few_steps(r):
+    # y^r spans 1e6-1e8 here: a curvature floor high enough to bind leaves
+    # the small-flow arcs it clips to crawl towards their optimum.
+    rng = random.Random(f"spread:{r}")
+    for trial in range(30):
+        n, arcs, s, t, _ = decorated_graph(rng, core_nodes=8)
+        y = tuple(10.0 ** rng.uniform(-2.0, 0.0) for _ in arcs)
+        state = min_energy_flow(n, arcs, y, r, s, t, max_line_searches=60)
+        conservation, _ = kkt_residuals(n, arcs, y, r, s, t, state)
+        assert conservation <= KKT_TOL, f"trial {trial}"
+        assert state.energy == pytest.approx(state.pi[s] - state.pi[t], rel=1e-9), f"trial {trial}"
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+def test_near_balanced_bridge_keeps_the_potential_law(eps):
+    # The bridge 1-2 carries about eps/4 and drops (eps/8)^3: far below the
+    # rounding of the other potentials, so the bridge must be a tree arc
+    # when the potentials are read off the flow.
+    arcs = ((0, 1), (0, 2), (1, 3), (2, 3), (1, 2))
+    y = (1.0, 1.0, 1.0 + eps, 1.0, 2.0)
+    state = min_energy_flow(4, arcs, y, 3.0, 0, 3)
+    assert 0.0 < abs(state.f[4]) < eps
+    conservation, law = kkt_residuals(4, arcs, y, 3.0, 0, 3, state)
+    assert conservation <= KKT_TOL
+    assert law <= KKT_TOL
