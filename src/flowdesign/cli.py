@@ -5,9 +5,10 @@ as JSON; everything else, including the run metadata line, goes to stderr so
 that identical inputs always produce byte-identical stdout.
 
 Exit codes: 0 success, 1 usage or IO error, 2 infeasible, 3 instance outside
-what the requested mode handles (its shape, or a cost beyond the float
-range), 4 internal defect (a proven bound broke, or a solver's answer failed
-its own final check).
+what the requested mode handles (its shape, a cost beyond the float range,
+or conductances whose y^r spread is beyond float resolution, so the energy
+solve does not converge), 4 internal defect (a proven bound broke, or a
+solver's answer failed its own final check).
 
 The numpy-backed modules (spdesign, oracles) are imported only by the
 commands and modes that use them, so path-mode solves start without numpy.
@@ -329,7 +330,7 @@ def main(argv=None) -> int:
     except (Infeasible, Disconnected) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (NotSeriesParallel, UnsupportedCase, OutOfRange) as exc:
+    except (NotSeriesParallel, UnsupportedCase, OutOfRange, NonConvergence) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (BoundExceeded, VerificationFailed) as exc:
@@ -340,7 +341,6 @@ def main(argv=None) -> int:
         SchemaError,
         ValidationError,
         TooLarge,
-        NonConvergence,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,6 +54,23 @@ def _is_real(v) -> bool:
     return (isinstance(v, float) or _is_int(v)) and math.isfinite(v)
 
 
+def _check_network(inst) -> None:
+    """The checks Instance and FixedInstance share: nodes, terminals, r, arcs, B."""
+    if inst.n < 2:
+        raise ValidationError("need at least two nodes")
+    if not (0 <= inst.s < inst.n and 0 <= inst.t < inst.n):
+        raise ValidationError("terminal out of range")
+    if inst.s == inst.t:
+        raise ValidationError("s and t must differ")
+    if not (inst.r >= 1.0) or not math.isfinite(inst.r):
+        raise ValidationError("flow exponent r must be a finite real >= 1")
+    for u, v in inst.arcs:
+        if not (0 <= u < inst.n and 0 <= v < inst.n):
+            raise ValidationError("arc endpoint out of range")
+    if not (inst.B > 0.0):
+        raise ValidationError("budget B must be > 0")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A design instance. Arrays are indexed by arc in file order."""
@@ -69,21 +86,11 @@ class Instance:
     B: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValidationError("need at least two nodes")
-        if not (0 <= self.s < self.n and 0 <= self.t < self.n):
-            raise ValidationError("terminal out of range")
-        if self.s == self.t:
-            raise ValidationError("s and t must differ")
-        if not (self.r >= 1.0) or not math.isfinite(self.r):
-            raise ValidationError("flow exponent r must be a finite real >= 1")
+        _check_network(self)
         m = len(self.arcs)
         for name in ("c", "gamma", "ybar"):
             if len(getattr(self, name)) != m:
                 raise ValidationError(f"{name} must have one entry per arc")
-        for u, v in self.arcs:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValidationError("arc endpoint out of range")
         for a in range(m):
             if not (self.c[a] >= 0.0) or not math.isfinite(self.c[a]):
                 raise ValidationError("variable costs must be finite and >= 0")
@@ -91,8 +98,6 @@ class Instance:
                 raise ValidationError("fixed costs must be finite and >= 0")
             if not (self.ybar[a] > 0.0):
                 raise ValidationError("conductance bounds must be > 0")
-        if not (self.B > 0.0):
-            raise ValidationError("budget B must be > 0")
 
     @property
     def m(self) -> int:
@@ -129,27 +134,15 @@ class FixedInstance:
     options: tuple[tuple[tuple[float, float], ...], ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValidationError("need at least two nodes")
-        if not (0 <= self.s < self.n and 0 <= self.t < self.n):
-            raise ValidationError("terminal out of range")
-        if self.s == self.t:
-            raise ValidationError("s and t must differ")
-        if not (self.r >= 1.0) or not math.isfinite(self.r):
-            raise ValidationError("flow exponent r must be a finite real >= 1")
+        _check_network(self)
         if len(self.options) != len(self.arcs):
             raise ValidationError("options must have one entry per arc")
-        for u, v in self.arcs:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValidationError("arc endpoint out of range")
         for opts in self.options:
             for mu, p in opts:
                 if not (mu > 0.0) or not math.isfinite(mu):
                     raise ValidationError("option conductances must be finite and > 0")
                 if not (p >= 0.0) or not math.isfinite(p):
                     raise ValidationError("option prices must be finite and >= 0")
-        if not (self.B > 0.0):
-            raise ValidationError("budget B must be > 0")
 
     @property
     def m(self) -> int:
@@ -340,6 +333,16 @@ class DisjointSets:
         return True
 
 
+def adjacency(n: int, arcs) -> list[list[tuple[int, int]]]:
+    """Per-node lists of (arc, other end) in arc order; self-loops are skipped."""
+    adj = [[] for _ in range(n)]
+    for a, (u, v) in enumerate(arcs):
+        if u != v:
+            adj[u].append((a, v))
+            adj[v].append((a, u))
+    return adj
+
+
 def st_block_arcs(n: int, arcs, s: int, t: int) -> list[int]:
     """Indices of the arcs that lie on some simple s-t path, ascending.
 
@@ -351,13 +354,9 @@ def st_block_arcs(n: int, arcs, s: int, t: int) -> list[int]:
     connected.
     """
     virtual = len(arcs)
-    adj = [[] for _ in range(n)]
-    for a, (u, v) in enumerate(arcs):
-        if u != v:
-            adj[u].append((v, a))
-            adj[v].append((u, a))
-    adj[s].append((t, virtual))
-    adj[t].append((s, virtual))
+    adj = adjacency(n, arcs)
+    adj[s].append((virtual, t))
+    adj[t].append((virtual, s))
 
     disc = [-1] * n
     low = [0] * n
@@ -367,7 +366,7 @@ def st_block_arcs(n: int, arcs, s: int, t: int) -> list[int]:
     frames = [(s, -1, iter(adj[s]))]
     while frames:
         u, via, it = frames[-1]
-        for v, a in it:
+        for a, v in it:
             if a == via:
                 continue
             if disc[v] < 0:

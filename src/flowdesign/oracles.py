@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FixedInstance, Instance, Solution
+from .core import FixedInstance, Instance, Solution, adjacency
 from .errors import (
     Disconnected,
     Infeasible,
@@ -39,12 +39,7 @@ def simple_paths(n, arcs, s, t):
 
     Arcs may be walked in either direction.
     """
-    adj = [[] for _ in range(n)]
-    for a, (u, v) in enumerate(arcs):
-        if u != v:
-            adj[u].append((a, v))
-            adj[v].append((a, u))
-
+    adj = adjacency(n, arcs)
     path = []
     visited = {s}
 

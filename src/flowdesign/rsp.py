@@ -1,16 +1,19 @@
-"""Restricted shortest path, and the (length, fixed cost) frontier behind it.
+"""Restricted shortest path as a (length, fixed cost) frontier problem.
 
-Costs live on one axis, lengths on the other. The exact solver keeps, per
-node, the Pareto frontier of (cost, length) labels and settles them in
-(cost, length, arc-sequence) order, which is the label-setting form of the
-classic cost-indexed DP: for every reachable integer cost it implicitly
-knows the minimal length. Lengths are never rounded anywhere, so a returned
-path always satisfies the budget exactly; the FPTAS scales and rounds only
-the cost axis.
+Every path problem here minimizes phi(L_P) + F_P over simple s-t paths,
+where L_P and F_P sum a nonnegative ``length`` and ``fixed`` cost over the
+path's arcs and phi is nondecreasing. One label-setting pass
+(``_frontier_pass``) keeps, per node, the Pareto frontier of (cost, length)
+labels and settles them in (cost, length, arc-sequence) order; for every
+reachable integer cost it implicitly knows the least length. The unbounded
+design problem prices a path with phi(S) = S^((r+1)/r) / B^(1/r).
 
-``frontier_fptas`` runs the same label-setting scheme without a budget: it
-minimizes phi(length) + fixed cost for a nondecreasing phi, which is how the
-unbounded design problem prices a path, in one pass over the frontier.
+The restricted shortest path (RSP) is the same frontier with a budget phi:
+phi(L) = 0 when L is within the budget and +inf otherwise. ``rsp_exact``
+runs the pass once on integer costs; ``rsp_fptas`` is ``frontier_fptas``
+with the budget phi. Lengths are never rounded anywhere, so a returned path
+always satisfies the budget exactly; the FPTAS scales and rounds only the
+cost axis.
 
 Arcs are traversable in both directions and returned paths are simple.
 """
@@ -21,7 +24,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .core import check_epsilon
+from .core import adjacency, check_epsilon
 from .errors import Disconnected, Infeasible, ValidationError
 
 
@@ -50,51 +53,59 @@ class RspInstance:
             raise ValidationError("budget must be >= 0")
 
 
-def _adjacency(n, arcs):
-    adj = [[] for _ in range(n)]
-    for a, (u, v) in enumerate(arcs):
-        if u != v:
-            adj[u].append((a, v))
-            adj[v].append((a, u))
-    return adj
+def _budget_phi(budget):
+    """phi(L) = 0 within the length budget, +inf beyond it."""
+    return lambda L: 0.0 if L <= budget else math.inf
 
 
-def _label_search(n, arcs, s, t, cost, length, budget, cost_cap):
-    """Cheapest feasible path by label-setting over (cost, length) frontiers.
+def _frontier_pass(adj, s, t, level, length, fixed, phi, delta, cap):
+    """One label-setting pass over (rounded fixed cost, exact length).
 
-    Labels pop in (cost, length, sequence) order, so every label already
-    settled at a node costs no more than the one in hand: the newcomer is
-    weakly dominated exactly when its length is not below the shortest one
-    settled there. Surviving labels are simple, and the first one settled
-    at t is the answer.
+    ``level[a]`` is fixed[a] rounded down to a multiple of delta, counted in
+    units of delta. Labels pop in (level, length, arc sequence) order, so
+    every label already settled at a node has no larger level than the one
+    in hand: the newcomer is dominated exactly when its length is not below
+    the shortest one settled there. A label is also dropped once its lower
+    bound phi(length) + level * delta reaches cap, which tightens to the
+    best objective phi(length) + fixed found at t. Returns (objective, path)
+    for the best label settled at t, or None when none was settled.
     """
-    adj = _adjacency(n, arcs)
-    shortest = [math.inf] * n
-    heap = [(0, 0.0, (), s, 1 << s)]
+    shortest = [math.inf] * len(adj)
+    heap = [(0, 0.0, (), s, 1 << s, 0.0)]
+    best = None
     while heap:
-        dc, dl, seq, v, mask = heapq.heappop(heap)
+        g, dl, seq, v, mask, gam = heapq.heappop(heap)
+        if g * delta >= cap:
+            break
         if dl >= shortest[v]:
             continue
-        if v == t:
-            return seq, dc, dl
         shortest[v] = dl
+        if v == t:
+            value = phi(dl) + gam
+            if best is None or value < best[0]:
+                best = (value, seq)
+                cap = min(cap, value)
+            continue
         for a, w in adj[v]:
-            if mask & (1 << w):
-                continue
-            nc = dc + cost[a]
-            if nc > cost_cap:
-                continue
             nl = dl + length[a]
-            if nl > budget or nl >= shortest[w]:
+            if nl >= shortest[w] or mask & (1 << w):
                 continue
-            heapq.heappush(heap, (nc, nl, seq + (a,), w, mask | (1 << w)))
-    return None
+            ng = g + level[a]
+            if ng * delta + phi(nl) >= cap:
+                continue
+            heapq.heappush(heap, (ng, nl, seq + (a,), w, mask | (1 << w), gam + fixed[a]))
+    return best
+
+
+_label_search = _frontier_pass  # bench/spans.py wraps this binding
 
 
 def rsp_exact(inst: RspInstance, cost_cap=None) -> tuple[int, ...]:
     """Minimum-cost path within the length budget, for integer costs.
 
-    Ties break toward the shorter, then lexicographically smaller path.
+    One pass with unit delta and the budget phi: the first label settled at
+    t is the answer. Ties break toward the shorter, then lexicographically
+    smaller path.
     """
     icost = []
     for v in inst.cost:
@@ -104,12 +115,13 @@ def rsp_exact(inst: RspInstance, cost_cap=None) -> tuple[int, ...]:
         icost.append(iv)
     if cost_cap is None:
         cost_cap = sum(icost)
-    hit = _label_search(
-        inst.n, inst.arcs, inst.s, inst.t, tuple(icost), inst.length, inst.budget, cost_cap
+    hit = _frontier_pass(
+        adjacency(inst.n, inst.arcs), inst.s, inst.t, icost, inst.length, icost,
+        _budget_phi(inst.budget), 1, cost_cap + 1,
     )
     if hit is None:
         raise Infeasible("no s-t path satisfies the length budget")
-    return hit[0]
+    return hit[1]
 
 
 def lex_dijkstra(n, arcs, w1, w2, s, t):
@@ -117,7 +129,7 @@ def lex_dijkstra(n, arcs, w1, w2, s, t):
 
     Returns (sum w1, sum w2, seq), or None when t is unreachable from s.
     """
-    adj = _adjacency(n, arcs)
+    adj = adjacency(n, arcs)
     best = {s: (0.0, 0.0, ())}
     heap = [(0.0, 0.0, (), s)]
     settled = set()
@@ -141,114 +153,31 @@ def lex_dijkstra(n, arcs, w1, w2, s, t):
 def rsp_fptas(inst: RspInstance, epsilon: float) -> tuple[int, ...]:
     """A feasible path of cost at most (1+epsilon) times the optimum.
 
-    Hassin-style scheme: bracket the optimal cost by doubling coarse tests,
-    then run the exact solver once on costs rounded down to multiples of
-    delta = epsilon * LB / n. Rounding drops at most delta per arc and a
-    simple path has at most n-1 of them, hence the guarantee.
+    ``frontier_fptas`` with the budget phi, so an over-budget path costs
+    +inf; raises Infeasible when s and t are disconnected or every path
+    exceeds the budget.
     """
-    check_epsilon(epsilon)
-
-    by_len = lex_dijkstra(inst.n, inst.arcs, inst.length, inst.cost, inst.s, inst.t)
-    if by_len is None or by_len[0] > inst.budget:
-        raise Infeasible("no s-t path satisfies the length budget")
-    ub = by_len[1]
-    ub_path = by_len[2]
-
-    by_cost = lex_dijkstra(inst.n, inst.arcs, inst.cost, inst.length, inst.s, inst.t)
-    if by_cost[1] <= inst.budget:
-        return by_cost[2]  # the unconstrained cheapest path is feasible: exact
-    c0 = by_cost[0]
-
-    pos = [v for v in inst.cost if v > 0.0]
-    lb = max(c0, min(pos)) if pos else 0.0
-    if lb <= 0.0 or ub <= lb:
-        return ub_path
-
-    h1 = inst.n  # path arcs + 1
-    while 2.0 * lb < ub:
-        probe = 2.0 * lb
-        delta = probe / h1
-        scaled = tuple(int(v / delta) for v in inst.cost)
-        hit = _label_search(
-            inst.n, inst.arcs, inst.s, inst.t, scaled, inst.length, inst.budget, h1
+    try:
+        path = frontier_fptas(
+            inst.n, inst.arcs, inst.s, inst.t, inst.length, inst.cost,
+            _budget_phi(inst.budget), epsilon,
         )
-        if hit is None:
-            lb = probe  # certified: every feasible path costs more than probe
-        else:
-            true_cost = sum(inst.cost[a] for a in hit[0])
-            if true_cost < ub:
-                ub = true_cost
-                ub_path = hit[0]
-            break
-
-    delta = epsilon * lb / h1
-    scaled = tuple(int(v / delta) for v in inst.cost)
-    cap = math.floor(ub / delta) + 1
-    hit = _label_search(
-        inst.n, inst.arcs, inst.s, inst.t, scaled, inst.length, inst.budget, cap
-    )
-    if hit is None:
-        return ub_path  # the bracketing path itself is within the guarantee
-    best = hit[0]
-    if sum(inst.cost[a] for a in best) <= sum(inst.cost[a] for a in ub_path):
-        return best
-    return ub_path
-
-
-def _frontier_pass(adj, s, t, level, length, fixed, phi, delta, cap):
-    """One label-setting pass over (rounded fixed cost, exact length).
-
-    ``level[a]`` is fixed[a] rounded down to a multiple of delta, counted in
-    units of delta. Labels pop in (level, length) order; a label whose
-    length is not below the shortest one settled at its node is dominated
-    and dropped. A label is also dropped once its lower bound
-    phi(length) + level * delta reaches cap, which tightens to the best
-    objective phi(length) + fixed found at t. Returns (objective, path) for
-    the best label settled at t, or None when none was settled.
-    """
-    shortest = [math.inf] * len(adj)
-    back = [(0, -1)]  # label id -> (parent label id, arc); label 0 sits at s
-    heap = [(0, 0.0, 0, s, 1 << s, 0.0)]
-    best = None
-    while heap:
-        g, dl, i, v, mask, gam = heapq.heappop(heap)
-        if g * delta >= cap:
-            break
-        if dl >= shortest[v]:
-            continue
-        shortest[v] = dl
-        if v == t:
-            value = phi(dl) + gam
-            if best is None or value < best[0]:
-                best = (value, i)
-                cap = min(cap, value)
-            continue
-        for a, w in adj[v]:
-            nl = dl + length[a]
-            if nl >= shortest[w] or mask & (1 << w):
-                continue
-            ng = g + level[a]
-            if ng * delta + phi(nl) >= cap:
-                continue
-            back.append((i, a))
-            heapq.heappush(heap, (ng, nl, len(back) - 1, w, mask | (1 << w), gam + fixed[a]))
-    if best is None:
-        return None
-    path = []
-    i = best[1]
-    while i:
-        i, a = back[i]
-        path.append(a)
-    return best[0], tuple(reversed(path))
+    except Disconnected:
+        path = None
+    if path is None or sum(inst.length[a] for a in path) > inst.budget:
+        raise Infeasible("no s-t path satisfies the length budget")
+    return path
 
 
 def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...]:
     """A simple s-t path whose phi(L_P) + F_P is at most (1+epsilon) times the least.
 
     L_P and F_P sum the nonnegative ``length`` and ``fixed`` over the path's
-    arcs; phi is nondecreasing and nonnegative. Because phi is monotone, some
-    optimal path P* lies on the (L, F) Pareto frontier, and one label-setting
-    pass that rounds only F finds a frontier point close enough to it.
+    arcs; phi is nondecreasing and nonnegative, and may be +inf (a length
+    budget, or the float range). Because phi is monotone, some optimal path
+    P* lies on the (L, F) Pareto frontier, and one label-setting pass that
+    rounds only F finds a frontier point close enough to it. When every path
+    costs +inf, the returned path does too; callers check for that.
 
     Bounds. The least-length path (L_min) and the least-fixed-cost path
     (F_min) are both candidates, so the better of them gives UB >= OPT, and
@@ -256,11 +185,10 @@ def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...
     either pays a positive fixed cost or is free of fixed cost and then no
     shorter than the least-fixed-cost path; so LB = min(phi(its length), the
     least positive fixed cost) is <= OPT, and both terms are positive since
-    both seeds cost more than 0. phi may return +inf past the float range;
-    an infinite LB means every path costs +inf, and the better seed is
-    returned as it is.
+    both seeds cost more than 0. An infinite LB means every path costs +inf,
+    and the better seed is returned as it is.
 
-    Bracket (Hassin's doubling, as in ``rsp_fptas``). While UB > 2 LB, probe
+    Bracket (Hassin's doubling; Lorenz and Raz). While UB > 2 LB, probe
     P = 2 LB with delta = P/n and cap P. If the probe settles nothing at t,
     OPT >= P (the frontier argument below, with cap P, would otherwise reach
     t), so LB := P. If it settles a label at t, that label has
@@ -269,8 +197,8 @@ def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...
 
     Final pass and guarantee. Round F down to multiples of
     delta = epsilon LB / n, so a simple path (at most n-1 arcs) loses less
-    than epsilon LB <= epsilon OPT. Labels pop in nondecreasing rounded cost
-    g, so everything settled at a node has g no larger than the label in
+    than epsilon LB <= epsilon OPT. Labels pop in (g, L, arc sequence)
+    order, so everything settled at a node has g no larger than the label in
     hand, and a label is dominated exactly when its length is not below the
     shortest settled there. By induction along P*, each prefix of P* has a
     settled label with no larger g and no larger L: the extension of the
@@ -289,7 +217,7 @@ def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...
     dominated there; the visited-node mask turns it away before the push.
     """
     check_epsilon(epsilon)
-    adj = _adjacency(n, arcs)
+    adj = adjacency(n, arcs)
     by_len = lex_dijkstra(n, arcs, length, fixed, s, t)
     if by_len is None:
         raise Disconnected("no s-t path exists")
@@ -300,7 +228,7 @@ def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...
     )
     lb = max(phi(by_len[0]), by_fixed[0])
     if ub <= 0.0 or math.isinf(lb):
-        return best  # every path costs 0, or more than a float holds
+        return best  # every path costs 0, or +inf
     if lb <= 0.0:
         lb = min(phi(by_fixed[1]), min(v for v in fixed if v > 0.0))
 

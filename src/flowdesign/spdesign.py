@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FixedInstance, Instance, Solution, check_epsilon, verify
-from .errors import BoundExceeded, Infeasible, UnsupportedCase, ValidationError, VerificationFailed
+from .errors import (
+    BoundExceeded,
+    Infeasible,
+    OutOfRange,
+    UnsupportedCase,
+    ValidationError,
+    VerificationFailed,
+)
 from .sptree import (
     Leaf,
     Parallel,
@@ -291,7 +298,10 @@ def discretize_conductances(inst: Instance, epsilon: float) -> OptionSet:
             raise UnsupportedCase(f"arc {a} has no conductance bound")
 
     m = inst.m
-    D = inst.B ** (-1.0 / inst.r)
+    try:
+        D = inst.B ** (-1.0 / inst.r)
+    except OverflowError:
+        raise OutOfRange(f"B^(-1/r) for B = {inst.B!r} leaves the float range") from None
     L = min(inst.c[a] * D / m + inst.gamma[a] for a in range(inst.m))
     step = 1.0 + epsilon / 6.0
     menus = []

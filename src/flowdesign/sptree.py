@@ -156,20 +156,12 @@ def cond_to_res(C: float, r: float) -> float:
     return C ** (-float(r))
 
 
-def leaf_resistance(ya: float, r: float) -> float:
-    if ya == 0.0:
-        return math.inf
-    if math.isinf(ya):
-        return 0.0
-    return ya ** (-float(r))
-
-
 def resistance_sp(tree: SPTree, y, r: float) -> float:
     """Effective s-t resistance by composition over the SPTree."""
     vals: dict[int, float] = {}
     for node in postorder(tree):
         if isinstance(node, Leaf):
-            vals[id(node)] = leaf_resistance(y[node.arc], r)
+            vals[id(node)] = cond_to_res(y[node.arc], r)
         elif isinstance(node, Series):
             vals[id(node)] = vals[id(node.left)] + vals[id(node.right)]
         else:
@@ -194,7 +186,7 @@ def sp_unit_flow(tree: SPTree, y, r: float) -> tuple[list[float], float]:
     cond: dict[int, float] = {}
     for node in nodes:
         if isinstance(node, Leaf):
-            cond[id(node)] = res_to_cond(leaf_resistance(y[node.arc], r), r)
+            cond[id(node)] = res_to_cond(cond_to_res(y[node.arc], r), r)
         elif isinstance(node, Series):
             rsum = cond_to_res(cond[id(node.left)], r) + cond_to_res(cond[id(node.right)], r)
             cond[id(node)] = res_to_cond(rsum, r)

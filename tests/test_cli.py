@@ -113,6 +113,21 @@ class TestSolve:
         assert "unsupported" in cap.err and "float range" in cap.err
         assert cap.out == ""
 
+    @pytest.mark.parametrize("mode", ["sp-fptas", "auto"])
+    def test_budget_scale_beyond_the_float_range_exits_3(self, tmp_path, capsys, mode):
+        # feasible (R = 2.94e-309 at ybar), but B^(-1/r) = 1/3e-309 overflows
+        inst = Instance(
+            n=2, arcs=((0, 1), (0, 1)), s=0, t=1, r=1.0,
+            c=(1.0, 1.0), gamma=(0.0, 0.0), ybar=(1.7e308, 1.7e308), B=3e-309,
+        )
+        path = write_file(tmp_path, "tiny_b.json", write_instance(inst))
+        assert main(["resistance", "--in", path]) == 0
+        assert json.loads(capsys.readouterr().out)["R"] <= inst.B
+        assert main(["solve", "--in", path, "--mode", mode]) == 3
+        cap = capsys.readouterr()
+        assert "unsupported" in cap.err and "float range" in cap.err
+        assert cap.out == ""
+
     def test_brute_skips_paths_beyond_the_float_range(self, tmp_path, capsys):
         inst = Instance(
             n=3, arcs=((0, 1), (1, 2), (0, 2)), s=0, t=2, r=1.0,
@@ -201,6 +216,21 @@ class TestResistance:
         )
         assert main(["resistance", "--in", path, "--sol", sol]) == 0
         assert json.loads(capsys.readouterr().out)["R"] == pytest.approx(1.0)
+
+
+    def test_energy_non_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        from flowdesign import resistance
+        from flowdesign.errors import NonConvergence
+
+        def stalled(*args, **kwargs):
+            raise NonConvergence("forced: the y^r spread is beyond float resolution")
+
+        monkeypatch.setattr(resistance, "min_energy_flow", stalled)
+        _, path = bounded_series(tmp_path, B=3.0)
+        assert main(["resistance", "--in", path]) == 3
+        cap = capsys.readouterr()
+        assert "unsupported" in cap.err and "forced" in cap.err
+        assert cap.out == ""
 
 
 class TestGen:

@@ -76,6 +76,39 @@ def test_zero_budget_infeasible():
         rsp_exact(inst)
 
 
+def test_exact_tie_breaks_toward_the_shorter_path():
+    # 0-1-3 and 0-2-3 both cost 2; the second is shorter
+    inst = RspInstance(
+        n=4, arcs=((0, 1), (1, 3), (0, 2), (2, 3)), s=0, t=3,
+        cost=(1.0, 1.0, 1.0, 1.0), length=(2.0, 2.0, 1.0, 2.0), budget=10.0,
+    )
+    assert rsp_exact(inst) == (2, 3)
+
+
+def test_exact_tie_breaks_toward_the_smaller_arc_sequence():
+    # three parallel routes of equal cost and length; arcs listed out of order
+    inst = RspInstance(
+        n=4, arcs=((0, 2), (2, 3), (0, 1), (1, 3), (0, 3)), s=0, t=3,
+        cost=(1.0, 1.0, 0.0, 2.0, 2.0), length=(1.0, 1.0, 1.0, 1.0, 2.0), budget=10.0,
+    )
+    assert rsp_exact(inst) == (0, 1)
+    swapped = RspInstance(
+        n=4, arcs=((0, 1), (1, 3), (0, 2), (2, 3), (0, 3)), s=0, t=3,
+        cost=inst.cost, length=inst.length, budget=10.0,
+    )
+    assert rsp_exact(swapped) == (0, 1)
+
+
+def test_fptas_disconnected_is_infeasible():
+    inst = RspInstance(
+        n=4, arcs=((0, 1), (2, 3)), s=0, t=3, cost=(1.0, 1.0), length=(1.0, 1.0), budget=10.0
+    )
+    with pytest.raises(Infeasible):
+        rsp_fptas(inst, 0.5)
+    with pytest.raises(Infeasible):
+        rsp_exact(inst)
+
+
 def test_diamond_matches_enumeration():
     rng = random.Random(41)
     arcs = ((0, 1), (1, 3), (0, 2), (2, 3), (0, 3))
