@@ -3,9 +3,15 @@
 The workhorse is a budgeted DP over the SP composition tree: R(v, k) is the
 best resistance the subtree under v can reach spending at most k, combined
 by min-plus convolution in resistance space at series nodes and max-plus in
-conductance space at parallel nodes. With integer prices the DP is exact;
-real prices go through the classic scale-and-round layer (guess the largest
-price used by the optimum, round everything down to multiples of delta).
+conductance space at parallel nodes. R(v, .) is a step function, so each
+node keeps only its Pareto points (price, resistance), sorted by price: the
+list method of Nemhauser and Ullmann for knapsack. A node's list comes from
+all pairs of its children's points, pruned to the pairs that beat every
+cheaper pair; among equal values the pair that gives the left child less
+budget wins, which is the first best split of the per-budget recursion.
+With integer prices the DP is exact; real prices go through the classic
+scale-and-round layer (guess the largest price used by the optimum, round
+everything down to multiples of delta).
 Continuous conductance intervals [0, ybar] are handled by discretizing each
 interval into a geometric option menu first; the menu always contains ybar
 itself, and its price list folds the fixed cost in.
@@ -31,7 +37,6 @@ from .sptree import (
     Leaf,
     Parallel,
     SPTree,
-    Series,
     cond_to_res,
     decompose,
     postorder,
@@ -57,7 +62,10 @@ class DPTable:
 
     resistance[i][k] is the best subtree resistance at budget k; choice[i][k]
     holds the argmin: an option index (or -1 for skip) at leaves, the budget
-    given to the left child elsewhere.
+    given to the left child elsewhere (the smallest one that reaches the
+    best value). Both rows are the step functions of the node's Pareto list.
+    iterations counts the list points built at leaves plus the candidate
+    pairs formed at inner nodes.
     """
 
     nodes: tuple[SPTree, ...]
@@ -76,62 +84,105 @@ def _cond_to_res_vec(C: np.ndarray, r: float) -> np.ndarray:
         return C ** (-float(r))
 
 
-def _leaf_fill(opts, U: int, r: float):
-    """Best option per budget: a running minimum over options sorted by price."""
-    vals = np.full(U + 1, np.inf)
-    pick = np.full(U + 1, -1, dtype=np.int64)
-    order = sorted(range(len(opts)), key=lambda i: (opts[i][1], i))
-    best = math.inf
-    best_i = -1
-    ptr = 0
-    for k in range(U + 1):
-        while ptr < len(order) and opts[order[ptr]][1] <= k:
-            i = order[ptr]
-            res = opts[i][0] ** (-float(r))
-            if res < best:
-                best = res
-                best_i = i
-            ptr += 1
-        vals[k] = best
-        pick[k] = best_i
-    return vals, pick
+def _leaf_list(opts, U: int, r: float):
+    """Pareto list of one arc: skip at price 0, then every option within U,
+    cheapest first, whose resistance beats all options before it."""
+    prices, vals, picks = [0], [math.inf], [-1]
+    for i in sorted(range(len(opts)), key=[p for _, p in opts].__getitem__):
+        p = int(opts[i][1])
+        if p > U:
+            break
+        res = opts[i][0] ** (-float(r))
+        if res < vals[-1]:
+            if p == prices[-1]:
+                vals[-1], picks[-1] = res, i
+            else:
+                prices.append(p)
+                vals.append(res)
+                picks.append(i)
+    return np.array(prices, dtype=np.int64), np.array(vals), np.array(picks, dtype=np.int64)
+
+
+def _combine(left, right, parallel: bool, U: int, r: float):
+    """Pareto list of a series or parallel node from its children's lists.
+
+    Every pair of child points is a candidate priced at the sum of their
+    prices; candidates above U drop out. A candidate survives when its
+    (value, left price) beats, lexicographically, every candidate that
+    costs no more: the value is the summed resistance (series) or the
+    summed conductance (parallel, larger is better), and the left price
+    breaks ties, so each row entry is the first best split over budgets.
+    """
+    lp, lv, _ = left
+    rp, rv, _ = right
+    if parallel:
+        lv, rv = _res_to_cond_vec(lv, r), _res_to_cond_vec(rv, r)
+    total = (lp[:, None] + rp[None, :]).ravel()
+    value = (lv[:, None] + rv[None, :]).ravel()
+    pair = np.flatnonzero(total <= U)
+    total, value = total[pair], value[pair]
+    key = -value if parallel else value
+    # Candidates are in pair order, so the stable lexsort breaks (price,
+    # key) ties by the smaller left price; keep the best per price.
+    order = np.lexsort((key, total))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = total[order[1:]] != total[order[:-1]]
+    order = order[first]
+    # Rank by (key, left price); the sort is stable, so of two equal points
+    # the cheaper ranks first. A point stays while its rank beats every
+    # cheaper point's.
+    key, lprice = key[order], lp[pair[order] // len(rp)]
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[np.lexsort((lprice, key))] = np.arange(len(order))
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = rank[1:] < np.minimum.accumulate(rank)[:-1]
+    order = order[keep]
+    vals = value[order]
+    if parallel:
+        vals = _cond_to_res_vec(vals, r)
+    return total[order], vals, lprice[keep]
 
 
 def fill_table(tree: SPTree, options: OptionSet, U: int, r: float) -> DPTable:
     """Fill the budgeted-resistance DP bottom-up over the SP tree.
 
-    Option prices must already be nonnegative integers (scale first if not).
-    The amount of (node, k, k') work is counted and checked against its
-    analytic envelope (2m - 1) * (U + 1)^2; exceeding it raises BoundExceeded.
+    Each node keeps one list of Pareto points (price, resistance, choice),
+    sorted by price, with the resistance falling or the choice's left
+    budget shrinking from one point to the next (Nemhauser and Ullmann's
+    list method for knapsack). Leaves list their menus; inner nodes combine
+    their children's lists in ``_combine``. Each list is then expanded to
+    its dense rows over budgets 0..U, which equal the rows of the classic
+    per-budget min-plus / max-plus recursion.
+
+    Option prices must be nonnegative integers (scale first if not). The
+    work, counted as leaf points plus candidate pairs, is checked against
+    its analytic envelope (2m - 1) * (U + 1)^2; exceeding it raises
+    BoundExceeded.
     """
     if U < 0:
         raise ValidationError("budget U must be >= 0")
+    for opts in options.options:
+        for _, p in opts:
+            if not (p >= 0 and p % 1 == 0):  # inf % 1 and nan % 1 are nan
+                raise ValidationError("fill_table needs nonnegative integer option prices")
     nodes = postorder(tree)
+    lists: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    budgets = np.arange(U + 1)
     res: dict[int, np.ndarray] = {}
     cho: dict[int, np.ndarray] = {}
     iterations = 0
     for node in nodes:
         if isinstance(node, Leaf):
-            vals, pick = _leaf_fill(options.options[node.arc], U, r)
-            iterations += U + 1
+            points = _leaf_list(options.options[node.arc], U, r)
+            iterations += len(points[0])
         else:
-            lv, rv = res[id(node.left)], res[id(node.right)]
-            if isinstance(node, Series):
-                a, b = lv, rv
-            else:
-                a, b = _res_to_cond_vec(lv, r), _res_to_cond_vec(rv, r)
-            vals = np.empty(U + 1)
-            pick = np.empty(U + 1, dtype=np.int64)
-            for k in range(U + 1):
-                diag = a[: k + 1] + b[k::-1]
-                split = int(np.argmin(diag)) if isinstance(node, Series) else int(np.argmax(diag))
-                vals[k] = diag[split]
-                pick[k] = split
-            if isinstance(node, Parallel):
-                vals = _cond_to_res_vec(vals, r)
-            iterations += (U + 1) * (U + 2) // 2
-        res[id(node)] = vals
-        cho[id(node)] = pick
+            left, right = lists[id(node.left)], lists[id(node.right)]
+            points = _combine(left, right, isinstance(node, Parallel), U, r)
+            iterations += len(left[0]) * len(right[0])
+        lists[id(node)] = points
+        at = np.searchsorted(points[0], budgets, side="right") - 1
+        res[id(node)] = points[1][at]
+        cho[id(node)] = points[2][at]
 
     m = sum(1 for n in nodes if isinstance(n, Leaf))
     envelope = (2 * m - 1) * (U + 1) ** 2
@@ -190,10 +241,6 @@ def dp_exact(tree: SPTree, options: OptionSet, U: int, B: float, r: float) -> So
     The answer is the smallest budget k with R(root, k) <= B; spending is
     reconstructed by backpointers and priced as given.
     """
-    for opts in options.options:
-        for _, p in opts:
-            if int(p) != p:
-                raise ValidationError("dp_exact needs integer option prices")
     table = fill_table(tree, options, U, r)
     root_res = table.resistance[-1]
     hits = np.nonzero(root_res <= B)[0]
@@ -212,11 +259,12 @@ def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Soluti
     out, the rest scale to rho = floor(p / delta) with delta = eps * P / m,
     and the integer DP runs with budget m * floor(P / delta). Reconstructions
     are priced at the original costs, so every candidate is genuine; the run
-    whose P matches the optimum proves the guarantee. Two sound prunes keep
-    the loop fast: once a candidate costing UB exists, guesses P > UB cannot
-    be the optimum's largest price (it pays P <= its total <= UB), and no
-    optimal rho-total exceeds UB / delta, so the DP budget is clamped to
-    ceil(UB / delta) + m.
+    whose P matches the optimum proves the guarantee. Each guess's menu is a
+    prefix of the arc's options sorted by price, grown as P rises. Two sound
+    prunes keep the loop fast: once a candidate costing UB exists, guesses
+    P > UB cannot be the optimum's largest price (it pays P <= its total
+    <= UB), and no optimal rho-total exceeds UB / delta, so the DP budget is
+    clamped to ceil(UB / delta) + m.
     """
     check_epsilon(epsilon)
     tree = decompose(inst.n, inst.arcs, inst.s, inst.t)
@@ -227,20 +275,23 @@ def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Soluti
         raise Infeasible("even the highest-conductance installation misses the budget")
 
     all_prices = sorted({p for opts in inst.options for _, p in opts})
+    by_price = [sorted(range(len(opts)), key=lambda i: opts[i][1]) for opts in inst.options]
+    taken = [0] * m
+    cap = [0.0] * m
     best = None
     best_cost = math.inf
     for P in all_prices:
         if P > best_cost:
             break
-        included = [
-            tuple((mu, p) for mu, p in opts if p <= P) for opts in inst.options
-        ]
-        idx_maps = [
-            tuple(i for i, (_, p) in enumerate(opts) if p <= P) for opts in inst.options
-        ]
-        cap = [max((mu for mu, _ in opts), default=0.0) for opts in included]
+        for a, opts in enumerate(inst.options):
+            order = by_price[a]
+            while taken[a] < len(order) and opts[order[taken[a]]][1] <= P:
+                cap[a] = max(cap[a], opts[order[taken[a]]][0])
+                taken[a] += 1
         if resistance_sp(tree, cap, inst.r) > inst.B:
             continue
+        idx_maps = [sorted(order[:k]) for order, k in zip(by_price, taken)]
+        included = [tuple(opts[i] for i in idx) for opts, idx in zip(inst.options, idx_maps)]
 
         if P == 0.0:
             delta = 1.0
@@ -315,16 +366,29 @@ def discretize_conductances(inst: Instance, epsilon: float) -> OptionSet:
             while mu <= ub:
                 mus.append(mu)
                 i += 1
-                mu = ylow * step ** i
+                try:
+                    mu = ylow * step ** i
+                except OverflowError:
+                    raise OutOfRange(
+                        f"arc {a}: the grid from {ylow!r} to {ub!r} leaves the float range"
+                    ) from None
             grid_count = len(mus)
-            bound = math.ceil((6.0 / epsilon) * math.log2(ub * 6.0 * inst.c[a] * m / (epsilon * L))) + 1
+            # log2(ub * 6 c_a m / (eps L)), taken term by term so no product overflows
+            span = (
+                math.log2(ub) + math.log2(6.0 * m) + math.log2(inst.c[a])
+                - math.log2(epsilon) - math.log2(L)
+            )
+            bound = math.ceil((6.0 / epsilon) * span) + 1
             if grid_count > bound:
                 raise BoundExceeded(f"arc {a}: grid {grid_count} exceeds bound {bound}")
             if not mus or mus[-1] != ub:
                 mus.append(ub)
         else:
             mus.append(ub)
-        menus.append(tuple((mu, inst.c[a] * mu + inst.gamma[a]) for mu in mus))
+        menu = tuple((mu, inst.c[a] * mu + inst.gamma[a]) for mu in mus)
+        if not math.isfinite(menu[-1][1]):
+            raise OutOfRange(f"arc {a}: the menu price c * mu + gamma at mu = {ub!r} leaves the float range")
+        menus.append(menu)
     return OptionSet(tuple(menus))
 
 

@@ -128,6 +128,19 @@ class TestSolve:
         assert "unsupported" in cap.err and "float range" in cap.err
         assert cap.out == ""
 
+    @pytest.mark.parametrize("mode", ["sp-fptas", "auto"])
+    def test_menu_price_beyond_the_float_range_exits_3(self, tmp_path, capsys, mode):
+        # B^(-1/r) = 1e300 is finite, but arc 0's top menu price c_0 * ybar_0 is not
+        inst = Instance(
+            n=2, arcs=((0, 1), (0, 1)), s=0, t=1, r=1.0,
+            c=(1e10, 1.0), gamma=(0.0, 0.0), ybar=(1.7e308, 1.7e308), B=1e-300,
+        )
+        path = write_file(tmp_path, "huge_price.json", write_instance(inst))
+        assert main(["solve", "--in", path, "--mode", mode]) == 3
+        cap = capsys.readouterr()
+        assert "unsupported" in cap.err and "float range" in cap.err
+        assert cap.out == ""
+
     def test_brute_skips_paths_beyond_the_float_range(self, tmp_path, capsys):
         inst = Instance(
             n=3, arcs=((0, 1), (1, 2), (0, 2)), s=0, t=2, r=1.0,

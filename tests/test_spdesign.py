@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,6 +8,7 @@ from flowdesign import (
     Infeasible,
     Instance,
     UnsupportedCase,
+    ValidationError,
     decompose,
     discretize_conductances,
     dp_exact,
@@ -16,6 +18,7 @@ from flowdesign import (
     verify,
 )
 from flowdesign.core import FixedInstance
+from flowdesign.errors import OutOfRange
 from flowdesign.oracles import (
     brute_subsets_continuous_sp,
     brute_subsets_fixed,
@@ -23,7 +26,7 @@ from flowdesign.oracles import (
     gen_random_sp,
     random_sp_structure,
 )
-from flowdesign.spdesign import OptionSet, fill_table
+from flowdesign.spdesign import OptionSet, _reconstruct, fill_table
 
 
 def parallel_tree(m):
@@ -139,6 +142,64 @@ class TestDpExact:
                 k = feasible_ks[0]
                 sol = dp_exact(tree, opts, U, root[k] * (1 + 1e-12) + 1e-12, 1.0)
                 assert sol.achievedR == pytest.approx(root[k], rel=1e-9)
+
+
+class TestFillTable:
+    def test_rows_match_enumeration_at_every_budget(self):
+        rng = random.Random(2024)
+        for trial in range(30):
+            m = rng.randint(2, 6)
+            n, arcs, s, t = random_sp_structure(rng, m)
+            tree = decompose(n, arcs, s, t)
+            r = rng.choice([1.0, 2.0])
+            opts = tuple(
+                tuple(
+                    (rng.uniform(0.3, 3.0), float(rng.choice([0, rng.randint(0, 6)])))
+                    for _ in range(rng.randint(1, 3))
+                )
+                for _ in range(m)
+            )
+            U = int(sum(max(p for _, p in menu) for menu in opts)) + 1
+            best = [math.inf] * (U + 1)
+            for picks in itertools.product(*(range(-1, len(menu)) for menu in opts)):
+                y = [0.0 if i < 0 else opts[a][i][0] for a, i in enumerate(picks)]
+                price = int(sum(opts[a][i][1] for a, i in enumerate(picks) if i >= 0))
+                R = resistance_sp(tree, y, r)
+                for k in range(price, U + 1):
+                    best[k] = min(best[k], R)
+            root = fill_table(tree, OptionSet(opts), U, r).resistance[-1]
+            for k in range(U + 1):
+                if math.isinf(best[k]):
+                    assert math.isinf(root[k]), f"trial {trial}, budget {k}"
+                else:
+                    assert root[k] == pytest.approx(best[k], rel=1e-12), f"trial {trial}, budget {k}"
+
+    def test_equal_splits_give_the_left_child_the_smaller_budget(self):
+        # series, r = 1: at budget 3 the only best split gives the left arc 2;
+        # at budget 4 the splits 1 + 3 and 2 + 2 both reach exactly 1.5
+        tree = decompose(3, ((0, 1), (1, 2)), 0, 2)
+        opts = OptionSet((
+            ((1.0, 1.0), (2.0, 2.0)),
+            ((1.0, 1.0), (2.0, 3.0)),
+        ))
+        table = fill_table(tree, opts, 5, 1.0)
+        assert list(table.resistance[-1]) == [math.inf, math.inf, 2.0, 1.5, 1.5, 1.0]
+        assert table.choice[-1][3] == 2 and table.choice[-1][4] == 1
+        assert _reconstruct(tree, table, 3) == {0: 1, 1: 0}
+        assert _reconstruct(tree, table, 4) == {0: 0, 1: 1}
+        # equal menus: at budget 3 the splits 1 + 2 and 2 + 1 both reach 1.5
+        same = OptionSet((((1.0, 1.0), (2.0, 2.0)),) * 2)
+        table = fill_table(tree, same, 3, 1.0)
+        assert table.resistance[-1][3] == 1.5 and table.choice[-1][3] == 1
+        assert _reconstruct(tree, table, 3) == {0: 0, 1: 1}
+
+    @pytest.mark.parametrize("price", [1.5, -1.0, math.inf])
+    def test_rejects_prices_that_are_not_nonnegative_integers(self, price):
+        opts = OptionSet((((1.0, price),), ((2.0, 1.0),)))
+        with pytest.raises(ValidationError):
+            fill_table(parallel_tree(2), opts, 3, 1.0)
+        with pytest.raises(ValidationError):
+            dp_exact(parallel_tree(2), opts, 3, 1.0, 1.0)
 
 
 class TestScalingFptas:
@@ -258,6 +319,15 @@ class TestDiscretize:
         for a, menu in enumerate(menus):
             ylow = min(mu for mu, _ in menu)
             assert inst.c[a] * ylow == pytest.approx(eps * L / (6 * inst.m), rel=1e-14)
+
+    def test_grid_beyond_the_float_range_is_out_of_range(self):
+        # B = 1e300 puts arc 1's grid floor below the smallest float
+        inst = Instance(
+            n=2, arcs=((0, 1), (0, 1)), s=0, t=1, r=1.0,
+            c=(1e-10, 1e12), gamma=(0.0, 0.0), ybar=(1.0, 1.0), B=1e300,
+        )
+        with pytest.raises(OutOfRange, match="float range"):
+            discretize_conductances(inst, 0.1)
 
     def test_rejects_free_arcs_and_missing_bounds(self):
         with pytest.raises(UnsupportedCase):
