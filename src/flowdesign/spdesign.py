@@ -9,9 +9,12 @@ list method of Nemhauser and Ullmann for knapsack. A node's list comes from
 all pairs of its children's points, pruned to the pairs that beat every
 cheaper pair; among equal values the pair that gives the left child less
 budget wins, which is the first best split of the per-budget recursion.
-With integer prices the DP is exact; real prices go through the classic
-scale-and-round layer (guess the largest price used by the optimum, round
-everything down to multiples of delta).
+The pairs are formed in blocks of left-list rows, so a large budget does not
+make one large outer sum. With integer prices the DP is exact; real prices
+go through the classic scale-and-round layer: guess the largest price used
+by the optimum by doubling from the smallest price, round everything down
+to multiples of delta, and run one DP per guess, O(log(p_max / p_min)) in
+all.
 Continuous conductance intervals [0, ybar] are handled by discretizing each
 interval into a geometric option menu first; the menu always contains ybar
 itself, and its price list folds the fixed cost in.
@@ -103,6 +106,12 @@ def _leaf_list(opts, U: int, r: float):
     return np.array(prices, dtype=np.int64), np.array(vals), np.array(picks, dtype=np.int64)
 
 
+# Candidate pairs formed at once in ``_combine``: the outer sum of two lists
+# runs in blocks of left-list rows, so its memory stays bounded whatever the
+# budget, at the cost of one pass over the per-price arrays per block.
+_PAIR_BLOCK = 1 << 14
+
+
 def _combine(left, right, parallel: bool, U: int, r: float):
     """Pareto list of a series or parallel node from its children's lists.
 
@@ -112,35 +121,54 @@ def _combine(left, right, parallel: bool, U: int, r: float):
     costs no more: the value is the summed resistance (series) or the
     summed conductance (parallel, larger is better), and the left price
     breaks ties, so each row entry is the first best split over budgets.
+
+    The pairs are formed in blocks of left-list rows, about ``_PAIR_BLOCK``
+    pairs each. Arrays over the total prices 0..U keep the best (value,
+    left price) found so far; a block replaces an entry only when its value
+    is strictly better, so of equal values the earlier block, which gives
+    the left child less, wins. The result does not depend on the block
+    size.
     """
     lp, lv, _ = left
     rp, rv, _ = right
     if parallel:
         lv, rv = _res_to_cond_vec(lv, r), _res_to_cond_vec(rv, r)
-    total = (lp[:, None] + rp[None, :]).ravel()
-    value = (lv[:, None] + rv[None, :]).ravel()
-    pair = np.flatnonzero(total <= U)
-    total, value = total[pair], value[pair]
-    key = -value if parallel else value
-    # Candidates are in pair order, so the stable lexsort breaks (price,
-    # key) ties by the smaller left price; keep the best per price.
-    order = np.lexsort((key, total))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = total[order[1:]] != total[order[:-1]]
-    order = order[first]
+    best_key = np.full(U + 1, math.inf)
+    best_lprice = np.full(U + 1, -1, dtype=np.int64)
+    rows = max(1, _PAIR_BLOCK // len(rp))
+    for lo in range(0, len(lp), rows):
+        bp = lp[lo:lo + rows]
+        total = (bp[:, None] + rp[None, :]).ravel()
+        value = (lv[lo:lo + rows, None] + rv[None, :]).ravel()
+        pair = np.flatnonzero(total <= U)
+        total, value = total[pair], value[pair]
+        key = -value if parallel else value
+        # Candidates are in pair order, so the stable lexsort breaks (price,
+        # key) ties by the smaller left price; keep the block's best per price.
+        order = np.lexsort((key, total))
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = total[order[1:]] != total[order[:-1]]
+        order = order[first]
+        total, key = total[order], key[order]
+        # A price seen for the first time is taken even at key inf (a series
+        # node whose children both skip).
+        better = (key < best_key[total]) | (best_lprice[total] < 0)
+        total = total[better]
+        best_key[total] = key[better]
+        best_lprice[total] = bp[pair[order[better]] // len(rp)]
+    total = np.flatnonzero(best_lprice >= 0)
+    key, lprice = best_key[total], best_lprice[total]
     # Rank by (key, left price); the sort is stable, so of two equal points
     # the cheaper ranks first. A point stays while its rank beats every
     # cheaper point's.
-    key, lprice = key[order], lp[pair[order] // len(rp)]
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[np.lexsort((lprice, key))] = np.arange(len(order))
-    keep = np.ones(len(order), dtype=bool)
+    rank = np.empty(len(total), dtype=np.int64)
+    rank[np.lexsort((lprice, key))] = np.arange(len(total))
+    keep = np.ones(len(total), dtype=bool)
     keep[1:] = rank[1:] < np.minimum.accumulate(rank)[:-1]
-    order = order[keep]
-    vals = value[order]
+    vals = key[keep]
     if parallel:
-        vals = _cond_to_res_vec(vals, r)
-    return total[order], vals, lprice[keep]
+        vals = _cond_to_res_vec(-vals, r)
+    return total[keep], vals, lprice[keep]
 
 
 def fill_table(tree: SPTree, options: OptionSet, U: int, r: float) -> DPTable:
@@ -150,7 +178,11 @@ def fill_table(tree: SPTree, options: OptionSet, U: int, r: float) -> DPTable:
     sorted by price, with the resistance falling or the choice's left
     budget shrinking from one point to the next (Nemhauser and Ullmann's
     list method for knapsack). Leaves list their menus; inner nodes combine
-    their children's lists in ``_combine``. Each list is then expanded to
+    their children's lists in ``_combine``, which forms the candidate pairs
+    in blocks of about ``_PAIR_BLOCK`` and keeps the best per total price in
+    arrays over 0..U, so its memory is O(U + block) rather than the product
+    of the list lengths; the rows do not depend on the block size. Each
+    list is then expanded to
     its dense rows over budgets 0..U, which equal the rows of the classic
     per-budget min-plus / max-plus recursion.
 
@@ -251,20 +283,60 @@ def dp_exact(tree: SPTree, options: OptionSet, U: int, B: float, r: float) -> So
     return _to_solution(options.m, r, tree, options, install)
 
 
+def _price_guesses(prices):
+    """Doubling guesses for sorted distinct nonnegative prices: 0 if it is a
+    price, then P = p_min * 2^j for each j whose bracket P/2 < p <= P holds
+    a price, the last one capped at p_max."""
+    if prices and prices[0] == 0.0:
+        yield 0.0
+    positive = [p for p in prices if p > 0.0]
+    if not positive:
+        return
+    P = positive[0]
+    yield P
+    for p in positive:
+        if p > P:
+            while P < p:
+                P *= 2.0
+            P = min(P, positive[-1])
+            yield P
+
+
 def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Solution:
     """(1+epsilon)-approximation for arbitrary nonnegative option prices.
 
-    Guesses P = the largest price the optimum pays, trying every distinct
-    option price in ascending order. For each guess, prices above P drop
-    out, the rest scale to rho = floor(p / delta) with delta = eps * P / m,
-    and the integer DP runs with budget m * floor(P / delta). Reconstructions
-    are priced at the original costs, so every candidate is genuine; the run
-    whose P matches the optimum proves the guarantee. Each guess's menu is a
-    prefix of the arc's options sorted by price, grown as P rises. Two sound
-    prunes keep the loop fast: once a candidate costing UB exists, guesses
-    P > UB cannot be the optimum's largest price (it pays P <= its total
-    <= UB), and no optimal rho-total exceeds UB / delta, so the DP budget is
-    clamped to ceil(UB / delta) + m.
+    Guesses P, an upper bound on the largest price p* the optimum pays, by
+    doubling (Hassin 1992; Lorenz and Raz 2001). With p_min and p_max the
+    smallest and largest positive option prices, the guesses are
+    P = p_min * 2^j, the last one capped at p_max (uncapped, p_min * 2^j can
+    overflow to inf), plus P = 0 first when zero-price options exist. Each
+    positive price p lies in exactly one bracket P/2 < p <= P; a guess whose
+    bracket holds no option price cannot be the optimum's and is skipped.
+
+    For a guess, options priced above P drop out (the menus are prefixes of
+    each arc's options sorted by price, grown as P rises), the rest scale to
+    rho = floor(p / delta) with delta = eps * P / (8m), and the integer DP
+    runs with budget U = m * floor(P / delta); P = 0 runs the exact DP at
+    U = 0. Reconstructions are priced at the original costs, so every
+    candidate is genuine.
+
+    Guarantee. If p* = 0, the P = 0 guess is exact. Otherwise take the guess
+    of p*'s bracket: p* <= P < 2p*, and the cap keeps this, since it only
+    lowers P to p_max >= p*. Every option of the optimum costs at most P, so
+    the optimum is on the menu, and its rho-total is at most OPT / delta and
+    at most U. The DP returns a design with rho-total no larger, and each of
+    its at most m options lost less than delta to rounding, so it costs less
+    than OPT + m * delta = OPT + eps * P / 8 < OPT + eps * p* / 4, which is at
+    most (1 + eps/4) OPT. Any constant c >= 2 in delta = eps * P / (c m)
+    gives 1 + eps; 8 buys answers as cheap as one DP per distinct price gave
+    on random SP instances, at an 8x larger budget per DP.
+
+    Three prunes keep this sound. With an incumbent costing UB >= OPT >= p*,
+    the guess of p*'s bracket has P < 2p* <= 2UB, so the loop stops once
+    P >= 2UB. The optimum's rho-total is at most OPT / delta <= UB / delta,
+    so the DP budget is clamped to U <= ceil(UB / delta) + m. A guess whose
+    menus miss the resistance bound even at their largest conductances has
+    no feasible design and skips its DP.
     """
     check_epsilon(epsilon)
     tree = decompose(inst.n, inst.arcs, inst.s, inst.t)
@@ -280,8 +352,8 @@ def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Soluti
     cap = [0.0] * m
     best = None
     best_cost = math.inf
-    for P in all_prices:
-        if P > best_cost:
+    for P in _price_guesses(all_prices):
+        if P >= 2.0 * best_cost:
             break
         for a, opts in enumerate(inst.options):
             order = by_price[a]
@@ -298,7 +370,7 @@ def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Soluti
             scaled = OptionSet(tuple(tuple((mu, 0) for mu, _ in opts) for opts in included))
             U = 0
         else:
-            delta = epsilon * P / m
+            delta = epsilon * P / (8 * m)
             rows = []
             for opts in included:
                 row = []

@@ -26,6 +26,7 @@ from flowdesign.oracles import (
     gen_random_sp,
     random_sp_structure,
 )
+from flowdesign import spdesign
 from flowdesign.spdesign import OptionSet, _reconstruct, fill_table
 
 
@@ -144,22 +145,33 @@ class TestDpExact:
                 assert sol.achievedR == pytest.approx(root[k], rel=1e-9)
 
 
+def random_fill_cases(tied=False):
+    """30 random SP trees with small integer menus (extra zero prices) and
+    the budget U that affords every arc's dearest option; ``tied`` draws the
+    conductances from {1, 2}, so many splits reach equal values."""
+    rng = random.Random(2024)
+    for _ in range(30):
+        m = rng.randint(2, 6)
+        n, arcs, s, t = random_sp_structure(rng, m)
+        tree = decompose(n, arcs, s, t)
+        r = rng.choice([1.0, 2.0])
+        opts = tuple(
+            tuple(
+                (
+                    float(rng.randint(1, 2)) if tied else rng.uniform(0.3, 3.0),
+                    float(rng.choice([0, rng.randint(0, 6)])),
+                )
+                for _ in range(rng.randint(1, 3))
+            )
+            for _ in range(m)
+        )
+        U = int(sum(max(p for _, p in menu) for menu in opts)) + 1
+        yield tree, opts, U, r
+
+
 class TestFillTable:
     def test_rows_match_enumeration_at_every_budget(self):
-        rng = random.Random(2024)
-        for trial in range(30):
-            m = rng.randint(2, 6)
-            n, arcs, s, t = random_sp_structure(rng, m)
-            tree = decompose(n, arcs, s, t)
-            r = rng.choice([1.0, 2.0])
-            opts = tuple(
-                tuple(
-                    (rng.uniform(0.3, 3.0), float(rng.choice([0, rng.randint(0, 6)])))
-                    for _ in range(rng.randint(1, 3))
-                )
-                for _ in range(m)
-            )
-            U = int(sum(max(p for _, p in menu) for menu in opts)) + 1
+        for trial, (tree, opts, U, r) in enumerate(random_fill_cases()):
             best = [math.inf] * (U + 1)
             for picks in itertools.product(*(range(-1, len(menu)) for menu in opts)):
                 y = [0.0 if i < 0 else opts[a][i][0] for a, i in enumerate(picks)]
@@ -173,6 +185,18 @@ class TestFillTable:
                     assert math.isinf(root[k]), f"trial {trial}, budget {k}"
                 else:
                     assert root[k] == pytest.approx(best[k], rel=1e-12), f"trial {trial}, budget {k}"
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_rows_do_not_depend_on_the_pair_block(self, block, monkeypatch):
+        cases = [*random_fill_cases(), *random_fill_cases(tied=True)]
+        want = [fill_table(tree, OptionSet(opts), U, r) for tree, opts, U, r in cases]
+        monkeypatch.setattr(spdesign, "_PAIR_BLOCK", block)
+        for trial, ((tree, opts, U, r), ref) in enumerate(zip(cases, want)):
+            got = fill_table(tree, OptionSet(opts), U, r)
+            for rows in ("resistance", "choice"):
+                for a, b in zip(getattr(ref, rows), getattr(got, rows)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"trial {trial}, {rows}"
+            assert got.iterations == ref.iterations
 
     def test_equal_splits_give_the_left_child_the_smaller_budget(self):
         # series, r = 1: at budget 3 the only best split gives the left arc 2;
@@ -236,25 +260,42 @@ class TestScalingFptas:
             got = solve_fixed_conductance_fptas(fixed, eps)
             assert got.cost == want.cost
 
-    @pytest.mark.parametrize("eps", [0.5, 0.1])
-    def test_guarantee_random_multi_option(self, eps):
+    @pytest.mark.parametrize(
+        "eps, prices",
+        [
+            pytest.param(0.5, "integers", id="0.5"),
+            pytest.param(0.1, "integers", id="0.1"),
+            # prices on the guesses p_min * 2^j, and just above them, so an
+            # option sits on either side of a bracket edge
+            pytest.param(0.5, "doublings", id="0.5-doublings"),
+            pytest.param(0.1, "doublings", id="0.1-doublings"),
+            pytest.param(0.5, "above_doublings", id="0.5-above_doublings"),
+            pytest.param(0.1, "above_doublings", id="0.1-above_doublings"),
+        ],
+    )
+    def test_guarantee_random_multi_option(self, eps, prices):
         rng = random.Random(int(1000 * eps))
+
+        def price():
+            if prices == "integers":
+                return float(rng.randint(0, 12))
+            j = rng.randint(1, 6)
+            return 0.75 * 2.0 ** j * (1.0 + 1e-9 if prices == "above_doublings" else 1.0)
+
         for trial in range(12):
             m = rng.randint(2, 6)
             n, arcs, s, t = random_sp_structure(rng, m)
+            r = rng.choice([1.0, 2.0])
+            B = rng.uniform(0.3, 6.0)
+            options = [
+                sorted((rng.uniform(0.3, 4.0), price()) for _ in range(rng.randint(1, 3)))
+                for _ in range(m)
+            ]
+            if prices != "integers":
+                options[0].append((rng.uniform(0.3, 4.0), 0.75))  # p_min = 0.75
             fixed = FixedInstance(
-                n=n, arcs=arcs, s=s, t=t,
-                r=rng.choice([1.0, 2.0]),
-                B=rng.uniform(0.3, 6.0),
-                options=tuple(
-                    tuple(
-                        sorted(
-                            (rng.uniform(0.3, 4.0), float(rng.randint(0, 12)))
-                            for _ in range(rng.randint(1, 3))
-                        )
-                    )
-                    for _ in range(m)
-                ),
+                n=n, arcs=arcs, s=s, t=t, r=r, B=B,
+                options=tuple(tuple(opts) for opts in options),
             )
             try:
                 want = brute_subsets_fixed(fixed)
@@ -265,6 +306,62 @@ class TestScalingFptas:
             got = solve_fixed_conductance_fptas(fixed, eps)
             assert got.cost <= (1.0 + eps) * want.cost + 1e-9, f"trial {trial}"
             assert resistance_sp(decompose(n, arcs, s, t), got.y, fixed.r) <= fixed.B * (1 + 1e-9)
+
+    def test_price_near_the_float_limit_is_still_guessed(self):
+        # doubling from p_min = 1 overflows to inf before it passes 1e308;
+        # both arcs are needed, so only the capped last guess P = 1e308 works
+        fixed = FixedInstance(
+            n=2, arcs=((0, 1), (0, 1)), s=0, t=1, r=1.0, B=0.4,
+            options=(((1.0, 1.0),), ((2.0, 1e308),)),
+        )
+        for eps in (0.5, 0.1):
+            sol = solve_fixed_conductance_fptas(fixed, eps)
+            assert sol.x == (1, 1) and sol.y == (1.0, 2.0)
+            assert sol.cost == 1e308
+            assert sol.achievedR == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    def test_rounding_loss_stays_within_a_quarter_eps(self):
+        # seven series arcs: one dear arc priced just above 32 (bracket guess
+        # P = 64; its unused option at 1000 keeps P from being capped), six
+        # cheap arcs offering mu 1 for free or mu 2 for 1. With delta =
+        # eps * P / (8m) = 0.57 the price 1 rounds to one unit, so the DP
+        # keeps the free options; a delta above 1 would round it to 0, the DP
+        # would take mu 2 on all six arcs and pay 6 more than OPT.
+        dear = 32.0 * (1.0 + 1e-9)
+        fixed = FixedInstance(
+            n=8, arcs=tuple((i, i + 1) for i in range(7)), s=0, t=7, r=1.0, B=7.0,
+            options=(((1.0, dear), (1.0, 1000.0)),) + (((1.0, 0.0), (2.0, 1.0)),) * 6,
+        )
+        eps = 0.5
+        want = brute_subsets_fixed(fixed)
+        assert want.cost == dear
+        sol = solve_fixed_conductance_fptas(fixed, eps)
+        assert sol.cost <= (1.0 + eps / 4.0) * want.cost
+
+    def test_fill_count_is_logarithmic_in_the_price_spread(self, monkeypatch):
+        # four series arcs with 12 options each, 48 distinct prices 1..48;
+        # meeting B needs mu near 24 on every arc, so OPT is near 100 and the
+        # stop rule leaves every guess up to p_max to run
+        options = tuple(
+            tuple((float(p), float(p)) for p in range(a + 1, 49, 4)) for a in range(4)
+        )
+        fixed = FixedInstance(
+            n=5, arcs=((0, 1), (1, 2), (2, 3), (3, 4)), s=0, t=4, r=1.0,
+            B=4.0 / 24.0, options=options,
+        )
+        prices = {p for opts in options for _, p in opts}
+        assert len(prices) == 48
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fill_table(*args)
+
+        monkeypatch.setattr(spdesign, "fill_table", counted)
+        sol = solve_fixed_conductance_fptas(fixed, 0.1)
+        assert len(calls) <= math.ceil(math.log2(max(prices) / min(prices))) + 2
+        want = brute_subsets_fixed(fixed)
+        assert sol.cost <= 1.1 * want.cost
 
 
 class TestDiscretize:
