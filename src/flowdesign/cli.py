@@ -10,8 +10,9 @@ or conductances whose y^r spread is beyond float resolution, so the energy
 solve does not converge), 4 internal defect (a proven bound broke, or a
 solver's answer failed its own final check).
 
-The numpy-backed modules (spdesign, oracles) are imported only by the
-commands and modes that use them, so path-mode solves start without numpy.
+Solver modules load only for the commands and modes that use them, so
+path-mode and sp-exact solves start without numpy; sp-fptas loads it for its
+final verify.
 """
 
 from __future__ import annotations
@@ -98,25 +99,6 @@ def _solve_path_exact(inst: Instance):
     raise UnsupportedCase("path-exact needs c identically zero or gamma identically zero")
 
 
-def _solve_sp_exact(inst: Instance):
-    from . import spdesign
-
-    if not all(math.isfinite(v) for v in inst.ybar):
-        raise UnsupportedCase("sp-exact needs finite ybar everywhere")
-    if any(v != 0.0 for v in inst.c):
-        raise UnsupportedCase("sp-exact prices arcs by gamma alone; c must be zero")
-    prices = []
-    for g in inst.gamma:
-        if g != int(g):
-            raise UnsupportedCase("sp-exact needs integer gamma prices")
-        prices.append(int(g))
-    tree = decompose(inst.n, inst.arcs, inst.s, inst.t)
-    options = spdesign.OptionSet(
-        tuple(((inst.ybar[a], float(prices[a])),) for a in range(inst.m))
-    )
-    return spdesign.dp_exact(tree, options, sum(prices), inst.B, inst.r)
-
-
 def _solve_brute(inst: Instance):
     from . import oracles
 
@@ -143,7 +125,9 @@ def _cmd_solve(args) -> int:
     elif mode == "path-fptas":
         sol = pathdesign.to_solution(inst, pathdesign.solve_path_fptas(inst, args.eps))
     elif mode == "sp-exact":
-        sol = _solve_sp_exact(inst)
+        from . import spdesign
+
+        sol = spdesign.solve_sp_exact(inst)
     elif mode == "sp-fptas":
         from . import spdesign
 

@@ -4,17 +4,17 @@ The workhorse is a budgeted DP over the SP composition tree: R(v, k) is the
 best resistance the subtree under v can reach spending at most k, combined
 by min-plus convolution in resistance space at series nodes and max-plus in
 conductance space at parallel nodes. R(v, .) is a step function, so each
-node keeps only its Pareto points (price, resistance), sorted by price: the
-list method of Nemhauser and Ullmann for knapsack. A node's list comes from
-all pairs of its children's points, pruned to the pairs that beat every
+node keeps only its Pareto points (price, resistance), sorted by price, and
+R(v, k) is its last point priced at most k: the list method of Nemhauser
+and Ullmann for knapsack. A node's list comes from the pairs of its
+children's points that fit the budget, pruned to the pairs that beat every
 cheaper pair; among equal values the pair that gives the left child less
 budget wins, which is the first best split of the per-budget recursion.
-The pairs are formed in blocks of left-list rows, so a large budget does not
-make one large outer sum. With integer prices the DP is exact; real prices
-go through the classic scale-and-round layer: guess the largest price used
-by the optimum by doubling from the smallest price, round everything down
-to multiples of delta, and run one DP per guess, O(log(p_max / p_min)) in
-all.
+The kernel is plain Python, so the exact mode runs without numpy. With
+integer prices the DP is exact; real prices go through the classic
+scale-and-round layer: guess the largest price used by the optimum by
+doubling from the smallest price, round everything down to multiples of
+delta, and run one DP per guess, O(log(p_max / p_min)) in all.
 Continuous conductance intervals [0, ybar] are handled by discretizing each
 interval into a geometric option menu first; the menu always contains ybar
 itself, and its price list folds the fixed cost in.
@@ -23,9 +23,8 @@ itself, and its price list folds the fixed cost in.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import FixedInstance, Instance, Solution, check_epsilon, verify
 from .errors import (
@@ -61,30 +60,26 @@ class OptionSet:
 
 @dataclass(frozen=True)
 class DPTable:
-    """Filled DP arrays, aligned with ``nodes`` (a postorder of the tree).
+    """Filled DP lists, aligned with ``nodes`` (a postorder of the tree).
 
-    resistance[i][k] is the best subtree resistance at budget k; choice[i][k]
-    holds the argmin: an option index (or -1 for skip) at leaves, the budget
-    given to the left child elsewhere (the smallest one that reaches the
-    best value). Both rows are the step functions of the node's Pareto list.
-    iterations counts the list points built at leaves plus the candidate
-    pairs formed at inner nodes.
+    points[i] is node i's Pareto list as three parallel lists (prices,
+    resistances, choices), sorted by price and starting at price 0; ``at``
+    reads it at a budget. A choice is an option index (or -1 for skip) at
+    leaves and the budget given to the left child elsewhere (the smallest
+    one that reaches the best value). iterations counts the list points
+    built at leaves plus the candidate pairs formed at inner nodes.
     """
 
     nodes: tuple[SPTree, ...]
-    resistance: tuple[np.ndarray, ...]
-    choice: tuple[np.ndarray, ...]
+    points: tuple[tuple[list[int], list[float], list[int]], ...]
     iterations: int
 
-
-def _res_to_cond_vec(R: np.ndarray, r: float) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return R ** (-1.0 / r)
-
-
-def _cond_to_res_vec(C: np.ndarray, r: float) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return C ** (-float(r))
+    def at(self, i: int, k: int) -> tuple[float, int]:
+        """(resistance, choice) of node i at budget k >= 0: those of its
+        last point priced at most k."""
+        prices, res, choice = self.points[i]
+        j = bisect_right(prices, k) - 1
+        return res[j], choice[j]
 
 
 def _leaf_list(opts, U: int, r: float):
@@ -95,7 +90,7 @@ def _leaf_list(opts, U: int, r: float):
         p = int(opts[i][1])
         if p > U:
             break
-        res = opts[i][0] ** (-float(r))
+        res = cond_to_res(opts[i][0], r)
         if res < vals[-1]:
             if p == prices[-1]:
                 vals[-1], picks[-1] = res, i
@@ -103,72 +98,57 @@ def _leaf_list(opts, U: int, r: float):
                 prices.append(p)
                 vals.append(res)
                 picks.append(i)
-    return np.array(prices, dtype=np.int64), np.array(vals), np.array(picks, dtype=np.int64)
-
-
-# Candidate pairs formed at once in ``_combine``: the outer sum of two lists
-# runs in blocks of left-list rows, so its memory stays bounded whatever the
-# budget, at the cost of one pass over the per-price arrays per block.
-_PAIR_BLOCK = 1 << 14
+    return prices, vals, picks
 
 
 def _combine(left, right, parallel: bool, U: int, r: float):
     """Pareto list of a series or parallel node from its children's lists.
 
-    Every pair of child points is a candidate priced at the sum of their
-    prices; candidates above U drop out. A candidate survives when its
-    (value, left price) beats, lexicographically, every candidate that
-    costs no more: the value is the summed resistance (series) or the
-    summed conductance (parallel, larger is better), and the left price
-    breaks ties, so each row entry is the first best split over budgets.
-
-    The pairs are formed in blocks of left-list rows, about ``_PAIR_BLOCK``
-    pairs each. Arrays over the total prices 0..U keep the best (value,
-    left price) found so far; a block replaces an entry only when its value
-    is strictly better, so of equal values the earlier block, which gives
-    the left child less, wins. The result does not depend on the block
-    size.
+    Every pair of child points priced at most U in total is a candidate.
+    Its key is the summed resistance (series) or minus the summed
+    conductance (parallel), so smaller is better in both. Lists over the
+    total prices 0..U keep the best (key, left price) found so far. Left
+    points come in ascending price and an entry is replaced only by a
+    strictly smaller key, so of equal keys the pair that gives the left
+    child less wins. A total then survives when its (key, left price) is
+    lexicographically below every cheaper total's, so each point is the
+    first best split over budgets.
     """
     lp, lv, _ = left
     rp, rv, _ = right
     if parallel:
-        lv, rv = _res_to_cond_vec(lv, r), _res_to_cond_vec(rv, r)
-    best_key = np.full(U + 1, math.inf)
-    best_lprice = np.full(U + 1, -1, dtype=np.int64)
-    rows = max(1, _PAIR_BLOCK // len(rp))
-    for lo in range(0, len(lp), rows):
-        bp = lp[lo:lo + rows]
-        total = (bp[:, None] + rp[None, :]).ravel()
-        value = (lv[lo:lo + rows, None] + rv[None, :]).ravel()
-        pair = np.flatnonzero(total <= U)
-        total, value = total[pair], value[pair]
-        key = -value if parallel else value
-        # Candidates are in pair order, so the stable lexsort breaks (price,
-        # key) ties by the smaller left price; keep the block's best per price.
-        order = np.lexsort((key, total))
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = total[order[1:]] != total[order[:-1]]
-        order = order[first]
-        total, key = total[order], key[order]
-        # A price seen for the first time is taken even at key inf (a series
-        # node whose children both skip).
-        better = (key < best_key[total]) | (best_lprice[total] < 0)
-        total = total[better]
-        best_key[total] = key[better]
-        best_lprice[total] = bp[pair[order[better]] // len(rp)]
-    total = np.flatnonzero(best_lprice >= 0)
-    key, lprice = best_key[total], best_lprice[total]
-    # Rank by (key, left price); the sort is stable, so of two equal points
-    # the cheaper ranks first. A point stays while its rank beats every
-    # cheaper point's.
-    rank = np.empty(len(total), dtype=np.int64)
-    rank[np.lexsort((lprice, key))] = np.arange(len(total))
-    keep = np.ones(len(total), dtype=bool)
-    keep[1:] = rank[1:] < np.minimum.accumulate(rank)[:-1]
-    vals = key[keep]
+        lv = [-res_to_cond(v, r) for v in lv]
+        rv = [-res_to_cond(v, r) for v in rv]
+    best_key = [math.inf] * (U + 1)
+    best_lprice = [-1] * (U + 1)
+    # Total 0 has one pair, the two price-0 points. A series key there can
+    # be inf, which no strict improvement records, so it is entered here;
+    # any other total whose candidates are all inf could never be kept.
+    best_lprice[0] = 0
+    right_points = list(zip(rp, rv))
+    for p1, k1 in zip(lp, lv):
+        for p2, k2 in right_points[:bisect_right(rp, U - p1)]:
+            total = p1 + p2
+            key = k1 + k2
+            if key < best_key[total]:
+                best_key[total] = key
+                best_lprice[total] = p1
+    prices, keys, lprices = [], [], []
+    # Kept points fall strictly in (key, left price), so the last one kept
+    # is the minimum over all cheaper totals.
+    last_key, last_lprice = math.inf, U + 1
+    for total, lprice in enumerate(best_lprice):
+        if lprice < 0:
+            continue
+        key = best_key[total]
+        if key < last_key or (key == last_key and lprice < last_lprice):
+            prices.append(total)
+            keys.append(key)
+            lprices.append(lprice)
+            last_key, last_lprice = key, lprice
     if parallel:
-        vals = _cond_to_res_vec(-vals, r)
-    return total[keep], vals, lprice[keep]
+        keys = [cond_to_res(-key, r) for key in keys]
+    return prices, keys, lprices
 
 
 def fill_table(tree: SPTree, options: OptionSet, U: int, r: float) -> DPTable:
@@ -178,13 +158,12 @@ def fill_table(tree: SPTree, options: OptionSet, U: int, r: float) -> DPTable:
     sorted by price, with the resistance falling or the choice's left
     budget shrinking from one point to the next (Nemhauser and Ullmann's
     list method for knapsack). Leaves list their menus; inner nodes combine
-    their children's lists in ``_combine``, which forms the candidate pairs
-    in blocks of about ``_PAIR_BLOCK`` and keeps the best per total price in
-    arrays over 0..U, so its memory is O(U + block) rather than the product
-    of the list lengths; the rows do not depend on the block size. Each
-    list is then expanded to
-    its dense rows over budgets 0..U, which equal the rows of the classic
-    per-budget min-plus / max-plus recursion.
+    their children's lists in ``_combine``, which keeps the best pair per
+    total price in lists over 0..U, so its memory is O(U) rather than the
+    product of the list lengths. Read at any budget k through
+    ``DPTable.at``, a node's list gives R(v, k) and the argmin of the
+    classic per-budget min-plus / max-plus recursion; no per-budget rows are
+    stored.
 
     Option prices must be nonnegative integers (scale first if not). The
     work, counted as leaf points plus candidate pairs, is checked against
@@ -198,10 +177,7 @@ def fill_table(tree: SPTree, options: OptionSet, U: int, r: float) -> DPTable:
             if not (p >= 0 and p % 1 == 0):  # inf % 1 and nan % 1 are nan
                 raise ValidationError("fill_table needs nonnegative integer option prices")
     nodes = postorder(tree)
-    lists: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    budgets = np.arange(U + 1)
-    res: dict[int, np.ndarray] = {}
-    cho: dict[int, np.ndarray] = {}
+    lists: dict[int, tuple[list[int], list[float], list[int]]] = {}
     iterations = 0
     for node in nodes:
         if isinstance(node, Leaf):
@@ -212,9 +188,6 @@ def fill_table(tree: SPTree, options: OptionSet, U: int, r: float) -> DPTable:
             points = _combine(left, right, isinstance(node, Parallel), U, r)
             iterations += len(left[0]) * len(right[0])
         lists[id(node)] = points
-        at = np.searchsorted(points[0], budgets, side="right") - 1
-        res[id(node)] = points[1][at]
-        cho[id(node)] = points[2][at]
 
     m = sum(1 for n in nodes if isinstance(n, Leaf))
     envelope = (2 * m - 1) * (U + 1) ** 2
@@ -222,10 +195,16 @@ def fill_table(tree: SPTree, options: OptionSet, U: int, r: float) -> DPTable:
         raise BoundExceeded(f"DP did {iterations} iterations, envelope {envelope}")
     return DPTable(
         nodes=tuple(nodes),
-        resistance=tuple(res[id(n)] for n in nodes),
-        choice=tuple(cho[id(n)] for n in nodes),
+        points=tuple(lists[id(n)] for n in nodes),
         iterations=iterations,
     )
+
+
+def _cheapest_budget(table: DPTable, B: float) -> int | None:
+    """Smallest budget k with R(root, k) <= B: the price of the root's first
+    point within B, or None when there is none."""
+    prices, res, _ = table.points[-1]
+    return next((p for p, v in zip(prices, res) if v <= B), None)
 
 
 def _reconstruct(tree: SPTree, table: DPTable, k: int) -> dict[int, int]:
@@ -234,21 +213,19 @@ def _reconstruct(tree: SPTree, table: DPTable, k: int) -> dict[int, int]:
     Parallel branches whose table entry is infinite carry no flow; they are
     skipped outright so the rebuilt network composes to exactly R(root, k).
     """
-    res = {id(n): v for n, v in zip(table.nodes, table.resistance)}
-    cho = {id(n): v for n, v in zip(table.nodes, table.choice)}
+    index = {id(n): i for i, n in enumerate(table.nodes)}
     install: dict[int, int] = {}
     stack = [(tree, k)]
     while stack:
         node, kk = stack.pop()
+        _, pick = table.at(index[id(node)], kk)
         if isinstance(node, Leaf):
-            pick = int(cho[id(node)][kk])
             if pick >= 0:
                 install[node.arc] = pick
         else:
-            split = int(cho[id(node)][kk])
-            parts = ((node.left, split), (node.right, kk - split))
+            parts = ((node.left, pick), (node.right, kk - pick))
             for child, kc in parts:
-                if isinstance(node, Parallel) and math.isinf(res[id(child)][kc]):
+                if isinstance(node, Parallel) and math.isinf(table.at(index[id(child)], kc)[0]):
                     continue
                 stack.append((child, kc))
     return install
@@ -274,13 +251,29 @@ def dp_exact(tree: SPTree, options: OptionSet, U: int, B: float, r: float) -> So
     reconstructed by backpointers and priced as given.
     """
     table = fill_table(tree, options, U, r)
-    root_res = table.resistance[-1]
-    hits = np.nonzero(root_res <= B)[0]
-    if len(hits) == 0:
+    k = _cheapest_budget(table, B)
+    if k is None:
         raise Infeasible(f"no installation within budget {U} meets the resistance bound")
-    k = int(hits[0])
     install = _reconstruct(tree, table, k)
     return _to_solution(options.m, r, tree, options, install)
+
+
+def solve_sp_exact(inst: Instance) -> Solution:
+    """Exact design when every arc is all or nothing: c = 0, finite ybar and
+    integer gamma. Arc a's menu is its one option (ybar_a, gamma_a), and the
+    DP runs at the budget sum(gamma), which affords every arc."""
+    if not all(math.isfinite(v) for v in inst.ybar):
+        raise UnsupportedCase("sp-exact needs finite ybar everywhere")
+    if any(v != 0.0 for v in inst.c):
+        raise UnsupportedCase("sp-exact prices arcs by gamma alone; c must be zero")
+    prices = []
+    for g in inst.gamma:
+        if g != int(g):
+            raise UnsupportedCase("sp-exact needs integer gamma prices")
+        prices.append(int(g))
+    tree = decompose(inst.n, inst.arcs, inst.s, inst.t)
+    options = OptionSet(tuple(((inst.ybar[a], float(prices[a])),) for a in range(inst.m)))
+    return dp_exact(tree, options, sum(prices), inst.B, inst.r)
 
 
 def _price_guesses(prices):
@@ -386,10 +379,10 @@ def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Soluti
                 U = min(U, math.ceil(best_cost / delta) + m)
 
         table = fill_table(tree, scaled, U, inst.r)
-        hits = np.nonzero(table.resistance[-1] <= inst.B)[0]
-        if len(hits) == 0:
+        k = _cheapest_budget(table, inst.B)
+        if k is None:
             continue
-        install = _reconstruct(tree, table, int(hits[0]))
+        install = _reconstruct(tree, table, k)
         cost = sum(inst.options[a][idx_maps[a][pick]][1] for a, pick in install.items())
         key = (cost, tuple(sorted((a, idx_maps[a][pick]) for a, pick in install.items())))
         if best is None or key < best:
@@ -403,14 +396,8 @@ def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Soluti
     return _to_solution(m, inst.r, tree, full, chosen)
 
 
-def discretize_conductances(inst: Instance, epsilon: float) -> OptionSet:
-    """Geometric conductance menus for the continuous bounded problem.
-
-    The floor ylow_a = eps * L / (6 c_a m) with L = min_a (c_a D / m + gamma_a)
-    and D = B^(-1/r) is low enough that rounding the optimum up to the grid
-    costs at most a 1 + eps/3 factor; the cap ybar_a is always a menu entry.
-    """
-    check_epsilon(epsilon, "sp-fptas")
+def _require_discretizable(inst: Instance) -> None:
+    """The conductance grid needs c_a > 0 and a finite ybar_a on every arc."""
     for a in range(inst.m):
         if inst.c[a] <= 0.0:
             raise UnsupportedCase(
@@ -419,6 +406,17 @@ def discretize_conductances(inst: Instance, epsilon: float) -> OptionSet:
             )
         if math.isinf(inst.ybar[a]):
             raise UnsupportedCase(f"arc {a} has no conductance bound")
+
+
+def discretize_conductances(inst: Instance, epsilon: float) -> OptionSet:
+    """Geometric conductance menus for the continuous bounded problem.
+
+    The floor ylow_a = eps * L / (6 c_a m) with L = min_a (c_a D / m + gamma_a)
+    and D = B^(-1/r) is low enough that rounding the optimum up to the grid
+    costs at most a 1 + eps/3 factor; the cap ybar_a is always a menu entry.
+    """
+    check_epsilon(epsilon, "sp-fptas")
+    _require_discretizable(inst)
 
     m = inst.m
     try:
@@ -473,14 +471,7 @@ def solve_sp_fptas(inst: Instance, epsilon: float) -> Solution:
     design that fails the check raises VerificationFailed.
     """
     check_epsilon(epsilon, "sp-fptas")
-    for a in range(inst.m):
-        if inst.c[a] <= 0.0:
-            raise UnsupportedCase(
-                f"arc {a} has zero variable cost; pre-install it at its bound "
-                "and remove it from the discretization"
-            )
-        if math.isinf(inst.ybar[a]):
-            raise UnsupportedCase(f"arc {a} has no conductance bound")
+    _require_discretizable(inst)
     tree = decompose(inst.n, inst.arcs, inst.s, inst.t)
     if resistance_sp(tree, inst.ybar, inst.r) > inst.B:
         raise Infeasible("even y = ybar misses the resistance budget")

@@ -160,6 +160,22 @@ class TestSolve:
         assert main(["solve", "--in", path, "--mode", "sp-exact"]) == 0
         assert read_solution(capsys.readouterr().out).cost == 2.0
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("ybar", (math.inf, 4.0), "sp-exact needs finite ybar everywhere"),
+        ("c", (0.0, 1.0), "sp-exact prices arcs by gamma alone; c must be zero"),
+        ("gamma", (1.0, 2.5), "sp-exact needs integer gamma prices"),
+    ])
+    def test_sp_exact_refusals_exit_3(self, tmp_path, capsys, field, value, message):
+        fields = dict(
+            n=2, arcs=((0, 1), (0, 1)), s=0, t=1, r=1.0,
+            c=(0.0, 0.0), gamma=(1.0, 2.0), ybar=(3.0, 4.0), B=0.25,
+        )
+        fields[field] = value
+        path = write_file(tmp_path, "ks.json", write_instance(Instance(**fields)))
+        assert main(["solve", "--in", path, "--mode", "sp-exact"]) == 3
+        cap = capsys.readouterr()
+        assert cap.err == f"unsupported: {message}\n" and cap.out == ""
+
     def test_brute_mode_on_partition_instance(self, tmp_path, capsys):
         assert main(["gen", "--family", "partition", "--numbers", "1,1,2",
                      "--out", str(tmp_path / "p.json")]) == 0
@@ -362,7 +378,7 @@ class TestGuardsUnderOptimize:
 
 
 class TestColdStart:
-    """The CLI and path mode run without importing numpy."""
+    """The CLI, path mode and sp-exact run without importing numpy."""
 
     def test_cli_import_leaves_numpy_out(self):
         code = (
@@ -378,24 +394,47 @@ class TestColdStart:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_spdesign_import_leaves_numpy_out(self):
+        code = (
+            "import sys, flowdesign.spdesign\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported by flowdesign.spdesign'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    @staticmethod
+    def solve_imports(tmp_path, inst, *argv):
+        """Modules a fresh `flowdesign solve` imports, read from -X importtime."""
+        path = write_file(tmp_path, "inst.json", write_instance(inst))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "flowdesign", "solve", "--in", path, *argv],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert read_solution(proc.stdout).cost > 0.0
+        return {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+
     def test_path_mode_solve_leaves_numpy_out(self, tmp_path):
         inst = Instance(
             n=4, arcs=((0, 1), (1, 3), (0, 2), (2, 3), (1, 2)), s=0, t=3, r=2.0,
             c=(1.0, 4.0, 3.0, 0.5, 1.0), gamma=(2.0, 0.0, 0.5, 1.0, 0.1),
             ybar=(math.inf,) * 5, B=1.0,
         )
-        path = write_file(tmp_path, "inst.json", write_instance(inst))
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "flowdesign", "solve", "--in", path,
-             "--mode", "path-fptas", "--eps", "0.1"],
-            env=child_env(), capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert read_solution(proc.stdout).cost > 0.0
-        imported = {
-            line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:")
-        }
+        imported = self.solve_imports(tmp_path, inst, "--mode", "path-fptas", "--eps", "0.1")
         assert "flowdesign.pathdesign" in imported
+        assert not {name for name in imported if name.split(".")[0] == "numpy"}
+
+    def test_sp_exact_solve_leaves_numpy_out(self, tmp_path):
+        inst = Instance(
+            n=3, arcs=((0, 1), (0, 1), (1, 2), (1, 2)), s=0, t=2, r=2.0,
+            c=(0.0,) * 4, gamma=(3.0, 5.0, 2.0, 4.0), ybar=(1.0, 2.0, 1.5, 0.5), B=1.0,
+        )
+        imported = self.solve_imports(tmp_path, inst, "--mode", "sp-exact")
+        assert "flowdesign.spdesign" in imported
         assert not {name for name in imported if name.split(".")[0] == "numpy"}

@@ -28,10 +28,16 @@ from flowdesign.oracles import (
 )
 from flowdesign import spdesign
 from flowdesign.spdesign import OptionSet, _reconstruct, fill_table
+from flowdesign.sptree import Leaf, Parallel, cond_to_res, postorder, res_to_cond
 
 
 def parallel_tree(m):
     return decompose(2, ((0, 1),) * m, 0, 1)
+
+
+def row(table, i, U):
+    """Node i's resistances at budgets 0..U, read as _reconstruct reads them."""
+    return [table.at(i, k)[0] for k in range(U + 1)]
 
 
 def single_options(mus, prices):
@@ -116,6 +122,18 @@ class TestDpExact:
                 got = dp_exact(tree, opts, sum(p), fixed.B, fixed.r)
                 assert got.cost == want
 
+    def test_knapsack_family_matches_textbook_dp_at_bench_scale(self):
+        # the sizes and prices of the knapsack_exact benchmark workload
+        rng = random.Random(8192)
+        for _ in range(8):
+            k = rng.randint(10, 22)
+            mu = [rng.randint(1, 9) for _ in range(k)]
+            p = [rng.randint(1, 200) for _ in range(k)]
+            D = rng.randint(1, sum(mu))
+            fixed = gen_min_knapsack(mu, p, D, rng.choice([1.0, 2.0]))
+            got = dp_exact(parallel_tree(k), OptionSet(fixed.options), sum(p), fixed.B, fixed.r)
+            assert got.cost == textbook_min_knapsack(mu, p, D)
+
     def test_table_monotone_and_consistent(self):
         rng = random.Random(321)
         for _ in range(10):
@@ -133,16 +151,17 @@ class TestDpExact:
             )
             U = 3 * m
             table = fill_table(tree, opts, U, 1.0)
-            for row in table.resistance:
-                for a, b in zip(row, row[1:]):
+            for i in range(len(table.nodes)):
+                values = row(table, i, U)
+                for a, b in zip(values, values[1:]):
                     assert b <= a or (math.isinf(a) and math.isinf(b))
             assert table.iterations <= (2 * m - 1) * (U + 1) ** 2
-            root = table.resistance[-1]
+            root = row(table, -1, U)
             feasible_ks = [k for k in range(U + 1) if not math.isinf(root[k])]
             if feasible_ks:
                 k = feasible_ks[0]
                 sol = dp_exact(tree, opts, U, root[k] * (1 + 1e-12) + 1e-12, 1.0)
-                assert sol.achievedR == pytest.approx(root[k], rel=1e-9)
+                assert sol.achievedR == root[k]
 
 
 def random_fill_cases(tied=False):
@@ -169,6 +188,35 @@ def random_fill_cases(tied=False):
         yield tree, opts, U, r
 
 
+def per_budget_rows(tree, opts, U, r):
+    """The classic per-budget recursion, as (resistance, choice) rows over
+    budgets 0..U keyed by id(node). Each choice is the first best: the skip
+    (-1), then options by (price, index), at leaves; the smallest left
+    budget elsewhere. Parallel nodes compare summed conductances."""
+    rows = {}
+    for node in postorder(tree):
+        if isinstance(node, Leaf):
+            menu = [(cond_to_res(mu, r), p, i) for i, (mu, p) in enumerate(opts[node.arc])]
+            rows[id(node)] = [
+                min([(math.inf, 0, -1)] + [o for o in menu if o[1] <= k])[::2]
+                for k in range(U + 1)
+            ]
+            continue
+        left, right = rows[id(node.left)], rows[id(node.right)]
+        parallel = isinstance(node, Parallel)
+        out = []
+        for k in range(U + 1):
+            splits = []
+            for j in range(k + 1):
+                a, b = left[j][0], right[k - j][0]
+                key = -(res_to_cond(a, r) + res_to_cond(b, r)) if parallel else a + b
+                splits.append((key, j))
+            key, j = min(splits)
+            out.append((cond_to_res(-key, r) if parallel else key, j))
+        rows[id(node)] = out
+    return rows
+
+
 class TestFillTable:
     def test_rows_match_enumeration_at_every_budget(self):
         for trial, (tree, opts, U, r) in enumerate(random_fill_cases()):
@@ -179,24 +227,34 @@ class TestFillTable:
                 R = resistance_sp(tree, y, r)
                 for k in range(price, U + 1):
                     best[k] = min(best[k], R)
-            root = fill_table(tree, OptionSet(opts), U, r).resistance[-1]
+            root = row(fill_table(tree, OptionSet(opts), U, r), -1, U)
             for k in range(U + 1):
                 if math.isinf(best[k]):
                     assert math.isinf(root[k]), f"trial {trial}, budget {k}"
                 else:
                     assert root[k] == pytest.approx(best[k], rel=1e-12), f"trial {trial}, budget {k}"
 
-    @pytest.mark.parametrize("block", [1, 7])
-    def test_rows_do_not_depend_on_the_pair_block(self, block, monkeypatch):
-        cases = [*random_fill_cases(), *random_fill_cases(tied=True)]
-        want = [fill_table(tree, OptionSet(opts), U, r) for tree, opts, U, r in cases]
-        monkeypatch.setattr(spdesign, "_PAIR_BLOCK", block)
-        for trial, ((tree, opts, U, r), ref) in enumerate(zip(cases, want)):
-            got = fill_table(tree, OptionSet(opts), U, r)
-            for rows in ("resistance", "choice"):
-                for a, b in zip(getattr(ref, rows), getattr(got, rows)):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"trial {trial}, {rows}"
-            assert got.iterations == ref.iterations
+    def test_lists_match_the_per_budget_recursion(self):
+        # arc 0 in series with arcs 1 and 2 in parallel: the parallel pair
+        # reaches conductance 1 at budgets 1 and 2 with different splits,
+        # so the series node sees the same (value, split) at totals 1 and 2
+        chain = (
+            decompose(3, ((0, 1), (1, 2), (1, 2)), 0, 2),
+            (((1.0, 0.0),), ((1.0, 1.0),), ((1.0, 2.0),)),
+            3,
+            1.0,
+        )
+        cases = [chain, *random_fill_cases(), *random_fill_cases(tied=True)]
+        for trial, (tree, opts, U, r) in enumerate(cases):
+            table = fill_table(tree, OptionSet(opts), U, r)
+            want = per_budget_rows(tree, opts, U, r)
+            for i, node in enumerate(table.nodes):
+                steps = want[id(node)]
+                got = [table.at(i, k) for k in range(U + 1)]
+                assert got == steps, f"trial {trial}, node {i}"
+                # one point per step, so the pair counts stay minimal
+                changes = [k for k in range(U + 1) if k == 0 or steps[k] != steps[k - 1]]
+                assert table.points[i][0] == changes, f"trial {trial}, node {i}"
 
     def test_equal_splits_give_the_left_child_the_smaller_budget(self):
         # series, r = 1: at budget 3 the only best split gives the left arc 2;
@@ -207,14 +265,14 @@ class TestFillTable:
             ((1.0, 1.0), (2.0, 3.0)),
         ))
         table = fill_table(tree, opts, 5, 1.0)
-        assert list(table.resistance[-1]) == [math.inf, math.inf, 2.0, 1.5, 1.5, 1.0]
-        assert table.choice[-1][3] == 2 and table.choice[-1][4] == 1
+        assert row(table, -1, 5) == [math.inf, math.inf, 2.0, 1.5, 1.5, 1.0]
+        assert table.at(-1, 3)[1] == 2 and table.at(-1, 4)[1] == 1
         assert _reconstruct(tree, table, 3) == {0: 1, 1: 0}
         assert _reconstruct(tree, table, 4) == {0: 0, 1: 1}
         # equal menus: at budget 3 the splits 1 + 2 and 2 + 1 both reach 1.5
         same = OptionSet((((1.0, 1.0), (2.0, 2.0)),) * 2)
         table = fill_table(tree, same, 3, 1.0)
-        assert table.resistance[-1][3] == 1.5 and table.choice[-1][3] == 1
+        assert table.at(-1, 3) == (1.5, 1)
         assert _reconstruct(tree, table, 3) == {0: 0, 1: 1}
 
     @pytest.mark.parametrize("price", [1.5, -1.0, math.inf])
