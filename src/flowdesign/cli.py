@@ -10,9 +10,11 @@ or conductances whose y^r spread is beyond float resolution, so the energy
 solve does not converge), 4 internal defect (a proven bound broke, or a
 solver's answer failed its own final check).
 
-Solver modules load only for the commands and modes that use them, so
-path-mode and sp-exact solves start without numpy; sp-fptas loads it for its
-final verify.
+Solver modules load only for the commands and modes that use them: the path
+modes load pathdesign and rsp, the SP modes spdesign, and brute and gen the
+oracles. Every solve mode but brute runs without numpy; sp-fptas certifies
+its answer with a flow witness rather than the energy solver. The
+resistance and verify commands load numpy for the energy solve.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import math
 import sys
 
-from . import core, pathdesign
+from . import core
 from .core import Instance
 from .errors import (
     BoundExceeded,
@@ -90,6 +92,8 @@ def _pick_mode(inst: Instance) -> str:
 
 
 def _solve_path_exact(inst: Instance):
+    from . import pathdesign
+
     if not inst.unbounded():
         raise UnsupportedCase("path-exact needs ybar unbounded everywhere")
     if all(v == 0.0 for v in inst.c):
@@ -123,6 +127,8 @@ def _cmd_solve(args) -> int:
     if mode == "path-exact":
         sol = _solve_path_exact(inst)
     elif mode == "path-fptas":
+        from . import pathdesign
+
         sol = pathdesign.to_solution(inst, pathdesign.solve_path_fptas(inst, args.eps))
     elif mode == "sp-exact":
         from . import spdesign

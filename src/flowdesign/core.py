@@ -423,7 +423,46 @@ def _support_resistance(inst: Instance, y, tol: float) -> float:
     )
 
 
-def verify(inst: Instance, sol: Solution, tol: float = 1e-9) -> VerificationReport:
+# Net flow a witness may miss at any node, per arc of the instance. A unit
+# flow computed in floating point is off by a few ulps of 1 per arc it
+# splits through; 2^-40 per arc leaves room for that and still rejects any
+# real leak, such as a half-unit flow.
+_FLOW_SLACK_PER_ARC = 2.0 ** -40
+
+
+def _witness_energy(inst: Instance, sol: Solution, flow, reasons: list[str]) -> float:
+    """Energy of a unit s-t flow witness, appending its defects to reasons.
+
+    Arc a adds |f_a| (|f_a| / y_a)^r, which is +inf past the float range, so
+    an overflow never understates the energy. A NaN entry fails conservation.
+    """
+    if len(flow) != inst.m:
+        raise DimensionMismatch(f"flow has {len(flow)} entries for {inst.m} arcs")
+    net = [0.0] * inst.n
+    energy = 0.0
+    for a, (u, v) in enumerate(inst.arcs):
+        f = flow[a]
+        if f == 0.0:
+            continue
+        if not (sol.y[a] > 0.0 and sol.x[a] == 1):
+            reasons.append(f"flow {f!r} on arc {a}, which is not installed with y > 0")
+            continue
+        net[u] -= f
+        net[v] += f
+        af = abs(f)
+        try:
+            energy += af * (af / sol.y[a]) ** inst.r
+        except OverflowError:
+            energy = math.inf
+    net[inst.s] += 1.0
+    net[inst.t] -= 1.0
+    slack = _FLOW_SLACK_PER_ARC * inst.m
+    if not all(abs(v) <= slack for v in net):
+        reasons.append(f"flow is not a unit s-t flow: a node's net flow is off by more than {slack:.3e}")
+    return energy
+
+
+def verify(inst: Instance, sol: Solution, tol: float = 1e-9, flow=None) -> VerificationReport:
     """Check a solution against an instance.
 
     Feasibility means: x is binary, y respects 0 <= y <= ybar, any positive
@@ -431,6 +470,18 @@ def verify(inst: Instance, sol: Solution, tol: float = 1e-9) -> VerificationRepo
     zero-variable-cost arcs, and the effective resistance of the installed
     network is at most B * (1 + tol). The reported cost is recomputed from
     scratch; it does not have to match sol.cost for the solution to verify.
+
+    Without ``flow`` the resistance comes from the energy solver
+    (``resistance.effective_resistance``), which loads numpy. With ``flow``,
+    a signed per-arc unit s-t flow (positive along the arc's orientation),
+    the check is O(m) and numeric-library free, by Thomson's principle:
+    every unit s-t flow f has energy sum_a |f_a|^(r+1) / y_a^r >= R_eff, so
+    a witness whose energy is at most B * (1 + tol) proves R_eff within
+    budget. The witness must carry flow only on installed arcs with y > 0
+    and must conserve, with net -1 at s and +1 at t, to within 2^-40 per
+    arc (the float rounding of a unit flow); achievedR is then its energy,
+    an upper bound on R_eff. A witness that fails proves nothing, so the
+    solution is reported infeasible.
     """
     if len(sol.x) != inst.m or len(sol.y) != inst.m:
         raise DimensionMismatch(
@@ -460,7 +511,10 @@ def verify(inst: Instance, sol: Solution, tol: float = 1e-9) -> VerificationRepo
             else:
                 cost += inst.c[a] * sol.y[a]
 
-    achieved = _support_resistance(inst, sol.y, tol)
+    if flow is None:
+        achieved = _support_resistance(inst, sol.y, tol)
+    else:
+        achieved = _witness_energy(inst, sol, flow, reasons)
     feasible = not reasons and achieved <= inst.B * (1.0 + tol)
     return VerificationReport(
         feasible=feasible, achievedR=achieved, cost=cost, reasons=tuple(reasons)

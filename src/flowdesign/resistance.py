@@ -3,8 +3,12 @@
 For conductances y and exponent r, a flow f routed from s to t has energy
 sum_a |f_a|^{r+1} / y_a^r over the supported arcs (y_a > 0). The unique
 minimizer of that energy among unit s-t flows induces node potentials pi with
-pi_tail - pi_head = sign(f_a) * (|f_a| / y_a)^r on every supported arc, and
-the effective resistance is R = pi_s - pi_t (equal to the optimal energy).
+pi_tail - pi_head = sign(f_a) * (|f_a| / y_a)^r on every supported arc. The
+effective resistance R is that minimum energy; it equals pi_s - pi_t at the
+optimum, but ``effective_resistance`` returns the energy. The energy is
+stationary in the flow, so a flow error moves it only to second order,
+while pi_s - pi_t sums the potential law along one spanning tree and
+carries its errors, which grow when conductances spread widely.
 
 The solver works in node space, on the s-t block only: the supported arcs
 that lie on some simple s-t path (``core.st_block_arcs``). Every other arc
@@ -253,12 +257,12 @@ def min_energy_flow(n, arcs, y, r, s, t, tol: float = 1e-10, max_line_searches: 
 
 
 def effective_resistance(n, arcs, y, r, s, t, tol: float = 1e-10) -> float:
-    """pi_s - pi_t for the minimum-energy unit flow; +inf when disconnected."""
+    """The energy of the minimum-energy unit flow; +inf when disconnected."""
     try:
         state = min_energy_flow(n, arcs, y, r, s, t, tol=tol)
     except Disconnected:
         return math.inf
-    return state.pi[s] - state.pi[t]
+    return state.energy
 
 
 def effective_conductance(n, arcs, y, r, s, t, tol: float = 1e-10) -> float:

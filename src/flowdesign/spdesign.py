@@ -39,11 +39,13 @@ from .sptree import (
     Leaf,
     Parallel,
     SPTree,
+    arc_directions,
     cond_to_res,
     decompose,
     postorder,
     res_to_cond,
     resistance_sp,
+    sp_unit_flow,
 )
 
 
@@ -467,8 +469,12 @@ def solve_sp_fptas(inst: Instance, epsilon: float) -> Solution:
 
     Discretize at eps, then run the fixed-menu scheme at eps/3; the combined
     loss (1 + eps/3)^2 stays within 1 + eps on (0, 1). The result is
-    re-checked against the original instance before it is returned; a
-    design that fails the check raises VerificationFailed.
+    re-checked against the original instance before it is returned: the
+    tree's minimum-energy unit flow on the design, signed by
+    ``arc_directions``, is handed to ``verify`` as a witness, which checks
+    its conservation and energy on the graph itself and so does not trust
+    the composition. A design that fails the check raises
+    VerificationFailed.
     """
     check_epsilon(epsilon, "sp-fptas")
     _require_discretizable(inst)
@@ -481,7 +487,12 @@ def solve_sp_fptas(inst: Instance, epsilon: float) -> Solution:
         options=menus.options,
     )
     sol = solve_fixed_conductance_fptas(fixed, epsilon / 3.0)
-    report = verify(inst, sol, tol=1e-9)
+    magnitudes, _ = sp_unit_flow(tree, sol.y, inst.r)
+    flow = [d * f for d, f in zip(arc_directions(tree, inst.arcs, inst.s), magnitudes)]
+    report = verify(inst, sol, tol=1e-9, flow=flow)
     if not report.feasible:
-        raise VerificationFailed(f"reconstructed solution failed verification: {report.reasons}")
+        raise VerificationFailed(
+            f"reconstructed solution failed verification: {report.reasons}, "
+            f"witness energy {report.achievedR!r} against B = {inst.B!r}"
+        )
     return sol

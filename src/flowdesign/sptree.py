@@ -12,12 +12,20 @@ over that tree without solving any flow problem:
     parallel  C = C_left + C_right      with C = R^(-1/r)
 
 The conventions y = 0 -> R = +inf and y = +inf -> R = 0 make the composition
-total; 0 and +inf are always branched on, never raised to a power.
+total; 0 and +inf are always branched on, never raised to a power. A power
+that leaves the float range saturates on the side that overstates R.
+
+The same tree orients the flow: every node joins two terminals, the root
+joins s and t, parallel children join their parent's pair, and series
+children meet at the one terminal they share, so the unit flow runs from
+the parent's entry into one child, through the shared terminal, and out of
+the other.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import NotSeriesParallel, ValidationError
@@ -141,19 +149,28 @@ def decompose(n: int, arcs, s: int, t: int) -> SPTree:
 
 
 def res_to_cond(R: float, r: float) -> float:
+    """R^(-1/r). Past the float range the largest finite float stands in: a
+    smaller conductance only overstates the resistances composed from it."""
     if R == 0.0:
         return math.inf
     if math.isinf(R):
         return 0.0
-    return R ** (-1.0 / r)
+    try:
+        return R ** (-1.0 / r)
+    except OverflowError:
+        return sys.float_info.max
 
 
 def cond_to_res(C: float, r: float) -> float:
+    """C^(-r). Past the float range the resistance reads +inf, never less."""
     if C == 0.0:
         return math.inf
     if math.isinf(C):
         return 0.0
-    return C ** (-float(r))
+    try:
+        return C ** (-float(r))
+    except OverflowError:
+        return math.inf
 
 
 def resistance_sp(tree: SPTree, y, r: float) -> float:
@@ -212,3 +229,40 @@ def sp_unit_flow(tree: SPTree, y, r: float) -> tuple[list[float], float]:
                 stack.append((node.left, flow * (cl / total)))
                 stack.append((node.right, flow * (cr / total)))
     return f, cond_to_res(cond[id(tree)], r)
+
+
+def arc_directions(tree: SPTree, arcs, s: int) -> list[int]:
+    """Direction of each arc in the tree's s->t flow: +1 along the arc's
+    orientation (tail to head), -1 against it.
+
+    Signed by these, the magnitudes of ``sp_unit_flow`` form a unit s-t
+    flow. Arcs the tree does not contain get +1.
+    """
+    nodes = postorder(tree)
+    ends: dict[int, tuple[int, int]] = {}
+    for node in nodes:
+        if isinstance(node, Leaf):
+            ends[id(node)] = tuple(arcs[node.arc])
+        elif isinstance(node, Series):
+            (a, b), (c, d) = ends[id(node.left)], ends[id(node.right)]
+            shared = a if a in (c, d) else b
+            ends[id(node)] = (b if a == shared else a, d if c == shared else c)
+        else:
+            ends[id(node)] = ends[id(node.left)]
+
+    sign = [1] * len(arcs)
+    stack = [(tree, s)]
+    while stack:
+        node, entry = stack.pop()
+        if isinstance(node, Leaf):
+            sign[node.arc] = 1 if arcs[node.arc][0] == entry else -1
+        elif isinstance(node, Series):
+            left = ends[id(node.left)]
+            first, second = (node.left, node.right) if entry in left else (node.right, node.left)
+            u, v = ends[id(first)]
+            stack.append((first, entry))
+            stack.append((second, v if u == entry else u))
+        else:
+            stack.append((node.left, entry))
+            stack.append((node.right, entry))
+    return sign

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from flowdesign import Instance, Solution, parse_instance, read_solution, write_instance, write_solution
+from flowdesign import (
+    Instance, Solution, parse_instance, read_solution, verify, write_instance, write_solution,
+)
 from flowdesign.cli import main
 from flowdesign.oracles import brute_paths_unbounded
 from flowdesign.pathdesign import solve_variable_cost_only, to_solution
@@ -140,6 +142,45 @@ class TestSolve:
         cap = capsys.readouterr()
         assert "unsupported" in cap.err and "float range" in cap.err
         assert cap.out == ""
+
+    @staticmethod
+    def rung_instance(r, c, ybar, B):
+        """Two parallel arcs 0-1 in series with arc 1-2; gamma prices arc 1."""
+        return Instance(
+            n=3, arcs=((0, 1), (0, 1), (1, 2)), s=0, t=2, r=r,
+            c=c, gamma=(0.0, 1.0, 0.0), ybar=ybar, B=B,
+        )
+
+    @pytest.mark.parametrize("mode", ["sp-fptas", "auto"])
+    def test_leaf_resistance_beyond_the_float_range_exits_2(self, tmp_path, capsys, mode):
+        # y^-r = (1e-300)^-2 overflows; it reads +inf, so R at ybar misses B = 1e308
+        inst = self.rung_instance(2.0, (1.0,) * 3, (1e-300,) * 3, 1e308)
+        path = write_file(tmp_path, "tiny_y.json", write_instance(inst))
+        assert main(["solve", "--in", path, "--mode", mode]) == 2
+        cap = capsys.readouterr()
+        assert "infeasible" in cap.err and cap.out == ""
+
+    @pytest.mark.parametrize("mode", ["sp-fptas", "auto"])
+    def test_menu_resistance_beyond_the_float_range_is_skipped(self, tmp_path, capsys, mode):
+        # R at ybar just meets B = 1.5e300; the menus start near 3e-313, whose
+        # y^-1 overflows and reads +inf, so the DP must pick ybar everywhere
+        inst = self.rung_instance(1.0, (1e-10, 1.0, 1e-10), (1e-300,) * 3, 1.5e300)
+        path = write_file(tmp_path, "tiny_menu.json", write_instance(inst))
+        assert main(["solve", "--in", path, "--mode", mode]) == 0
+        sol = read_solution(capsys.readouterr().out)
+        assert sol.y == inst.ybar
+        assert verify(inst, sol).feasible
+
+    def test_sp_fptas_answer_on_wide_spread_verifies(self, tmp_path, capsys):
+        # Conductances spread by 1e12: R read as pi_s - pi_t is off by several
+        # percent here and would fail the final check; the energy is not.
+        inst = self.rung_instance(2.0, (1e-10, 1.0, 1e-10), (1e150,) * 3, 5e-300)
+        path = write_file(tmp_path, "wide.json", write_instance(inst))
+        assert main(["solve", "--in", path, "--mode", "sp-fptas"]) == 0
+        sol = read_solution(capsys.readouterr().out)
+        report = verify(inst, sol)
+        assert report.feasible
+        assert report.achievedR == pytest.approx(sol.achievedR, rel=1e-9)
 
     def test_brute_skips_paths_beyond_the_float_range(self, tmp_path, capsys):
         inst = Instance(
@@ -359,10 +400,24 @@ class TestGuardsUnderOptimize:
     def test_failed_final_verify_exits_4(self, tmp_path):
         proc = self.run_optimized(
             tmp_path,
-            "spdesign.verify = lambda inst, sol, tol: core.VerificationReport(False, 0.0, 0.0, ('forced',))",
+            "spdesign.verify = lambda inst, sol, tol, flow: core.VerificationReport(False, 0.0, 0.0, ('forced',))",
         )
         assert proc.returncode == 4, proc.stderr
         assert "defect" in proc.stderr and "verification" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_corrupted_witness_exits_4(self, tmp_path):
+        # half a unit flow would understate the energy by 2^(r+1)
+        proc = self.run_optimized(
+            tmp_path,
+            "unit_flow = spdesign.sp_unit_flow\n"
+            "def half_flow(tree, y, r):\n"
+            "    f, R = unit_flow(tree, y, r)\n"
+            "    return [v / 2 for v in f], R\n"
+            "spdesign.sp_unit_flow = half_flow",
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "defect" in proc.stderr and "unit s-t flow" in proc.stderr
         assert proc.stdout == ""
 
     def test_broken_grid_bound_exits_4(self, tmp_path):
@@ -378,7 +433,7 @@ class TestGuardsUnderOptimize:
 
 
 class TestColdStart:
-    """The CLI, path mode and sp-exact run without importing numpy."""
+    """The CLI, path mode and the SP modes run without importing numpy."""
 
     def test_cli_import_leaves_numpy_out(self):
         code = (
@@ -438,3 +493,15 @@ class TestColdStart:
         imported = self.solve_imports(tmp_path, inst, "--mode", "sp-exact")
         assert "flowdesign.spdesign" in imported
         assert not {name for name in imported if name.split(".")[0] == "numpy"}
+
+    @pytest.mark.parametrize("mode", ["sp-fptas", "auto"])
+    def test_sp_fptas_solve_leaves_numpy_and_path_modules_out(self, tmp_path, mode):
+        inst = Instance(
+            n=4, arcs=((0, 1), (1, 3), (2, 0), (2, 3), (0, 3)), s=0, t=3, r=2.0,
+            c=(1.0, 4.0, 3.0, 0.5, 1.0), gamma=(2.0, 0.0, 0.5, 1.0, 0.1),
+            ybar=(2.0, 1.0, 3.0, 1.5, 1.0), B=1.0,
+        )
+        imported = self.solve_imports(tmp_path, inst, "--mode", mode, "--eps", "0.5")
+        assert "flowdesign.spdesign" in imported
+        assert not {name for name in imported if name.split(".")[0] == "numpy"}
+        assert not imported & {"flowdesign.resistance", "flowdesign.pathdesign", "flowdesign.rsp"}

@@ -186,6 +186,73 @@ def test_verify_dimension_mismatch():
         verify(single_arc(), Solution(x=(1, 1), y=(1.0, 1.0), cost=1.0, achievedR=1.0))
 
 
+def diamond_witness_case(r=2.0, B=1.0):
+    """A diamond s=0 -> t=3 with arc (2, 1) against the flow's direction on
+    the middle rung, every arc at y = 1, and its minimum-energy unit flow."""
+    inst = Instance(
+        n=4, arcs=((0, 1), (0, 2), (1, 3), (2, 3), (2, 1)), s=0, t=3, r=r,
+        c=(1.0,) * 5, gamma=(0.0,) * 5, ybar=(2.0,) * 5, B=B,
+    )
+    sol = Solution(x=(1,) * 5, y=(1.0,) * 5, cost=5.0, achievedR=1.0)
+    # by symmetry the rung carries nothing and each side carries one half
+    flow = [0.5, 0.5, 0.5, 0.5, 0.0]
+    return inst, sol, flow
+
+
+class TestFlowWitness:
+    def test_a_unit_flow_certifies_its_energy(self):
+        inst, sol, flow = diamond_witness_case(r=2.0)
+        rep = verify(inst, sol, flow=flow)
+        assert rep.feasible and rep.reasons == ()
+        assert rep.achievedR == 4 * 0.5 ** 3  # the energy, which equals R here
+        assert rep.achievedR == pytest.approx(verify(inst, sol).achievedR, rel=1e-12)
+
+    def test_direction_is_checked(self):
+        inst, sol, flow = diamond_witness_case()
+        flow[2] = -flow[2]
+        rep = verify(inst, sol, flow=flow)
+        assert not rep.feasible
+        assert any("unit s-t flow" in reason for reason in rep.reasons)
+
+    def test_half_unit_flow_is_rejected(self):
+        # halving understates the energy by 2^(r+1); conservation catches it
+        inst, sol, flow = diamond_witness_case(r=2.0)
+        half = [f / 2 for f in flow]
+        rep = verify(inst, sol, flow=half)
+        assert not rep.feasible
+        assert any("unit s-t flow" in reason for reason in rep.reasons)
+        assert rep.achievedR == pytest.approx(0.5 / 2 ** 3)
+
+    def test_flow_on_uninstalled_arc_is_rejected(self):
+        inst, _, _ = diamond_witness_case()
+        sol = Solution(x=(1, 1, 1, 0, 0), y=(1.0, 1.0, 1.0, 0.0, 0.0), cost=3.0, achievedR=2.0)
+        # conserves, but routes half the flow through arc 3, which is not installed
+        rep = verify(inst, sol, flow=[0.5, 0.5, 0.5, 0.5, 0.0])
+        assert not rep.feasible
+        assert any("arc 3" in reason and "not installed" in reason for reason in rep.reasons)
+
+    def test_energy_above_budget_is_rejected(self):
+        inst, sol, flow = diamond_witness_case(r=1.0, B=0.99)
+        rep = verify(inst, sol, flow=flow)
+        assert rep.achievedR == pytest.approx(1.0)
+        assert not rep.feasible and rep.reasons == ()
+        inst, sol, flow = diamond_witness_case(r=1.0, B=1.0)
+        assert verify(inst, sol, flow=flow).feasible
+
+    def test_energy_overflow_counts_as_infinite(self):
+        inst = Instance(
+            n=2, arcs=((0, 1),), s=0, t=1, r=2.0, c=(1.0,), gamma=(0.0,), ybar=(1.0,), B=1e308,
+        )
+        sol = Solution(x=(1,), y=(1e-300,), cost=1e-300, achievedR=math.inf)
+        rep = verify(inst, sol, flow=[1.0])
+        assert rep.achievedR == math.inf and not rep.feasible
+
+    def test_flow_dimension_mismatch(self):
+        inst, sol, flow = diamond_witness_case()
+        with pytest.raises(DimensionMismatch):
+            verify(inst, sol, flow=flow[:-1])
+
+
 def test_write_solution_roundtrip():
     sol = Solution(x=(1,), y=(2.0,), cost=4.0, achievedR=1.0)
     text = write_solution(sol)

@@ -330,3 +330,15 @@ def test_near_balanced_bridge_keeps_the_potential_law(eps):
     conservation, law = kkt_residuals(4, arcs, y, 3.0, 0, 3, state)
     assert conservation <= KKT_TOL
     assert law <= KKT_TOL
+
+
+def test_resistance_is_the_energy_under_wide_conductance_spread():
+    # A rung 1e12 times weaker than its parallel twin: pi_s - pi_t read along
+    # the least-|f| spanning tree gave 4.44698; the energy and the closed form
+    # agree on 4.8675893994.
+    arcs = [(0, 1), (0, 1), (1, 2)]
+    y = [0.641, 0.641e-12, 0.641]
+    closed = (1.0 / (0.641 + 0.641e-12)) ** 2 + (1.0 / 0.641) ** 2
+    got = effective_resistance(3, arcs, y, 2.0, 0, 2)
+    assert got == pytest.approx(closed, rel=1e-12)
+    assert got == pytest.approx(4.8675893994, rel=1e-10)

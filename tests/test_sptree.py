@@ -1,11 +1,14 @@
 import math
 import random
+import sys
 
 import pytest
 
 from flowdesign import NotSeriesParallel, ValidationError, decompose, effective_resistance, min_energy_flow, resistance_sp, sp_unit_flow
 from flowdesign.oracles import random_sp_structure
-from flowdesign.sptree import Leaf, Parallel, Series, cond_to_res, leaf_arcs, postorder, res_to_cond
+from flowdesign.sptree import (
+    Leaf, Parallel, Series, arc_directions, cond_to_res, leaf_arcs, postorder, res_to_cond,
+)
 
 
 def test_two_parallel_arcs():
@@ -144,6 +147,50 @@ def test_unit_flow_conservation():
             net[v] += flow
         assert net[s] == pytest.approx(-1.0, abs=1e-6)
         assert net[t] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_arc_directions_sign_a_unit_flow():
+    """Signed by arc_directions, sp_unit_flow conserves on the graph itself,
+    arcs reversed at random included, and is the minimum-energy flow."""
+    rng = random.Random(4141)
+    for trial in range(30):
+        m = rng.randint(1, 14)
+        n, arcs, s, t = random_sp_structure(rng, m)
+        arcs = tuple((v, u) if rng.random() < 0.5 else (u, v) for u, v in arcs)
+        y = tuple(rng.uniform(0.1, 10.0) for _ in range(m))
+        r = rng.choice([1.0, 1.5, 2.0, 3.0])
+        tree = decompose(n, arcs, s, t)
+        mags, _ = sp_unit_flow(tree, y, r)
+        sign = arc_directions(tree, arcs, s)
+        assert set(sign) <= {1, -1}
+        flow = [d * f for d, f in zip(sign, mags)]
+        net = [0.0] * n
+        for (u, v), f in zip(arcs, flow):
+            net[u] -= f
+            net[v] += f
+        net[s] += 1.0
+        net[t] -= 1.0
+        assert max(abs(x) for x in net) <= 1e-12, f"trial {trial}"
+        energy = sum(abs(f) * (abs(f) / ya) ** r for f, ya in zip(flow, y))
+        assert energy == pytest.approx(resistance_sp(tree, y, r), rel=1e-12)
+        state = min_energy_flow(n, arcs, y, r, s, t)
+        for got, want in zip(flow, state.f):
+            assert got == pytest.approx(want, abs=1e-8), f"trial {trial}"
+
+
+def test_arc_directions_on_a_reversed_series_chain():
+    arcs = ((1, 0), (1, 2), (3, 2))
+    tree = decompose(4, arcs, 0, 3)
+    assert arc_directions(tree, arcs, 0) == [-1, 1, -1]
+    assert arc_directions(tree, arcs, 3) == [1, -1, 1]
+
+
+def test_powers_past_the_float_range_overstate_resistance():
+    # 1e-300^-2 and 5e-324^-1 overflow; R must saturate high, C low
+    assert cond_to_res(1e-300, 2.0) == math.inf
+    assert res_to_cond(5e-324, 1.0) == sys.float_info.max
+    tree = decompose(3, ((0, 1), (0, 1), (1, 2)), 0, 2)
+    assert resistance_sp(tree, (1e-300,) * 3, 2.0) == math.inf
 
 
 def test_unit_flow_rejects_unbounded():
