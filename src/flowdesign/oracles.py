@@ -24,6 +24,7 @@ from .core import FixedInstance, Instance, Solution, adjacency
 from .errors import (
     Disconnected,
     Infeasible,
+    NotSeriesParallel,
     OddSum,
     OutOfRange,
     TooLarge,
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .pathdesign import optimal_y_for_path, to_solution, PathSolution
 from .resistance import effective_resistance
-from .sptree import Leaf, Series, decompose, postorder, resistance_sp, sp_unit_flow
+from .sptree import decompose, resistance_sp, sp_unit_flow
 
 
 def simple_paths(n, arcs, s, t):
@@ -93,9 +94,9 @@ def brute_subsets_fixed(inst: FixedInstance) -> Solution:
             raise TooLarge("too many option assignments to enumerate")
 
     try:
-        tree = decompose(inst.n, inst.arcs, inst.s, inst.t)
-    except Exception:
-        tree = None
+        sched = decompose(inst.n, inst.arcs, inst.s, inst.t)
+    except NotSeriesParallel:
+        sched = None
 
     choice_lists = [range(-1, len(opts)) for opts in inst.options]
     assigns = np.array(list(itertools.product(*choice_lists)), dtype=np.int64)
@@ -109,21 +110,16 @@ def brute_subsets_fixed(inst: FixedInstance) -> Solution:
     Y = np.column_stack(mus)
     cost = np.sum(np.column_stack(prices), axis=1)
 
-    if tree is not None:
-        vals: dict[int, np.ndarray] = {}
-        for node in postorder(tree):
-            if isinstance(node, Leaf):
-                with np.errstate(divide="ignore"):
-                    vals[id(node)] = Y[:, node.arc] ** (-float(inst.r))
-            elif isinstance(node, Series):
-                vals[id(node)] = vals[id(node.left)] + vals[id(node.right)]
-            else:
-                with np.errstate(divide="ignore"):
-                    c = vals[id(node.left)] ** (-1.0 / inst.r) + vals[id(node.right)] ** (
-                        -1.0 / inst.r
-                    )
-                    vals[id(node)] = c ** (-float(inst.r))
-        R = vals[id(tree)]
+    if sched is not None:
+        with np.errstate(divide="ignore"):
+            vals = [Y[:, a] ** (-float(inst.r)) for a in range(inst.m)]
+            for parallel, a, b in sched.steps:
+                if parallel:
+                    c = vals[a] ** (-1.0 / inst.r) + vals[b] ** (-1.0 / inst.r)
+                    vals.append(c ** (-float(inst.r)))
+                else:
+                    vals.append(vals[a] + vals[b])
+        R = vals[-1]
     else:
         R = np.empty(len(assigns))
         for i in range(len(assigns)):
@@ -141,7 +137,7 @@ def brute_subsets_fixed(inst: FixedInstance) -> Solution:
     return Solution(x=x, y=y, cost=float(cost[winner]), achievedR=float(R[winner]))
 
 
-def _support_minimum(inst, tree, support, warm):
+def _support_minimum(inst, sched, support, warm):
     """Cheapest y on one support: bisection on the budget multiplier.
 
     Each multiplier evaluation alternates two exact blocks of the jointly
@@ -155,7 +151,7 @@ def _support_minimum(inst, tree, support, warm):
     def evaluate(lam, y0):
         y = list(y0)
         for _ in range(400):
-            f, _ = sp_unit_flow(tree, y, r)
+            f, _ = sp_unit_flow(sched, y, r)
             shift = 0.0
             for a in support:
                 fa = abs(f[a])
@@ -169,7 +165,7 @@ def _support_minimum(inst, tree, support, warm):
                 y[a] = ya
             if shift <= 1e-11 * (1.0 + max(y)):
                 break
-        return y, resistance_sp(tree, y, r)
+        return y, resistance_sp(sched, y, r)
 
     gamma_s = sum(inst.gamma[a] for a in support)
     cap_cost = sum(inst.c[a] * inst.ybar[a] for a in support) + gamma_s
@@ -210,22 +206,22 @@ def brute_subsets_continuous_sp(inst: Instance) -> Solution:
     for ub in inst.ybar:
         if math.isinf(ub):
             raise ValidationError("this oracle needs finite ybar everywhere")
-    tree = decompose(inst.n, inst.arcs, inst.s, inst.t)
+    sched = decompose(inst.n, inst.arcs, inst.s, inst.t)
 
     best = None
     for mask in range(1, 1 << inst.m):
         support = {a for a in range(inst.m) if mask & (1 << a)}
         ybar_s = [inst.ybar[a] if a in support else 0.0 for a in range(inst.m)]
-        if resistance_sp(tree, ybar_s, inst.r) > inst.B:
+        if resistance_sp(sched, ybar_s, inst.r) > inst.B:
             continue
-        y, cost = _support_minimum(inst, tree, support, None)
+        y, cost = _support_minimum(inst, sched, support, None)
         if best is None or cost < best[0]:
             x = tuple(int(a in support) for a in range(inst.m))
             best = (cost, x, tuple(y))
     if best is None:
         raise Infeasible("no support meets the resistance budget")
     cost, x, y = best
-    return Solution(x=x, y=y, cost=cost, achievedR=resistance_sp(tree, y, inst.r))
+    return Solution(x=x, y=y, cost=cost, achievedR=resistance_sp(sched, y, inst.r))
 
 
 @dataclass(frozen=True)
@@ -390,9 +386,9 @@ def gen_random_sp(seed: int, m: int, r: float = 1.0) -> tuple[Instance, dict]:
     c = tuple(round(rng.uniform(0.2, 3.0), 6) for _ in range(m))
     gamma = tuple(round(rng.uniform(0.1, 2.0), 6) for _ in range(m))
     ybar = tuple(round(rng.uniform(0.5, 3.0), 6) for _ in range(m))
-    tree = decompose(n, arcs, s, t)
+    sched = decompose(n, arcs, s, t)
     slack = rng.uniform(1.5, 3.0)
-    B = resistance_sp(tree, ybar, r) * slack
+    B = resistance_sp(sched, ybar, r) * slack
     inst = Instance(n=n, arcs=arcs, s=s, t=t, r=float(r), c=c, gamma=gamma, ybar=ybar, B=B)
     meta = {"family": "random-sp", "seed": seed, "m": m, "r": r, "slack": slack}
     return inst, meta

@@ -1,12 +1,13 @@
 """Design on series-parallel graphs with bounded conductances.
 
-The workhorse is a budgeted DP over the SP composition tree: R(v, k) is the
-best resistance the subtree under v can reach spending at most k, combined
-by min-plus convolution in resistance space at series nodes and max-plus in
-conductance space at parallel nodes. R(v, .) is a step function, so each
-node keeps only its Pareto points (price, resistance), sorted by price, and
-R(v, k) is its last point priced at most k: the list method of Nemhauser
-and Ullmann for knapsack. A node's list comes from the pairs of its
+The workhorse is a budgeted DP run forward over the SP schedule
+(``sptree.SPSchedule``): R(v, k) is the best resistance the subtree under
+node v can reach spending at most k, combined by min-plus convolution in
+resistance space at series nodes and max-plus in conductance space at
+parallel nodes. R(v, .) is a step function, so each node keeps only its
+Pareto points (price, resistance), sorted by price, and R(v, k) is its
+last point priced at most k: the list method of Nemhauser and Ullmann for
+knapsack. A node's list comes from the pairs of its
 children's points that fit the budget, pruned to the pairs that beat every
 cheaper pair; among equal values the pair that gives the left child less
 budget wins, which is the first best split of the per-budget recursion.
@@ -36,13 +37,11 @@ from .errors import (
     VerificationFailed,
 )
 from .sptree import (
-    Leaf,
-    Parallel,
-    SPTree,
+    SPSchedule,
     arc_directions,
     cond_to_res,
     decompose,
-    postorder,
+    parallel_res,
     res_to_cond,
     resistance_sp,
     sp_unit_flow,
@@ -62,17 +61,17 @@ class OptionSet:
 
 @dataclass(frozen=True)
 class DPTable:
-    """Filled DP lists, aligned with ``nodes`` (a postorder of the tree).
+    """Filled DP lists, one per node of the SP schedule, in its order.
 
-    points[i] is node i's Pareto list as three parallel lists (prices,
-    resistances, choices), sorted by price and starting at price 0; ``at``
-    reads it at a budget. A choice is an option index (or -1 for skip) at
-    leaves and the budget given to the left child elsewhere (the smallest
-    one that reaches the best value). iterations counts the list points
-    built at leaves plus the candidate pairs formed at inner nodes.
+    points[i] is schedule node i's Pareto list as three parallel lists
+    (prices, resistances, choices), sorted by price and starting at price 0;
+    ``at`` reads it at a budget, and points[-1] is the root's. A choice is an
+    option index (or -1 for skip) at the leaves 0..m-1 and the budget given
+    to the left child at the steps (the smallest one that reaches the best
+    value). iterations counts the list points built at leaves plus the
+    candidate pairs formed at steps.
     """
 
-    nodes: tuple[SPTree, ...]
     points: tuple[tuple[list[int], list[float], list[int]], ...]
     iterations: int
 
@@ -107,20 +106,22 @@ def _combine(left, right, parallel: bool, U: int, r: float):
     """Pareto list of a series or parallel node from its children's lists.
 
     Every pair of child points priced at most U in total is a candidate.
-    Its key is the summed resistance (series) or minus the summed
-    conductance (parallel), so smaller is better in both. Lists over the
-    total prices 0..U keep the best (key, left price) found so far. Left
-    points come in ascending price and an entry is replaced only by a
-    strictly smaller key, so of equal keys the pair that gives the left
-    child less wins. A total then survives when its (key, left price) is
-    lexicographically below every cheaper total's, so each point is the
-    first best split over budgets.
+    Its key is the summed resistance (series) or minus the summed half
+    conductances (parallel), so smaller is better in both; halving is exact
+    and keeps every comparison, and a sum of halves stays in the float
+    range where the full sum would overflow. Lists over the total prices
+    0..U keep the best (key, left price) found so far. Left points come in
+    ascending price and an entry is replaced only by a strictly smaller
+    key, so of equal keys the pair that gives the left child less wins. A
+    total then survives when its (key, left price) is lexicographically
+    below every cheaper total's, so each point is the first best split over
+    budgets.
     """
     lp, lv, _ = left
     rp, rv, _ = right
     if parallel:
-        lv = [-res_to_cond(v, r) for v in lv]
-        rv = [-res_to_cond(v, r) for v in rv]
+        lv = [-res_to_cond(v, r) / 2 for v in lv]
+        rv = [-res_to_cond(v, r) / 2 for v in rv]
     best_key = [math.inf] * (U + 1)
     best_lprice = [-1] * (U + 1)
     # Total 0 has one pair, the two price-0 points. A series key there can
@@ -149,23 +150,24 @@ def _combine(left, right, parallel: bool, U: int, r: float):
             lprices.append(lprice)
             last_key, last_lprice = key, lprice
     if parallel:
-        keys = [cond_to_res(-key, r) for key in keys]
+        # the summed conductance is twice the half key: -key + -key
+        keys = [parallel_res(-key, -key, r) for key in keys]
     return prices, keys, lprices
 
 
-def fill_table(tree: SPTree, options: OptionSet, U: int, r: float) -> DPTable:
-    """Fill the budgeted-resistance DP bottom-up over the SP tree.
+def fill_table(sched: SPSchedule, options: OptionSet, U: int, r: float) -> DPTable:
+    """Fill the budgeted-resistance DP forward over the SP schedule.
 
-    Each node keeps one list of Pareto points (price, resistance, choice),
-    sorted by price, with the resistance falling or the choice's left
-    budget shrinking from one point to the next (Nemhauser and Ullmann's
-    list method for knapsack). Leaves list their menus; inner nodes combine
-    their children's lists in ``_combine``, which keeps the best pair per
-    total price in lists over 0..U, so its memory is O(U) rather than the
-    product of the list lengths. Read at any budget k through
-    ``DPTable.at``, a node's list gives R(v, k) and the argmin of the
-    classic per-budget min-plus / max-plus recursion; no per-budget rows are
-    stored.
+    Each schedule node keeps one list of Pareto points (price, resistance,
+    choice), sorted by price, with the resistance falling or the choice's
+    left budget shrinking from one point to the next (Nemhauser and
+    Ullmann's list method for knapsack). Leaves list their menus; each
+    step, in schedule order, combines its children's lists in
+    ``_combine``, which keeps the best pair per total price in lists over
+    0..U, so its memory is O(U) rather than the product of the list
+    lengths. Read at any budget k through ``DPTable.at``, a node's list
+    gives R(v, k) and the argmin of the classic per-budget min-plus /
+    max-plus recursion; no per-budget rows are stored.
 
     Option prices must be nonnegative integers (scale first if not). The
     work, counted as leaf points plus candidate pairs, is checked against
@@ -178,28 +180,18 @@ def fill_table(tree: SPTree, options: OptionSet, U: int, r: float) -> DPTable:
         for _, p in opts:
             if not (p >= 0 and p % 1 == 0):  # inf % 1 and nan % 1 are nan
                 raise ValidationError("fill_table needs nonnegative integer option prices")
-    nodes = postorder(tree)
-    lists: dict[int, tuple[list[int], list[float], list[int]]] = {}
-    iterations = 0
-    for node in nodes:
-        if isinstance(node, Leaf):
-            points = _leaf_list(options.options[node.arc], U, r)
-            iterations += len(points[0])
-        else:
-            left, right = lists[id(node.left)], lists[id(node.right)]
-            points = _combine(left, right, isinstance(node, Parallel), U, r)
-            iterations += len(left[0]) * len(right[0])
-        lists[id(node)] = points
+    m = sched.m
+    lists = [_leaf_list(options.options[a], U, r) for a in range(m)]
+    iterations = sum(len(points[0]) for points in lists)
+    for parallel, a, b in sched.steps:
+        left, right = lists[a], lists[b]
+        lists.append(_combine(left, right, parallel, U, r))
+        iterations += len(left[0]) * len(right[0])
 
-    m = sum(1 for n in nodes if isinstance(n, Leaf))
     envelope = (2 * m - 1) * (U + 1) ** 2
     if iterations > envelope:
         raise BoundExceeded(f"DP did {iterations} iterations, envelope {envelope}")
-    return DPTable(
-        nodes=tuple(nodes),
-        points=tuple(lists[id(n)] for n in nodes),
-        iterations=iterations,
-    )
+    return DPTable(points=tuple(lists), iterations=iterations)
 
 
 def _cheapest_budget(table: DPTable, B: float) -> int | None:
@@ -209,31 +201,37 @@ def _cheapest_budget(table: DPTable, B: float) -> int | None:
     return next((p for p, v in zip(prices, res) if v <= B), None)
 
 
-def _reconstruct(tree: SPTree, table: DPTable, k: int) -> dict[int, int]:
-    """Installed option index per arc for the budget-k optimum at the root.
+def _reconstruct(sched: SPSchedule, table: DPTable, k: int) -> dict[int, int]:
+    """Installed option index per arc for the budget-k optimum at the root,
+    in ascending arc order.
 
-    Parallel branches whose table entry is infinite carry no flow; they are
-    skipped outright so the rebuilt network composes to exactly R(root, k).
+    A backward loop over the schedule hands each step's budget to its
+    children, the left one the step's choice and the right one the rest.
+    A parallel branch whose table entry is infinite carries no flow; it
+    gets no budget, so the rebuilt network composes to exactly R(root, k).
     """
-    index = {id(n): i for i, n in enumerate(table.nodes)}
+    m = sched.m
+    budget: list[int | None] = [None] * len(table.points)
+    budget[-1] = k
+    for i in range(len(budget) - 1, m - 1, -1):
+        kk = budget[i]
+        if kk is None:
+            continue
+        parallel, a, b = sched.steps[i - m]
+        _, pick = table.at(i, kk)
+        for child, kc in ((a, pick), (b, kk - pick)):
+            if not (parallel and math.isinf(table.at(child, kc)[0])):
+                budget[child] = kc
     install: dict[int, int] = {}
-    stack = [(tree, k)]
-    while stack:
-        node, kk = stack.pop()
-        _, pick = table.at(index[id(node)], kk)
-        if isinstance(node, Leaf):
+    for a in range(m):
+        if budget[a] is not None:
+            _, pick = table.at(a, budget[a])
             if pick >= 0:
-                install[node.arc] = pick
-        else:
-            parts = ((node.left, pick), (node.right, kk - pick))
-            for child, kc in parts:
-                if isinstance(node, Parallel) and math.isinf(table.at(index[id(child)], kc)[0]):
-                    continue
-                stack.append((child, kc))
+                install[a] = pick
     return install
 
 
-def _to_solution(m, r, tree, options: OptionSet, install) -> Solution:
+def _to_solution(m, r, sched, options: OptionSet, install) -> Solution:
     x = [0] * m
     y = [0.0] * m
     cost = 0.0
@@ -242,22 +240,22 @@ def _to_solution(m, r, tree, options: OptionSet, install) -> Solution:
         x[arc] = 1
         y[arc] = mu
         cost += p
-    achieved = resistance_sp(tree, y, r)
+    achieved = resistance_sp(sched, y, r)
     return Solution(x=tuple(x), y=tuple(y), cost=cost, achievedR=achieved)
 
 
-def dp_exact(tree: SPTree, options: OptionSet, U: int, B: float, r: float) -> Solution:
+def dp_exact(sched: SPSchedule, options: OptionSet, U: int, B: float, r: float) -> Solution:
     """Exact cheapest feasible installation with integer option prices.
 
     The answer is the smallest budget k with R(root, k) <= B; spending is
     reconstructed by backpointers and priced as given.
     """
-    table = fill_table(tree, options, U, r)
+    table = fill_table(sched, options, U, r)
     k = _cheapest_budget(table, B)
     if k is None:
         raise Infeasible(f"no installation within budget {U} meets the resistance bound")
-    install = _reconstruct(tree, table, k)
-    return _to_solution(options.m, r, tree, options, install)
+    install = _reconstruct(sched, table, k)
+    return _to_solution(options.m, r, sched, options, install)
 
 
 def solve_sp_exact(inst: Instance) -> Solution:
@@ -273,9 +271,9 @@ def solve_sp_exact(inst: Instance) -> Solution:
         if g != int(g):
             raise UnsupportedCase("sp-exact needs integer gamma prices")
         prices.append(int(g))
-    tree = decompose(inst.n, inst.arcs, inst.s, inst.t)
+    sched = decompose(inst.n, inst.arcs, inst.s, inst.t)
     options = OptionSet(tuple(((inst.ybar[a], float(prices[a])),) for a in range(inst.m)))
-    return dp_exact(tree, options, sum(prices), inst.B, inst.r)
+    return dp_exact(sched, options, sum(prices), inst.B, inst.r)
 
 
 def _price_guesses(prices):
@@ -334,11 +332,11 @@ def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Soluti
     no feasible design and skips its DP.
     """
     check_epsilon(epsilon)
-    tree = decompose(inst.n, inst.arcs, inst.s, inst.t)
+    sched = decompose(inst.n, inst.arcs, inst.s, inst.t)
     m = inst.m
 
     ycap = [max((mu for mu, _ in opts), default=0.0) for opts in inst.options]
-    if resistance_sp(tree, ycap, inst.r) > inst.B:
+    if resistance_sp(sched, ycap, inst.r) > inst.B:
         raise Infeasible("even the highest-conductance installation misses the budget")
 
     all_prices = sorted({p for opts in inst.options for _, p in opts})
@@ -355,7 +353,7 @@ def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Soluti
             while taken[a] < len(order) and opts[order[taken[a]]][1] <= P:
                 cap[a] = max(cap[a], opts[order[taken[a]]][0])
                 taken[a] += 1
-        if resistance_sp(tree, cap, inst.r) > inst.B:
+        if resistance_sp(sched, cap, inst.r) > inst.B:
             continue
         idx_maps = [sorted(order[:k]) for order, k in zip(by_price, taken)]
         included = [tuple(opts[i] for i in idx) for opts, idx in zip(inst.options, idx_maps)]
@@ -380,11 +378,11 @@ def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Soluti
             if math.isfinite(best_cost):
                 U = min(U, math.ceil(best_cost / delta) + m)
 
-        table = fill_table(tree, scaled, U, inst.r)
+        table = fill_table(sched, scaled, U, inst.r)
         k = _cheapest_budget(table, inst.B)
         if k is None:
             continue
-        install = _reconstruct(tree, table, k)
+        install = _reconstruct(sched, table, k)
         cost = sum(inst.options[a][idx_maps[a][pick]][1] for a, pick in install.items())
         key = (cost, tuple(sorted((a, idx_maps[a][pick]) for a, pick in install.items())))
         if best is None or key < best:
@@ -395,7 +393,7 @@ def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Soluti
         raise Infeasible("no guess produced a feasible installation")
     chosen = dict(best[1])
     full = OptionSet(inst.options)
-    return _to_solution(m, inst.r, tree, full, chosen)
+    return _to_solution(m, inst.r, sched, full, chosen)
 
 
 def _require_discretizable(inst: Instance) -> None:
@@ -470,7 +468,7 @@ def solve_sp_fptas(inst: Instance, epsilon: float) -> Solution:
     Discretize at eps, then run the fixed-menu scheme at eps/3; the combined
     loss (1 + eps/3)^2 stays within 1 + eps on (0, 1). The result is
     re-checked against the original instance before it is returned: the
-    tree's minimum-energy unit flow on the design, signed by
+    schedule's minimum-energy unit flow on the design, signed by
     ``arc_directions``, is handed to ``verify`` as a witness, which checks
     its conservation and energy on the graph itself and so does not trust
     the composition. A design that fails the check raises
@@ -478,8 +476,8 @@ def solve_sp_fptas(inst: Instance, epsilon: float) -> Solution:
     """
     check_epsilon(epsilon, "sp-fptas")
     _require_discretizable(inst)
-    tree = decompose(inst.n, inst.arcs, inst.s, inst.t)
-    if resistance_sp(tree, inst.ybar, inst.r) > inst.B:
+    sched = decompose(inst.n, inst.arcs, inst.s, inst.t)
+    if resistance_sp(sched, inst.ybar, inst.r) > inst.B:
         raise Infeasible("even y = ybar misses the resistance budget")
     menus = discretize_conductances(inst, epsilon)
     fixed = FixedInstance(
@@ -487,8 +485,8 @@ def solve_sp_fptas(inst: Instance, epsilon: float) -> Solution:
         options=menus.options,
     )
     sol = solve_fixed_conductance_fptas(fixed, epsilon / 3.0)
-    magnitudes, _ = sp_unit_flow(tree, sol.y, inst.r)
-    flow = [d * f for d, f in zip(arc_directions(tree, inst.arcs, inst.s), magnitudes)]
+    magnitudes, _ = sp_unit_flow(sched, sol.y, inst.r)
+    flow = [d * f for d, f in zip(arc_directions(sched, inst.arcs, inst.s), magnitudes)]
     report = verify(inst, sol, tol=1e-9, flow=flow)
     if not report.feasible:
         raise VerificationFailed(

@@ -4,8 +4,12 @@ A graph is series-parallel between s and t exactly when it collapses to a
 single s-t edge under two local moves: merging a pair of edges that share
 both endpoints (parallel), and splicing out an interior node of degree two
 (series). Arc direction is ignored throughout. The reduction history is a
-full binary tree whose leaves are the original arcs; resistance composes
-over that tree without solving any flow problem:
+full binary tree whose leaves are the original arcs, and ``decompose``
+returns it flat, as the schedule of its moves (Valdes, Tarjan and Lawler
+1982): node a < m is the leaf of arc a, node m + j is the j-th move
+``steps[j] = (parallel, left, right)``, whose children both come before it,
+and the root is the last node. Resistance composes over the schedule in one
+forward loop, without solving any flow problem:
 
     leaf      R = 1 / y^r
     series    R = R_left + R_right
@@ -13,13 +17,14 @@ over that tree without solving any flow problem:
 
 The conventions y = 0 -> R = +inf and y = +inf -> R = 0 make the composition
 total; 0 and +inf are always branched on, never raised to a power. A power
-that leaves the float range saturates on the side that overstates R.
+that leaves the float range saturates on the side that overstates R, and a
+parallel sum that leaves it is taken at half scale (``parallel_res``).
 
-The same tree orients the flow: every node joins two terminals, the root
-joins s and t, parallel children join their parent's pair, and series
-children meet at the one terminal they share, so the unit flow runs from
-the parent's entry into one child, through the shared terminal, and out of
-the other.
+The same schedule orients the flow: ``ends[i]`` is the terminal pair node i
+joins, the root joins s and t, parallel children join their parent's pair,
+and series children meet at the one terminal they share, so a backward loop
+runs the unit flow from the parent's entry into one child, through the
+shared terminal, and out of the other.
 """
 
 from __future__ import annotations
@@ -31,50 +36,26 @@ from dataclasses import dataclass
 from .errors import NotSeriesParallel, ValidationError
 
 
-class SPTree:
-    """Base of the three composition-node kinds."""
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True)
-class Leaf(SPTree):
-    arc: int
+class SPSchedule:
+    """An SP decomposition as a children-first node list.
+
+    Nodes 0..m-1 are the leaves of arcs 0..m-1; node m + j is
+    steps[j] = (parallel, left, right), a parallel or series join of two
+    nodes below m + j. The root is the last node. ends[i] is the terminal
+    pair node i joins; the root's is {s, t}.
+    """
+
+    steps: tuple[tuple[bool, int, int], ...]
+    ends: tuple[tuple[int, int], ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.ends) - len(self.steps)
 
 
-@dataclass(frozen=True)
-class Series(SPTree):
-    left: SPTree
-    right: SPTree
-
-
-@dataclass(frozen=True)
-class Parallel(SPTree):
-    left: SPTree
-    right: SPTree
-
-
-def postorder(tree: SPTree) -> list[SPTree]:
-    """All nodes, children before parents; the root comes last."""
-    out: list[SPTree] = []
-    stack = [(tree, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded or isinstance(node, Leaf):
-            out.append(node)
-        else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-    return out
-
-
-def leaf_arcs(tree: SPTree) -> tuple[int, ...]:
-    return tuple(n.arc for n in postorder(tree) if isinstance(n, Leaf))
-
-
-def decompose(n: int, arcs, s: int, t: int) -> SPTree:
-    """Reduce the graph to an SPTree, or raise NotSeriesParallel.
+def decompose(n: int, arcs, s: int, t: int) -> SPSchedule:
+    """Reduce the graph to an SPSchedule, or raise NotSeriesParallel.
 
     The moves are confluent, so any application order yields a valid tree;
     this one exhausts parallel merges before each series splice and always
@@ -85,67 +66,54 @@ def decompose(n: int, arcs, s: int, t: int) -> SPTree:
     if not arcs:
         raise NotSeriesParallel("graph has no arcs")
 
-    ends: list[tuple[int, int] | None] = []
-    trees: list[SPTree] = []
-    for a, (u, v) in enumerate(arcs):
-        ends.append((u, v))
-        trees.append(Leaf(a))
-
-    def alive():
-        return [e for e, uv in enumerate(ends) if uv is not None]
-
+    ends = [(u, v) for u, v in arcs]
+    live = [True] * len(ends)
+    steps: list[tuple[bool, int, int]] = []
     while True:
-        merged = False
+        alive = [e for e, here in enumerate(live) if here]
+        move = None
         by_pair: dict[tuple[int, int], int] = {}
-        for e in alive():
+        for e in alive:
             u, v = ends[e]
             if u == v:
                 continue  # a self-loop never reduces
             key = (u, v) if u <= v else (v, u)
-            other = by_pair.get(key)
-            if other is None:
-                by_pair[key] = e
-                continue
-            ends.append(key)
-            trees.append(Parallel(trees[other], trees[e]))
-            ends[other] = ends[e] = None
-            merged = True
-            break
-        if merged:
-            continue
+            other = by_pair.setdefault(key, e)
+            if other != e:
+                move = (True, other, e, key)
+                break
 
-        spliced = False
-        incident: dict[int, list[int]] = {}
-        for e in alive():
-            u, v = ends[e]
-            incident.setdefault(u, []).append(e)
-            if v != u:
-                incident.setdefault(v, []).append(e)
-        for w in sorted(incident):
-            if w in (s, t):
-                continue
-            here = incident[w]
-            if len(here) != 2:
-                continue
-            e1, e2 = here
-            u = ends[e1][0] if ends[e1][1] == w else ends[e1][1]
-            v = ends[e2][0] if ends[e2][1] == w else ends[e2][1]
-            if u == w or v == w:
-                continue
-            ends.append((u, v))
-            trees.append(Series(trees[e1], trees[e2]))
-            ends[e1] = ends[e2] = None
-            spliced = True
-            break
-        if spliced:
-            continue
+        if move is None:
+            incident: dict[int, list[int]] = {}
+            for e in alive:
+                u, v = ends[e]
+                incident.setdefault(u, []).append(e)
+                if v != u:
+                    incident.setdefault(v, []).append(e)
+            for w in sorted(incident):
+                here = incident[w]
+                if w in (s, t) or len(here) != 2:
+                    continue
+                e1, e2 = here
+                u = ends[e1][0] if ends[e1][1] == w else ends[e1][1]
+                v = ends[e2][0] if ends[e2][1] == w else ends[e2][1]
+                if u != w and v != w:
+                    move = (False, e1, e2, (u, v))
+                    break
+            else:
+                break  # no move applies
+        parallel, a, b, pair = move
+        steps.append((parallel, a, b))
+        ends.append(pair)
+        live[a] = live[b] = False
+        live.append(True)
 
-        live = alive()
-        if len(live) == 1 and set(ends[live[0]]) == {s, t}:
-            return trees[live[0]]
+    # the one node left alive is the last one made, so the root is last
+    if len(alive) != 1 or set(ends[alive[0]]) != {s, t}:
         raise NotSeriesParallel(
             "graph does not reduce to a single s-t edge by series/parallel moves"
         )
+    return SPSchedule(steps=tuple(steps), ends=tuple(ends))
 
 
 def res_to_cond(R: float, r: float) -> float:
@@ -173,96 +141,96 @@ def cond_to_res(C: float, r: float) -> float:
         return math.inf
 
 
-def resistance_sp(tree: SPTree, y, r: float) -> float:
-    """Effective s-t resistance by composition over the SPTree."""
-    vals: dict[int, float] = {}
-    for node in postorder(tree):
-        if isinstance(node, Leaf):
-            vals[id(node)] = cond_to_res(y[node.arc], r)
-        elif isinstance(node, Series):
-            vals[id(node)] = vals[id(node.left)] + vals[id(node.right)]
+def parallel_res(ca: float, cb: float, r: float) -> float:
+    """(ca + cb)^(-r), the resistance of conductances ca and cb in parallel.
+
+    A sum of two finite conductances past the float range would read R = 0;
+    it is taken at half scale instead, (ca/2 + cb/2)^(-r) * 2^(-r).
+    """
+    c = ca + cb
+    if math.isinf(c) and not (math.isinf(ca) or math.isinf(cb)):
+        return cond_to_res(ca / 2 + cb / 2, r) * 2.0 ** -r
+    return cond_to_res(c, r)
+
+
+def resistance_sp(sched: SPSchedule, y, r: float) -> float:
+    """Effective s-t resistance by composition over the schedule."""
+    vals = [cond_to_res(y[a], r) for a in range(sched.m)]
+    for parallel, a, b in sched.steps:
+        if parallel:
+            vals.append(parallel_res(res_to_cond(vals[a], r), res_to_cond(vals[b], r), r))
         else:
-            c = res_to_cond(vals[id(node.left)], r) + res_to_cond(vals[id(node.right)], r)
-            vals[id(node)] = cond_to_res(c, r)
-    return vals[id(tree)]
+            vals.append(vals[a] + vals[b])
+    return vals[-1]
 
 
-def sp_unit_flow(tree: SPTree, y, r: float) -> tuple[list[float], float]:
+def _split(flow: float, ca: float, cb: float) -> tuple[float, float]:
+    """Shares of flow for parallel children of conductances ca and cb: in
+    proportion to them, all of it to a child of infinite conductance (half
+    each to two), none when both are 0. An overflowing sum is halved first."""
+    total = ca + cb
+    if total == 0.0:
+        return 0.0, 0.0
+    if math.isinf(total):
+        if math.isinf(ca) and math.isinf(cb):
+            return flow * 0.5, flow * 0.5
+        if math.isinf(ca):
+            return flow, 0.0
+        if math.isinf(cb):
+            return 0.0, flow
+        ca, cb = ca / 2, cb / 2
+        total = ca + cb
+    return flow * (ca / total), flow * (cb / total)
+
+
+def sp_unit_flow(sched: SPSchedule, y, r: float) -> tuple[list[float], float]:
     """Magnitudes of the minimum-energy unit flow, plus the resistance.
 
     Requires finite conductances. A parallel junction splits the incoming
     flow in proportion to its children's effective conductances, which is
     exact on series-parallel graphs for every r >= 1; arcs in branches of
-    zero conductance carry nothing.
+    zero conductance carry nothing, and a branch of infinite conductance
+    (one whose resistance underflowed to 0) carries all of it.
     """
     for v in y:
         if math.isinf(v):
             raise ValidationError("sp_unit_flow needs finite conductances")
 
-    nodes = postorder(tree)
-    cond: dict[int, float] = {}
-    for node in nodes:
-        if isinstance(node, Leaf):
-            cond[id(node)] = res_to_cond(cond_to_res(y[node.arc], r), r)
-        elif isinstance(node, Series):
-            rsum = cond_to_res(cond[id(node.left)], r) + cond_to_res(cond[id(node.right)], r)
-            cond[id(node)] = res_to_cond(rsum, r)
+    m, steps = sched.m, sched.steps
+    cond = [res_to_cond(cond_to_res(y[a], r), r) for a in range(m)]
+    for parallel, a, b in steps:
+        if parallel:
+            cond.append(cond[a] + cond[b])
         else:
-            cond[id(node)] = cond[id(node.left)] + cond[id(node.right)]
+            cond.append(res_to_cond(cond_to_res(cond[a], r) + cond_to_res(cond[b], r), r))
 
-    f = [0.0] * len(y)
-    stack = [(tree, 1.0)]
-    while stack:
-        node, flow = stack.pop()
-        if isinstance(node, Leaf):
-            f[node.arc] = flow
-        elif isinstance(node, Series):
-            stack.append((node.left, flow))
-            stack.append((node.right, flow))
-        else:
-            cl, cr = cond[id(node.left)], cond[id(node.right)]
-            total = cl + cr
-            if flow == 0.0 or total == 0.0:
-                stack.append((node.left, 0.0))
-                stack.append((node.right, 0.0))
-            else:
-                stack.append((node.left, flow * (cl / total)))
-                stack.append((node.right, flow * (cr / total)))
-    return f, cond_to_res(cond[id(tree)], r)
+    f = [0.0] * len(cond)
+    f[-1] = 1.0
+    for i in range(len(cond) - 1, m - 1, -1):
+        parallel, a, b = steps[i - m]
+        if not parallel:
+            f[a] = f[b] = f[i]
+        elif f[i] != 0.0:
+            f[a], f[b] = _split(f[i], cond[a], cond[b])
+    return f[:m], cond_to_res(cond[-1], r)
 
 
-def arc_directions(tree: SPTree, arcs, s: int) -> list[int]:
-    """Direction of each arc in the tree's s->t flow: +1 along the arc's
+def arc_directions(sched: SPSchedule, arcs, s: int) -> list[int]:
+    """Direction of each arc in the schedule's s->t flow: +1 along the arc's
     orientation (tail to head), -1 against it.
 
     Signed by these, the magnitudes of ``sp_unit_flow`` form a unit s-t
-    flow. Arcs the tree does not contain get +1.
+    flow.
     """
-    nodes = postorder(tree)
-    ends: dict[int, tuple[int, int]] = {}
-    for node in nodes:
-        if isinstance(node, Leaf):
-            ends[id(node)] = tuple(arcs[node.arc])
-        elif isinstance(node, Series):
-            (a, b), (c, d) = ends[id(node.left)], ends[id(node.right)]
-            shared = a if a in (c, d) else b
-            ends[id(node)] = (b if a == shared else a, d if c == shared else c)
+    m, steps, ends = sched.m, sched.steps, sched.ends
+    entry = [s] * len(ends)
+    for i in range(len(ends) - 1, m - 1, -1):
+        parallel, a, b = steps[i - m]
+        if parallel:
+            entry[a] = entry[b] = entry[i]
         else:
-            ends[id(node)] = ends[id(node.left)]
-
-    sign = [1] * len(arcs)
-    stack = [(tree, s)]
-    while stack:
-        node, entry = stack.pop()
-        if isinstance(node, Leaf):
-            sign[node.arc] = 1 if arcs[node.arc][0] == entry else -1
-        elif isinstance(node, Series):
-            left = ends[id(node.left)]
-            first, second = (node.left, node.right) if entry in left else (node.right, node.left)
-            u, v = ends[id(first)]
-            stack.append((first, entry))
-            stack.append((second, v if u == entry else u))
-        else:
-            stack.append((node.left, entry))
-            stack.append((node.right, entry))
-    return sign
+            first, second = (a, b) if entry[i] in ends[a] else (b, a)
+            u, v = ends[first]
+            entry[first] = entry[i]
+            entry[second] = v if u == entry[i] else u
+    return [1 if arcs[a][0] == entry[a] else -1 for a in range(m)]

@@ -171,6 +171,27 @@ class TestSolve:
         assert sol.y == inst.ybar
         assert verify(inst, sol).feasible
 
+    @pytest.mark.parametrize("mode", ["sp-fptas", "auto"])
+    def test_overflowing_parallel_sum_is_solved_or_refused(self, tmp_path, capsys, mode):
+        # At ybar the parallel pair's conductances 1.7e308 sum past the float
+        # range; R there is about 8.8e-309, not the series arc's 5.88e-309
+        def rung(B):
+            inst = Instance(
+                n=3, arcs=((0, 1), (0, 1), (1, 2)), s=0, t=2, r=1.0,
+                c=(1e-10, 1.0, 1e-10), gamma=(0.0,) * 3, ybar=(1.7e308,) * 3, B=B,
+            )
+            return inst, write_file(tmp_path, f"rung_{B!r}.json", write_instance(inst))
+
+        _, path = rung(5.9e-309)
+        assert main(["solve", "--in", path, "--mode", mode]) == 2
+        cap = capsys.readouterr()
+        assert "infeasible" in cap.err and cap.out == ""
+
+        inst, path = rung(9.5e-309)
+        assert main(["solve", "--in", path, "--mode", mode]) == 0
+        sol = read_solution(capsys.readouterr().out)
+        assert verify(inst, sol).feasible
+
     def test_sp_fptas_answer_on_wide_spread_verifies(self, tmp_path, capsys):
         # Conductances spread by 1e12: R read as pi_s - pi_t is off by several
         # percent here and would fail the final check; the energy is not.

@@ -28,7 +28,7 @@ from flowdesign.oracles import (
 )
 from flowdesign import spdesign
 from flowdesign.spdesign import OptionSet, _reconstruct, fill_table
-from flowdesign.sptree import Leaf, Parallel, cond_to_res, postorder, res_to_cond
+from flowdesign.sptree import cond_to_res, res_to_cond
 
 
 def parallel_tree(m):
@@ -151,7 +151,7 @@ class TestDpExact:
             )
             U = 3 * m
             table = fill_table(tree, opts, U, 1.0)
-            for i in range(len(table.nodes)):
+            for i in range(len(table.points)):
                 values = row(table, i, U)
                 for a, b in zip(values, values[1:]):
                     assert b <= a or (math.isinf(a) and math.isinf(b))
@@ -190,20 +190,18 @@ def random_fill_cases(tied=False):
 
 def per_budget_rows(tree, opts, U, r):
     """The classic per-budget recursion, as (resistance, choice) rows over
-    budgets 0..U keyed by id(node). Each choice is the first best: the skip
-    (-1), then options by (price, index), at leaves; the smallest left
+    budgets 0..U, one per schedule node. Each choice is the first best: the
+    skip (-1), then options by (price, index), at leaves; the smallest left
     budget elsewhere. Parallel nodes compare summed conductances."""
-    rows = {}
-    for node in postorder(tree):
-        if isinstance(node, Leaf):
-            menu = [(cond_to_res(mu, r), p, i) for i, (mu, p) in enumerate(opts[node.arc])]
-            rows[id(node)] = [
-                min([(math.inf, 0, -1)] + [o for o in menu if o[1] <= k])[::2]
-                for k in range(U + 1)
-            ]
-            continue
-        left, right = rows[id(node.left)], rows[id(node.right)]
-        parallel = isinstance(node, Parallel)
+    rows = []
+    for arc in range(tree.m):
+        menu = [(cond_to_res(mu, r), p, i) for i, (mu, p) in enumerate(opts[arc])]
+        rows.append([
+            min([(math.inf, 0, -1)] + [o for o in menu if o[1] <= k])[::2]
+            for k in range(U + 1)
+        ])
+    for parallel, lchild, rchild in tree.steps:
+        left, right = rows[lchild], rows[rchild]
         out = []
         for k in range(U + 1):
             splits = []
@@ -213,7 +211,7 @@ def per_budget_rows(tree, opts, U, r):
                 splits.append((key, j))
             key, j = min(splits)
             out.append((cond_to_res(-key, r) if parallel else key, j))
-        rows[id(node)] = out
+        rows.append(out)
     return rows
 
 
@@ -248,8 +246,8 @@ class TestFillTable:
         for trial, (tree, opts, U, r) in enumerate(cases):
             table = fill_table(tree, OptionSet(opts), U, r)
             want = per_budget_rows(tree, opts, U, r)
-            for i, node in enumerate(table.nodes):
-                steps = want[id(node)]
+            assert len(table.points) == len(want), f"trial {trial}"
+            for i, steps in enumerate(want):
                 got = [table.at(i, k) for k in range(U + 1)]
                 assert got == steps, f"trial {trial}, node {i}"
                 # one point per step, so the pair counts stay minimal

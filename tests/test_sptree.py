@@ -4,29 +4,63 @@ import sys
 
 import pytest
 
-from flowdesign import NotSeriesParallel, ValidationError, decompose, effective_resistance, min_energy_flow, resistance_sp, sp_unit_flow
-from flowdesign.oracles import random_sp_structure
-from flowdesign.sptree import (
-    Leaf, Parallel, Series, arc_directions, cond_to_res, leaf_arcs, postorder, res_to_cond,
+from flowdesign import (
+    Instance, NotSeriesParallel, ValidationError, decompose, effective_resistance, min_energy_flow,
+    resistance_sp, sp_unit_flow, verify,
 )
+from flowdesign.core import Solution
+from flowdesign.oracles import random_sp_structure
+from flowdesign.sptree import arc_directions, cond_to_res, res_to_cond
 
 
 def test_two_parallel_arcs():
-    tree = decompose(2, ((0, 1), (0, 1)), 0, 1)
-    assert isinstance(tree, Parallel)
-    assert isinstance(tree.left, Leaf) and isinstance(tree.right, Leaf)
-    assert sorted(leaf_arcs(tree)) == [0, 1]
+    sched = decompose(2, ((0, 1), (0, 1)), 0, 1)
+    # the root, node 2, joins the leaves of arcs 0 and 1 in parallel
+    assert sched.m == 2
+    assert sched.steps == ((True, 0, 1),)
 
 
 def test_triangle_with_chord():
     # s -> v -> t in series, bridged by a direct s -> t arc
     tree = decompose(3, ((0, 1), (1, 2), (0, 2)), 0, 2)
-    kinds = [type(node).__name__ for node in postorder(tree)]
-    assert kinds.count("Leaf") == 3
-    assert kinds.count("Series") == 1
-    assert kinds.count("Parallel") == 1
+    assert tree.m == 3
+    assert sorted(parallel for parallel, _, _ in tree.steps) == [False, True]
     # combined value: series 1+1 = 2 in parallel with 1 -> C = 1/2 + 1 = 1.5
     assert resistance_sp(tree, (1.0, 1.0, 1.0), 1.0) == pytest.approx(1 / 1.5)
+
+
+def assert_schedule_invariants(sched, arcs, s, t):
+    m = len(arcs)
+    assert sched.m == m and len(sched.steps) == m - 1
+    assert len(sched.ends) == m + len(sched.steps)
+    # each arc is a leaf exactly once: node a < m is arc a's leaf
+    assert [set(sched.ends[a]) for a in range(m)] == [set(uv) for uv in arcs]
+    children = []
+    for j, (parallel, a, b) in enumerate(sched.steps):
+        node = m + j
+        # children come before their parents
+        assert 0 <= a < node and 0 <= b < node and a != b
+        children += [a, b]
+        ea, eb = set(sched.ends[a]), set(sched.ends[b])
+        if parallel:
+            assert ea == eb == set(sched.ends[node])
+        else:
+            assert len(ea & eb) == 1 and ea ^ eb == set(sched.ends[node])
+    # each non-root node is a child exactly once; the root is last
+    assert sorted(children) == list(range(len(sched.ends) - 1))
+    assert set(sched.ends[-1]) == {s, t}
+
+
+def test_schedule_invariants_on_random_sp_and_relabelled_copies():
+    rng = random.Random(2715)
+    for trial in range(40):
+        m = rng.randint(1, 16)
+        n, arcs, s, t = random_sp_structure(rng, m)
+        assert_schedule_invariants(decompose(n, arcs, s, t), arcs, s, t)
+        perm = list(range(m))
+        rng.shuffle(perm)
+        relabelled = tuple((arcs[p][1], arcs[p][0]) if rng.random() < 0.5 else arcs[p] for p in perm)
+        assert_schedule_invariants(decompose(n, relabelled, s, t), relabelled, s, t)
 
 
 def test_k4_rejected():
@@ -83,21 +117,17 @@ def test_composition_identities_both_spaces():
         y = tuple(rng.uniform(0.1, 10.0) for _ in range(m))
         r = rng.choice([1.0, 2.0, 3.0])
         tree = decompose(n, arcs, s, t)
-        value = {}
-        for node in postorder(tree):
-            if isinstance(node, Leaf):
-                value[id(node)] = 1.0 / y[node.arc] ** r
-            elif isinstance(node, Series):
-                a, b = value[id(node.left)], value[id(node.right)]
+        value = [1.0 / y[arc] ** r for arc in range(m)]
+        for parallel, left, right in tree.steps:
+            a, b = value[left], value[right]
+            if parallel:
+                value.append(cond_to_res(res_to_cond(a, r) + res_to_cond(b, r), r))
+            else:
                 direct = a + b
                 via_c = cond_to_res(res_to_cond(a, r), r) + cond_to_res(res_to_cond(b, r), r)
                 assert direct == pytest.approx(via_c, rel=1e-12)
-                value[id(node)] = direct
-            else:
-                a, b = value[id(node.left)], value[id(node.right)]
-                combined = cond_to_res(res_to_cond(a, r) + res_to_cond(b, r), r)
-                value[id(node)] = combined
-        assert value[id(tree)] == pytest.approx(resistance_sp(tree, y, r), rel=1e-12)
+                value.append(direct)
+        assert value[-1] == pytest.approx(resistance_sp(tree, y, r), rel=1e-12)
 
 
 def test_arc_relabeling_invariance():
@@ -191,6 +221,51 @@ def test_powers_past_the_float_range_overstate_resistance():
     assert res_to_cond(5e-324, 1.0) == sys.float_info.max
     tree = decompose(3, ((0, 1), (0, 1), (1, 2)), 0, 2)
     assert resistance_sp(tree, (1e-300,) * 3, 2.0) == math.inf
+
+
+def test_overflowing_parallel_sum_is_taken_at_half_scale():
+    # 1.7e308 + 1.7e308 overflows; the pair is 1 / 3.4e308, not 0, and the
+    # flow splits evenly instead of 0 / inf each
+    tree = decompose(3, ((0, 1), (0, 1), (1, 2)), 0, 2)
+    y = (1.7e308,) * 3
+    assert resistance_sp(tree, y, 1.0) == pytest.approx(1.5 / 1.7e308, rel=1e-12)
+    mags, _ = sp_unit_flow(tree, y, 1.0)
+    assert mags == [0.5, 0.5, 1.0]
+
+
+def test_infinite_conductance_child_takes_the_flow():
+    # 1e200^-2 underflows to R = 0, so arc 0 reads infinite conductance
+    tree = decompose(2, ((0, 1), (0, 1), (0, 1)), 0, 1)
+    assert sp_unit_flow(tree, (1e200, 1.0, 1.0), 2.0)[0] == [1.0, 0.0, 0.0]
+    assert sp_unit_flow(tree, (1.0, 1e200, 1e200), 2.0)[0] == [0.0, 0.5, 0.5]
+
+
+def test_witness_conserves_across_the_float_range():
+    """Signed by arc_directions, sp_unit_flow passes verify's conservation
+    check whenever resistance_sp is finite, with conductances log-uniform
+    over the whole float range. Draws with R = +inf have no unit flow of
+    finite energy and are left out."""
+    rng = random.Random(3000)
+    lo, hi = math.log(1e-300), math.log(1.7e308)
+    checked = 0
+    for trial in range(600):
+        m = rng.randint(2, 12)
+        n, arcs, s, t = random_sp_structure(rng, m)
+        r = rng.choice([1.0, 2.0])
+        y = tuple(math.exp(rng.uniform(lo, hi)) for _ in range(m))
+        tree = decompose(n, arcs, s, t)
+        if math.isinf(resistance_sp(tree, y, r)):
+            continue
+        checked += 1
+        mags, _ = sp_unit_flow(tree, y, r)
+        flow = [d * f for d, f in zip(arc_directions(tree, arcs, s), mags)]
+        inst = Instance(
+            n=n, arcs=arcs, s=s, t=t, r=r,
+            c=(1.0,) * m, gamma=(0.0,) * m, ybar=y, B=sys.float_info.max,
+        )
+        sol = Solution(x=(1,) * m, y=y, cost=0.0, achievedR=0.0)
+        assert verify(inst, sol, flow=flow).reasons == (), f"trial {trial}"
+    assert checked >= 200
 
 
 def test_unit_flow_rejects_unbounded():
