@@ -11,13 +11,18 @@ an arc against its orientation.
 Conductances may be UNBOUNDED (infinite). That is only meaningful on arcs
 with zero variable cost and no upper bound; such an arc behaves like a
 short circuit and is serialized as the string "inf".
+
+The records here and in the other modules are namedtuple subclasses with no
+per-instance dict: immutable, built by keyword or position, compared and
+hashed by value. A record with invariants checks them in ``__new__`` and
+routes ``_make`` (and so ``_replace``) through it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DimensionMismatch, SchemaError, ValidationError
 
@@ -71,33 +76,41 @@ def _check_network(inst) -> None:
         raise ValidationError("budget B must be > 0")
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(namedtuple("Instance", "n arcs s t r c gamma ybar B")):
     """A design instance. Arrays are indexed by arc in file order."""
 
-    n: int
-    arcs: tuple[tuple[int, int], ...]
-    s: int
-    t: int
-    r: float
-    c: tuple[float, ...]
-    gamma: tuple[float, ...]
-    ybar: tuple[float, ...]
-    B: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls,
+        n: int,
+        arcs: tuple[tuple[int, int], ...],
+        s: int,
+        t: int,
+        r: float,
+        c: tuple[float, ...],
+        gamma: tuple[float, ...],
+        ybar: tuple[float, ...],
+        B: float,
+    ):
+        self = super().__new__(cls, n, arcs, s, t, r, c, gamma, ybar, B)
         _check_network(self)
-        m = len(self.arcs)
-        for name in ("c", "gamma", "ybar"):
-            if len(getattr(self, name)) != m:
+        m = len(arcs)
+        for name, values in (("c", c), ("gamma", gamma), ("ybar", ybar)):
+            if len(values) != m:
                 raise ValidationError(f"{name} must have one entry per arc")
         for a in range(m):
-            if not (self.c[a] >= 0.0) or not math.isfinite(self.c[a]):
+            if not (c[a] >= 0.0) or not math.isfinite(c[a]):
                 raise ValidationError("variable costs must be finite and >= 0")
-            if not (self.gamma[a] >= 0.0) or not math.isfinite(self.gamma[a]):
+            if not (gamma[a] >= 0.0) or not math.isfinite(gamma[a]):
                 raise ValidationError("fixed costs must be finite and >= 0")
-            if not (self.ybar[a] > 0.0):
+            if not (ybar[a] > 0.0):
                 raise ValidationError("conductance bounds must be > 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def m(self) -> int:
@@ -108,16 +121,14 @@ class Instance:
         return all(math.isinf(ub) for ub in self.ybar)
 
 
-@dataclass(frozen=True)
-class Solution:
-    x: tuple[int, ...]
-    y: tuple[float, ...]
-    cost: float
-    achievedR: float
+class Solution(namedtuple("Solution", "x y cost achievedR")):
+    """A design: x[a] in {0, 1} installs arc a at conductance y[a], for a
+    total cost; achievedR is the resistance the solver reports for it."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FixedInstance:
+class FixedInstance(namedtuple("FixedInstance", "n arcs s t r B options")):
     """A design instance whose conductances come from a discrete menu.
 
     ``options[a]`` lists the installable (mu, p) pairs for arc a: conductance
@@ -125,36 +136,46 @@ class FixedInstance:
     folded into the prices.
     """
 
-    n: int
-    arcs: tuple[tuple[int, int], ...]
-    s: int
-    t: int
-    r: float
-    B: float
-    options: tuple[tuple[tuple[float, float], ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls,
+        n: int,
+        arcs: tuple[tuple[int, int], ...],
+        s: int,
+        t: int,
+        r: float,
+        B: float,
+        options: tuple[tuple[tuple[float, float], ...], ...],
+    ):
+        self = super().__new__(cls, n, arcs, s, t, r, B, options)
         _check_network(self)
-        if len(self.options) != len(self.arcs):
+        if len(options) != len(arcs):
             raise ValidationError("options must have one entry per arc")
-        for opts in self.options:
+        for opts in options:
             for mu, p in opts:
                 if not (mu > 0.0) or not math.isfinite(mu):
                     raise ValidationError("option conductances must be finite and > 0")
                 if not (p >= 0.0) or not math.isfinite(p):
                     raise ValidationError("option prices must be finite and >= 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def m(self) -> int:
         return len(self.arcs)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    feasible: bool
-    achievedR: float
-    cost: float
-    reasons: tuple[str, ...] = field(default=())
+class VerificationReport(
+    namedtuple("VerificationReport", "feasible achievedR cost reasons", defaults=((),))
+):
+    """verify's verdict: feasible, the resistance and cost it recomputed, and
+    a tuple of reasons (empty unless a structural check failed)."""
+
+    __slots__ = ()
 
 
 def _require_fields(doc: dict, required, optional, what: str) -> None:

@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -83,6 +84,19 @@ def brute_paths_unbounded(inst: Instance) -> Solution:
     return to_solution(inst, PathSolution(path=path, y=y, objective=objective))
 
 
+def _parallel_res(Ra, Rb, r: float):
+    """sptree's parallel step on arrays of resistances, with its float rules:
+    a conductance past the float range saturates at the largest float
+    (``res_to_cond``), and a sum of two finite conductances past it is taken
+    at half scale, (ca/2 + cb/2)^(-r) * 2^(-r) (``parallel_res``)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        ca = np.where(Ra > 0.0, np.minimum(Ra ** (-1.0 / r), sys.float_info.max), np.inf)
+        cb = np.where(Rb > 0.0, np.minimum(Rb ** (-1.0 / r), sys.float_info.max), np.inf)
+        c = ca + cb
+        half = np.isinf(c) & np.isfinite(ca) & np.isfinite(cb)
+        return np.where(half, (ca / 2 + cb / 2) ** (-float(r)) * 2.0 ** -r, c ** (-float(r)))
+
+
 def brute_subsets_fixed(inst: FixedInstance) -> Solution:
     """Exact optimum of a discrete menu by enumerating every assignment."""
     if inst.m > 14:
@@ -111,14 +125,13 @@ def brute_subsets_fixed(inst: FixedInstance) -> Solution:
     cost = np.sum(np.column_stack(prices), axis=1)
 
     if sched is not None:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             vals = [Y[:, a] ** (-float(inst.r)) for a in range(inst.m)]
-            for parallel, a, b in sched.steps:
-                if parallel:
-                    c = vals[a] ** (-1.0 / inst.r) + vals[b] ** (-1.0 / inst.r)
-                    vals.append(c ** (-float(inst.r)))
-                else:
-                    vals.append(vals[a] + vals[b])
+        for parallel, a, b in sched.steps:
+            if parallel:
+                vals.append(_parallel_res(vals[a], vals[b], inst.r))
+            else:
+                vals.append(vals[a] + vals[b])
         R = vals[-1]
     else:
         R = np.empty(len(assigns))
@@ -224,15 +237,10 @@ def brute_subsets_continuous_sp(inst: Instance) -> Solution:
     return Solution(x=x, y=y, cost=cost, achievedR=resistance_sp(sched, y, inst.r))
 
 
-@dataclass(frozen=True)
-class PartitionGadget:
+class PartitionGadget(namedtuple("PartitionGadget", "a T r instance threshold")):
     """Number-partition reduction: bundle i offers a priced and a free arc."""
 
-    a: tuple[int, ...]
-    T: float
-    r: float
-    instance: Instance
-    threshold: float
+    __slots__ = ()
 
     def objective(self, chosen) -> float:
         """Closed-form path objective for taking the priced arc on bundles in chosen."""
@@ -293,11 +301,11 @@ def gen_min_knapsack(mu, p, D, r: float = 1.0) -> FixedInstance:
     )
 
 
-@dataclass(frozen=True)
-class SteinerGadget:
-    instance: Instance
-    terminals: tuple[int, ...]
-    new_arcs: tuple[int, ...]
+class SteinerGadget(namedtuple("SteinerGadget", "instance terminals new_arcs")):
+    """Terminal-connection reduction: the instance, its terminals and the arcs
+    added to join them to the new sink."""
+
+    __slots__ = ()
 
 
 def gen_steiner_gadget(n, arcs, terminals, edge_costs, r: float) -> SteinerGadget:

@@ -22,7 +22,7 @@ solved one restricted shortest path per grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import UNBOUNDED, Instance, Solution, check_epsilon
 from .errors import AllVariableCostsZero, BoundExceeded, Disconnected, OutOfRange, ValidationError
@@ -30,21 +30,16 @@ from .rsp import frontier_fptas, lex_dijkstra
 from .rsp import rsp_fptas  # noqa: F401  (bench/spans.py wraps this binding)
 
 
-@dataclass(frozen=True)
-class PathSolution:
+class PathSolution(namedtuple("PathSolution", "path y objective")):
     """An s-t path (arc indices, in walk order) with conductances per path arc."""
 
-    path: tuple[int, ...]
-    y: tuple[float, ...]
-    objective: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LambdaGrid:
-    L: float
-    U: float
-    epsilon: float
-    points: tuple[float, ...]
+class LambdaGrid(namedtuple("LambdaGrid", "L U epsilon points")):
+    """lambda_grid's points: L * (1 + epsilon/3)^((r+1) i) up to U, then one above."""
+
+    __slots__ = ()
 
 
 def phi(S: float, B: float, r: float) -> float:

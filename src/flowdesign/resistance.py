@@ -44,7 +44,7 @@ implies by a factor |drop|^{1/r - 1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -58,18 +58,23 @@ _H_FLOOR = 1e-15
 _MAX_STALLS = 100
 
 
-@dataclass(frozen=True)
-class FlowState:
+class FlowState(namedtuple("FlowState", "f pi energy")):
     """A unit s-t flow with its induced potentials and energy.
 
     f is aligned with arc orientation (negative = against the arrow); pi is
     indexed by node with pi_t = 0 and zeros on nodes the support does not
     connect to t.
+
+    pi meets the potential law pi_u - pi_v = sign(f_a) (|f_a| / y_a)^r only
+    to the float64 rounding of max|pi|, about 1e-16 max|pi|. On an arc whose
+    drop is that small, the flow the law implies, y_a |drop|^(1/r), can
+    miss f_a by more than 1e-6 max(1, max|f|) at r = 4 (on 4 of 200 seeded
+    graphs with y in [0.1, 10]; on none at r = 2 or 3). energy, which
+    ``effective_resistance`` returns, does not go through pi and is
+    unaffected.
     """
 
-    f: tuple[float, ...]
-    pi: tuple[float, ...]
-    energy: float
+    __slots__ = ()
 
 
 def _check_inputs(n, arcs, y, r, s, t):
@@ -209,7 +214,10 @@ def min_energy_flow(n, arcs, y, r, s, t, tol: float = 1e-10, max_line_searches: 
 
     max_line_searches bounds the number of Newton steps (r > 1; r = 1 takes
     none). Raises Disconnected when the support does not connect s to t, and
-    NonConvergence if the step budget runs out first.
+    NonConvergence if the step budget runs out first. The potentials hold
+    the potential law only to the rounding of max|pi|, which at r = 4 can
+    exceed 1e-6 relative on arcs with tiny drops (see FlowState); use
+    energy, not pi_s - pi_t, for the resistance.
     """
     _check_inputs(n, arcs, y, r, s, t)
     m = len(arcs)

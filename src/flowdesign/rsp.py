@@ -22,35 +22,44 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import adjacency, check_epsilon
 from .errors import Disconnected, Infeasible, ValidationError
 
 
-@dataclass(frozen=True)
-class RspInstance:
-    n: int
-    arcs: tuple[tuple[int, int], ...]
-    s: int
-    t: int
-    cost: tuple[float, ...]
-    length: tuple[float, ...]
-    budget: float
+class RspInstance(namedtuple("RspInstance", "n arcs s t cost length budget")):
+    """Restricted shortest path: a cheapest s-t path of length within budget."""
 
-    def __post_init__(self):
-        if not (0 <= self.s < self.n and 0 <= self.t < self.n) or self.s == self.t:
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        n: int,
+        arcs: tuple[tuple[int, int], ...],
+        s: int,
+        t: int,
+        cost: tuple[float, ...],
+        length: tuple[float, ...],
+        budget: float,
+    ):
+        if not (0 <= s < n and 0 <= t < n) or s == t:
             raise ValidationError("terminals must be distinct in-range nodes")
-        if len(self.cost) != len(self.arcs) or len(self.length) != len(self.arcs):
+        if len(cost) != len(arcs) or len(length) != len(arcs):
             raise ValidationError("cost and length must have one entry per arc")
-        for v in self.cost:
+        for v in cost:
             if not (v >= 0.0) or math.isinf(v):
                 raise ValidationError("costs must be finite and >= 0")
-        for v in self.length:
+        for v in length:
             if not (v >= 0.0) or math.isinf(v):
                 raise ValidationError("lengths must be finite and >= 0")
-        if not (self.budget >= 0.0):
+        if not (budget >= 0.0):
             raise ValidationError("budget must be >= 0")
+        return super().__new__(cls, n, arcs, s, t, cost, length, budget)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _budget_phi(budget):

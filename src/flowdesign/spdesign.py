@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import FixedInstance, Instance, Solution, check_epsilon, verify
 from .errors import (
@@ -48,19 +48,17 @@ from .sptree import (
 )
 
 
-@dataclass(frozen=True)
-class OptionSet:
+class OptionSet(namedtuple("OptionSet", "options")):
     """Per-arc menus of (conductance mu, price p); skipping an arc is free."""
 
-    options: tuple[tuple[tuple[float, float], ...], ...]
+    __slots__ = ()
 
     @property
     def m(self) -> int:
         return len(self.options)
 
 
-@dataclass(frozen=True)
-class DPTable:
+class DPTable(namedtuple("DPTable", "points iterations")):
     """Filled DP lists, one per node of the SP schedule, in its order.
 
     points[i] is schedule node i's Pareto list as three parallel lists
@@ -72,8 +70,7 @@ class DPTable:
     candidate pairs formed at steps.
     """
 
-    points: tuple[tuple[list[int], list[float], list[int]], ...]
-    iterations: int
+    __slots__ = ()
 
     def at(self, i: int, k: int) -> tuple[float, int]:
         """(resistance, choice) of node i at budget k >= 0: those of its

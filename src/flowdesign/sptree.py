@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotSeriesParallel, ValidationError
 
 
-@dataclass(frozen=True)
-class SPSchedule:
+class SPSchedule(namedtuple("SPSchedule", "steps ends")):
     """An SP decomposition as a children-first node list.
 
     Nodes 0..m-1 are the leaves of arcs 0..m-1; node m + j is
@@ -46,8 +45,7 @@ class SPSchedule:
     pair node i joins; the root's is {s, t}.
     """
 
-    steps: tuple[tuple[bool, int, int], ...]
-    ends: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def m(self) -> int:

@@ -453,8 +453,18 @@ class TestGuardsUnderOptimize:
         assert "defect" in proc.stderr and "exceeds bound" in proc.stderr
 
 
+def imports_after_package(stderr):
+    """Modules a fresh interpreter imported after the flowdesign package, read
+    from its -X importtime lines, so a module a site hook loads never counts."""
+    names = [
+        line.rsplit("|", 1)[1].strip() for line in stderr.splitlines() if line.startswith("import time:")
+    ]
+    return set(names[names.index("flowdesign") + 1:])
+
+
 class TestColdStart:
-    """The CLI, path mode and the SP modes run without importing numpy."""
+    """The CLI, path mode and the SP modes run without importing numpy, and
+    the CLI without dataclasses or inspect."""
 
     def test_cli_import_leaves_numpy_out(self):
         code = (
@@ -470,6 +480,16 @@ class TestColdStart:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_cli_import_leaves_dataclasses_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", "import flowdesign.cli"],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = imports_after_package(proc.stderr)
+        assert "flowdesign.cli" in imported
+        assert not imported & {"dataclasses", "inspect"}
+
     def test_spdesign_import_leaves_numpy_out(self):
         code = (
             "import sys, flowdesign.spdesign\n"
@@ -482,7 +502,7 @@ class TestColdStart:
 
     @staticmethod
     def solve_imports(tmp_path, inst, *argv):
-        """Modules a fresh `flowdesign solve` imports, read from -X importtime."""
+        """Modules a fresh `flowdesign solve` imports after the package."""
         path = write_file(tmp_path, "inst.json", write_instance(inst))
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "flowdesign", "solve", "--in", path, *argv],
@@ -490,11 +510,7 @@ class TestColdStart:
         )
         assert proc.returncode == 0, proc.stderr
         assert read_solution(proc.stdout).cost > 0.0
-        return {
-            line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:")
-        }
+        return imports_after_package(proc.stderr)
 
     def test_path_mode_solve_leaves_numpy_out(self, tmp_path):
         inst = Instance(
@@ -505,6 +521,7 @@ class TestColdStart:
         imported = self.solve_imports(tmp_path, inst, "--mode", "path-fptas", "--eps", "0.1")
         assert "flowdesign.pathdesign" in imported
         assert not {name for name in imported if name.split(".")[0] == "numpy"}
+        assert not imported & {"dataclasses", "inspect"}
 
     def test_sp_exact_solve_leaves_numpy_out(self, tmp_path):
         inst = Instance(
@@ -514,6 +531,7 @@ class TestColdStart:
         imported = self.solve_imports(tmp_path, inst, "--mode", "sp-exact")
         assert "flowdesign.spdesign" in imported
         assert not {name for name in imported if name.split(".")[0] == "numpy"}
+        assert not imported & {"dataclasses", "inspect"}
 
     @pytest.mark.parametrize("mode", ["sp-fptas", "auto"])
     def test_sp_fptas_solve_leaves_numpy_and_path_modules_out(self, tmp_path, mode):
@@ -525,4 +543,5 @@ class TestColdStart:
         imported = self.solve_imports(tmp_path, inst, "--mode", mode, "--eps", "0.5")
         assert "flowdesign.spdesign" in imported
         assert not {name for name in imported if name.split(".")[0] == "numpy"}
+        assert not imported & {"dataclasses", "inspect"}
         assert not imported & {"flowdesign.resistance", "flowdesign.pathdesign", "flowdesign.rsp"}

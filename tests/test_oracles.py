@@ -10,7 +10,9 @@ from flowdesign import (
     OddSum,
     TooLarge,
     ValidationError,
+    decompose,
     effective_resistance,
+    resistance_sp,
     verify,
 )
 from flowdesign.oracles import (
@@ -117,6 +119,57 @@ class TestBruteSubsets:
         ).feasible
         # full K4 at unit conductance has R = 1/2; cheaper subsets must stay <= 0.6
         assert sol.cost <= 6.0
+
+    def test_overflowing_parallel_sum_is_taken_at_half_scale(self):
+        # the two parallel conductances 1.7e308 sum past the float range;
+        # summed in full they read R = 0, and all three arcs seem to reach
+        # 5.88e-309 where the truth is 8.82e-309
+        from flowdesign.core import FixedInstance
+
+        arcs = ((0, 1), (0, 1), (1, 2))
+        tree = decompose(3, arcs, 0, 2)
+
+        def fixed(B):
+            return FixedInstance(
+                n=3, arcs=arcs, s=0, t=2, r=1.0, B=B, options=(((1.7e308, 1.0),),) * 3,
+            )
+
+        with pytest.raises(Infeasible):
+            brute_subsets_fixed(fixed(6e-309))
+        sol = brute_subsets_fixed(fixed(9e-309))
+        assert sol.x == (1, 1, 1)
+        assert sol.achievedR == resistance_sp(tree, sol.y, 1.0) == pytest.approx(1.5 / 1.7e308)
+
+    def test_numpy_pass_matches_resistance_sp_across_the_float_range(self):
+        """With B just above the composed R of the full design, the oracle
+        finds a design and reports the R that resistance_sp gives it, up to
+        numpy's power rounding, for conductances drawn log-uniform over the
+        float range or close to its top."""
+        from flowdesign.core import FixedInstance
+
+        rng = random.Random(16)
+        lo, hi = math.log(1e-300), math.log(1.7e308)
+        checked = 0
+        for trial in range(300):
+            m = rng.randint(2, 8)
+            n, arcs, s, t = random_sp_structure(rng, m)
+            r = rng.choice([1.0, 2.0])
+            y = tuple(
+                math.exp(rng.uniform(lo, hi)) if rng.random() < 0.5 else rng.uniform(0.5, 1.0) * 1.7e308
+                for _ in range(m)
+            )
+            tree = decompose(n, arcs, s, t)
+            B = resistance_sp(tree, y, r) * (1.0 + 1e-9)
+            if not (0.0 < B < math.inf):
+                continue
+            checked += 1
+            fixed = FixedInstance(
+                n=n, arcs=arcs, s=s, t=t, r=r, B=B, options=tuple(((v, 1.0),) for v in y),
+            )
+            sol = brute_subsets_fixed(fixed)
+            want = resistance_sp(tree, sol.y, r)
+            assert sol.achievedR == pytest.approx(want, rel=1e-12) and want <= B, f"trial {trial}"
+        assert checked >= 100
 
     def test_guard(self):
         fixed = gen_min_knapsack((1,) * 15, (1,) * 15, 1)
