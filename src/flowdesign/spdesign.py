@@ -11,6 +11,11 @@ knapsack. A node's list comes from the pairs of its
 children's points that fit the budget, pruned to the pairs that beat every
 cheaper pair; among equal values the pair that gives the left child less
 budget wins, which is the first best split of the per-budget recursion.
+Given the resistance bound B, the DP also bounds, as the list method
+does: a point or pair that cannot lead to a root point within B, even
+with every other node at its least resistance, is never kept or formed.
+The bounds are exact float boundaries of the DP's own operations, so the
+root points within B, and every answer, are those of the unbounded DP.
 The kernel is plain Python, so the exact mode runs without numpy. With
 integer prices the DP is exact; real prices go through the classic
 scale-and-round layer: guess the largest price used by the optimum by
@@ -36,13 +41,13 @@ from .errors import (
     ValidationError,
     VerificationFailed,
 )
+from .spbounds import bounds, cut, half_key
 from .sptree import (
     SPSchedule,
     arc_directions,
     cond_to_res,
     decompose,
     parallel_res,
-    res_to_cond,
     resistance_sp,
     sp_unit_flow,
 )
@@ -66,8 +71,8 @@ class DPTable(namedtuple("DPTable", "points iterations")):
     ``at`` reads it at a budget, and points[-1] is the root's. A choice is an
     option index (or -1 for skip) at the leaves 0..m-1 and the budget given
     to the left child at the steps (the smallest one that reaches the best
-    value). iterations counts the list points built at leaves plus the
-    candidate pairs formed at steps.
+    value). iterations counts the list points kept at leaves plus, at each
+    step, the product of its children's list lengths after the bound's cut.
     """
 
     __slots__ = ()
@@ -99,35 +104,47 @@ def _leaf_list(opts, U: int, r: float):
     return prices, vals, picks
 
 
-def _combine(left, right, parallel: bool, U: int, r: float):
+def _combine(left, right, parallel: bool, U: int, r: float, key_ub: float):
     """Pareto list of a series or parallel node from its children's lists.
 
-    Every pair of child points priced at most U in total is a candidate.
-    Its key is the summed resistance (series) or minus the summed half
-    conductances (parallel), so smaller is better in both; halving is exact
-    and keeps every comparison, and a sum of halves stays in the float
-    range where the full sum would overflow. Lists over the total prices
-    0..U keep the best (key, left price) found so far. Left points come in
-    ascending price and an entry is replaced only by a strictly smaller
-    key, so of equal keys the pair that gives the left child less wins. A
-    total then survives when its (key, left price) is lexicographically
-    below every cheaper total's, so each point is the first best split over
-    budgets.
+    Every pair of child points priced at most U in total whose key is at
+    most key_ub is a candidate. Its key is the summed resistance (series) or
+    minus the summed half conductances (parallel), so smaller is better in
+    both; halving is exact and keeps every comparison, and a sum of halves
+    stays in the float range where the full sum would overflow. Lists over
+    the total prices 0..U keep the best (key, left price) found so far. Left
+    points come in ascending price and an entry is replaced only by a
+    strictly smaller key, so of equal keys the pair that gives the left
+    child less wins. A total then survives when its (key, left price) is
+    lexicographically below every cheaper total's, so each point is the
+    first best split over budgets.
+
+    A pair keyed above key_ub cannot lead to a root point within B (see
+    ``spbounds``). Keys fall along both lists, so for each left point the
+    pairs over the bound are a prefix of the right list, and that prefix
+    only shrinks as the left key falls: one pointer, moved down with the
+    same ``k1 + k2 <= key_ub`` test the bound certifies, skips it. Without
+    a bound key_ub is the largest key and no pair is skipped.
     """
     lp, lv, _ = left
     rp, rv, _ = right
     if parallel:
-        lv = [-res_to_cond(v, r) / 2 for v in lv]
-        rv = [-res_to_cond(v, r) / 2 for v in rv]
+        lv = [half_key(v, r) for v in lv]
+        rv = [half_key(v, r) for v in rv]
     best_key = [math.inf] * (U + 1)
     best_lprice = [-1] * (U + 1)
-    # Total 0 has one pair, the two price-0 points. A series key there can
-    # be inf, which no strict improvement records, so it is entered here;
-    # any other total whose candidates are all inf could never be kept.
+    # Total 0 has one pair, the two price-0 points. It is entered here, over
+    # the bound or not, so every list keeps its true price-0 point: a
+    # series key there can be inf, which no strict improvement records, and
+    # a parallel total left at key inf would read R = 0.
+    best_key[0] = lv[0] + rv[0]
     best_lprice[0] = 0
     right_points = list(zip(rp, rv))
+    start = len(rv)
     for p1, k1 in zip(lp, lv):
-        for p2, k2 in right_points[:bisect_right(rp, U - p1)]:
+        while start and k1 + rv[start - 1] <= key_ub:
+            start -= 1
+        for p2, k2 in right_points[start:bisect_right(rp, U - p1)]:
             total = p1 + p2
             key = k1 + k2
             if key < best_key[total]:
@@ -152,7 +169,9 @@ def _combine(left, right, parallel: bool, U: int, r: float):
     return prices, keys, lprices
 
 
-def fill_table(sched: SPSchedule, options: OptionSet, U: int, r: float) -> DPTable:
+def fill_table(
+    sched: SPSchedule, options: OptionSet, U: int, r: float, B: float = math.inf
+) -> DPTable:
     """Fill the budgeted-resistance DP forward over the SP schedule.
 
     Each schedule node keeps one list of Pareto points (price, resistance,
@@ -166,10 +185,26 @@ def fill_table(sched: SPSchedule, options: OptionSet, U: int, r: float) -> DPTab
     gives R(v, k) and the argmin of the classic per-budget min-plus /
     max-plus recursion; no per-budget rows are stored.
 
+    The resistance bound B prunes, by the bounding step of the knapsack
+    list method: ``spbounds.bounds`` gives each node the largest
+    resistance, and each step the largest pair key, that can still lead to
+    a root point within B. List points over their node's bound are cut
+    (``spbounds.cut``), and pairs over their step's bound are never formed
+    (``_combine``). Call a point live when it can lead to a root point
+    within B. Pruning changes no live point: a live point's pair is made of
+    live points, which no cut drops, and every pair the pruned lists form
+    is one the full lists form too. So at a budget where the full list's
+    point is live, the pruned list reaches the same (key, left price) at
+    the same price; at any other budget it reaches no live point either.
+    Every root point within B, and with it ``_cheapest_budget`` and
+    ``_reconstruct`` at that budget, is the same as without the bound. With
+    B = inf nothing is cut, and the lists are full, as the per-budget tests
+    read them.
+
     Option prices must be nonnegative integers (scale first if not). The
-    work, counted as leaf points plus candidate pairs, is checked against
-    its analytic envelope (2m - 1) * (U + 1)^2; exceeding it raises
-    BoundExceeded.
+    work, counted as leaf points plus the products of the pruned child
+    lists at steps, is checked against its analytic envelope
+    (2m - 1) * (U + 1)^2; exceeding it raises BoundExceeded.
     """
     if U < 0:
         raise ValidationError("budget U must be >= 0")
@@ -179,10 +214,12 @@ def fill_table(sched: SPSchedule, options: OptionSet, U: int, r: float) -> DPTab
                 raise ValidationError("fill_table needs nonnegative integer option prices")
     m = sched.m
     lists = [_leaf_list(options.options[a], U, r) for a in range(m)]
+    res_ub, key_ub = bounds(sched, [res[-1] for _, res, _ in lists], r, B)
+    lists = [cut(points, ub) for points, ub in zip(lists, res_ub)]
     iterations = sum(len(points[0]) for points in lists)
-    for parallel, a, b in sched.steps:
+    for i, (parallel, a, b) in enumerate(sched.steps, m):
         left, right = lists[a], lists[b]
-        lists.append(_combine(left, right, parallel, U, r))
+        lists.append(cut(_combine(left, right, parallel, U, r, key_ub[i]), res_ub[i]))
         iterations += len(left[0]) * len(right[0])
 
     envelope = (2 * m - 1) * (U + 1) ** 2
@@ -247,7 +284,7 @@ def dp_exact(sched: SPSchedule, options: OptionSet, U: int, B: float, r: float) 
     The answer is the smallest budget k with R(root, k) <= B; spending is
     reconstructed by backpointers and priced as given.
     """
-    table = fill_table(sched, options, U, r)
+    table = fill_table(sched, options, U, r, B)
     k = _cheapest_budget(table, B)
     if k is None:
         raise Infeasible(f"no installation within budget {U} meets the resistance bound")
@@ -292,8 +329,13 @@ def _price_guesses(prices):
             yield P
 
 
-def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Solution:
+def solve_fixed_conductance_fptas(
+    inst: FixedInstance, epsilon: float, *, sched: SPSchedule | None = None
+) -> Solution:
     """(1+epsilon)-approximation for arbitrary nonnegative option prices.
+
+    sched is the instance's SP schedule when the caller already has one, as
+    ``solve_sp_fptas`` does; without it the graph is decomposed here.
 
     Guesses P, an upper bound on the largest price p* the optimum pays, by
     doubling (Hassin 1992; Lorenz and Raz 2001). With p_min and p_max the
@@ -329,7 +371,8 @@ def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Soluti
     no feasible design and skips its DP.
     """
     check_epsilon(epsilon)
-    sched = decompose(inst.n, inst.arcs, inst.s, inst.t)
+    if sched is None:
+        sched = decompose(inst.n, inst.arcs, inst.s, inst.t)
     m = inst.m
 
     ycap = [max((mu for mu, _ in opts), default=0.0) for opts in inst.options]
@@ -375,7 +418,7 @@ def solve_fixed_conductance_fptas(inst: FixedInstance, epsilon: float) -> Soluti
             if math.isfinite(best_cost):
                 U = min(U, math.ceil(best_cost / delta) + m)
 
-        table = fill_table(sched, scaled, U, inst.r)
+        table = fill_table(sched, scaled, U, inst.r, inst.B)
         k = _cheapest_budget(table, inst.B)
         if k is None:
             continue
@@ -481,7 +524,7 @@ def solve_sp_fptas(inst: Instance, epsilon: float) -> Solution:
         n=inst.n, arcs=inst.arcs, s=inst.s, t=inst.t, r=inst.r, B=inst.B,
         options=menus.options,
     )
-    sol = solve_fixed_conductance_fptas(fixed, epsilon / 3.0)
+    sol = solve_fixed_conductance_fptas(fixed, epsilon / 3.0, sched=sched)
     magnitudes, _ = sp_unit_flow(sched, sol.y, inst.r)
     flow = [d * f for d, f in zip(arc_directions(sched, inst.arcs, inst.s), magnitudes)]
     report = verify(inst, sol, tol=1e-9, flow=flow)

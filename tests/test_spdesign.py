@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowdesign import (
     Infeasible,
@@ -27,8 +29,8 @@ from flowdesign.oracles import (
     random_sp_structure,
 )
 from flowdesign import spdesign
-from flowdesign.spdesign import OptionSet, _reconstruct, fill_table
-from flowdesign.sptree import cond_to_res, res_to_cond
+from flowdesign.spdesign import OptionSet, _cheapest_budget, _reconstruct, fill_table
+from flowdesign.sptree import cond_to_res, parallel_res, res_to_cond
 
 
 def parallel_tree(m):
@@ -273,6 +275,45 @@ class TestFillTable:
         assert table.at(-1, 3) == (1.5, 1)
         assert _reconstruct(tree, table, 3) == {0: 0, 1: 1}
 
+    def test_bound_keeps_the_price_zero_point_of_a_parallel_node(self):
+        # two arcs of conductance 1 in parallel, B = 0.6 at r = 1: the
+        # price-0 pair (skip, skip) is over the bound, yet the root's
+        # price-0 point must still read R = inf, not the R = 0 of an
+        # unentered key, or budget 0 would look feasible
+        opts = OptionSet((((1.0, 1.0),), ((1.0, 1.0),)))
+        full = fill_table(parallel_tree(2), opts, 2, 1.0)
+        table = fill_table(parallel_tree(2), opts, 2, 1.0, 0.6)
+        assert table.at(-1, 0) == full.at(-1, 0) == (math.inf, 0)
+        assert table.at(-1, 1)[0] == math.inf
+        assert _cheapest_budget(table, 0.6) == _cheapest_budget(full, 0.6) == 2
+        assert _reconstruct(parallel_tree(2), table, 2) == {0: 0, 1: 0}
+        assert dp_exact(parallel_tree(2), opts, 2, 0.6, 1.0).cost == 2.0
+
+    def test_bound_is_exact_where_the_need_cancels(self):
+        # arc 1 alone falls short of B by about 1e-12 in conductance, so the
+        # bound on arc 0 is C(B) - C1, which cancels to a few digits; B is
+        # the DP's own value of the design with both arcs, which must stay
+        rng = random.Random(17)
+        tree = parallel_tree(2)
+        for trial in range(200):
+            r = rng.choice([1.0, 1.5, 2.0, 4.0])
+            c1 = 10.0 ** rng.uniform(-5.0, 5.0)
+            c0 = c1 * 10.0 ** rng.uniform(-14.0, -10.0)
+            opts = OptionSet((((c0, 1.0),), ((c1, 0.0),)))
+            B = dp_values(tree, (c0, c1), r)[-1]
+            assert _cheapest_budget(fill_table(tree, opts, 1, r, B), B) == 1, f"trial {trial}"
+
+    def test_a_binding_bound_never_adds_work(self):
+        strict = 0
+        for trial, (tree, opts, U, r) in enumerate(random_fill_cases()):
+            full = fill_table(tree, OptionSet(opts), U, r)
+            assert full.iterations <= (2 * tree.m - 1) * (U + 1) ** 2
+            for B in {v for v in full.points[-1][1] if math.isfinite(v)}:
+                table = fill_table(tree, OptionSet(opts), U, r, B)
+                assert table.iterations <= full.iterations, f"trial {trial}, B {B}"
+                strict += table.iterations < full.iterations
+        assert strict > 0
+
     @pytest.mark.parametrize("price", [1.5, -1.0, math.inf])
     def test_rejects_prices_that_are_not_nonnegative_integers(self, price):
         opts = OptionSet((((1.0, price),), ((2.0, 1.0),)))
@@ -280,6 +321,95 @@ class TestFillTable:
             fill_table(parallel_tree(2), opts, 3, 1.0)
         with pytest.raises(ValidationError):
             dp_exact(parallel_tree(2), opts, 3, 1.0, 1.0)
+
+
+def leaves_under(tree, node):
+    """The arcs in the subtree of schedule node ``node``."""
+    if node < tree.m:
+        return {node}
+    _, a, b = tree.steps[node - tree.m]
+    return leaves_under(tree, a) | leaves_under(tree, b)
+
+
+def dp_values(tree, y, r):
+    """Every schedule node's resistance at conductances y, composed by the
+    DP's own rules: summed resistances in series, summed half conductances
+    in parallel."""
+    vals = [cond_to_res(v, r) for v in y]
+    for parallel, a, b in tree.steps:
+        if parallel:
+            key = -res_to_cond(vals[a], r) / 2 + -res_to_cond(vals[b], r) / 2
+            vals.append(parallel_res(-key, -key, r))
+        else:
+            vals.append(vals[a] + vals[b])
+    return vals
+
+
+@st.composite
+def bounded_fills(draw):
+    """A random SP schedule and menu with log-uniform conductances over
+    1e-300..1e300, a budget U, an r and a resistance bound B.
+
+    B is a root point's value, a random value, or the least resistance
+    within U at a parallel node whose two children differ by about 1e-12 in
+    conductance (the menus of the smaller one are rescaled to that ratio).
+    There the larger child alone falls short of the need by about 1e-12, so
+    the bound on the smaller one comes from a difference that cancels, and
+    the best points sit on it. B is then left as it is or moved by one
+    float either way.
+    """
+    m = draw(st.integers(1, 6))
+    n, arcs, s, t = random_sp_structure(random.Random(draw(st.integers(0, 2 ** 16))), m)
+    tree = decompose(n, arcs, s, t)
+    option = st.tuples(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), st.integers(0, 5).map(float))
+    menus = [draw(st.lists(option, min_size=1, max_size=3)) for _ in range(m)]
+    r = draw(st.sampled_from([1.0, 1.5, 2.0, 4.0]))
+    how = draw(st.sampled_from(["point", "random", "need"]))
+    steps = [i for i, (parallel, _, _) in enumerate(tree.steps, m) if parallel]
+    B = None
+    if how == "need" and steps:
+        _, small, large = tree.steps[draw(st.sampled_from(steps)) - m]
+        if draw(st.booleans()):
+            small, large = large, small
+
+        def best():
+            return [max(mu for mu, _ in menu) for menu in menus]
+
+        vals = dp_values(tree, best(), r)
+        c_small, c_large = res_to_cond(vals[small], r), res_to_cond(vals[large], r)
+        ratio = 10.0 ** draw(st.floats(-14.0, -10.0))
+        scale = c_large / c_small * ratio if 0.0 < c_small < math.inf else math.nan
+        if 0.0 < scale < math.inf:
+            for a in leaves_under(tree, small):
+                menus[a] = [(mu * scale, p) for mu, p in menus[a]]
+        U = int(sum(max(p for _, p in menu) for menu in menus))
+        B = dp_values(tree, best(), r)[-1]
+    else:
+        U = draw(st.integers(0, 12))
+    opts = OptionSet(tuple(map(tuple, menus)))
+    full = fill_table(tree, opts, U, r)
+    if B is None:
+        B = 10.0 ** draw(st.floats(-300.0, 300.0)) if how == "random" else draw(st.sampled_from(full.points[-1][1]))
+    return tree, opts, U, r, math.nextafter(B, draw(st.sampled_from([-math.inf, B, math.inf]))), full
+
+
+@given(bounded_fills())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_bound_changes_no_answer_property(case):
+    """fill_table with B keeps every root point within B, the cheapest
+    budget and its reconstruction, exactly as with B = inf."""
+    tree, opts, U, r, B, full = case
+    table = fill_table(tree, opts, U, r, B)
+
+    def within(t):
+        return [point for point in zip(*t.points[-1]) if point[1] <= B]
+
+    assert within(table) == within(full)
+    k = _cheapest_budget(table, B)
+    assert k == _cheapest_budget(full, B)
+    if k is not None:
+        assert _reconstruct(tree, table, k) == _reconstruct(tree, full, k)
+    assert table.iterations <= full.iterations
 
 
 class TestScalingFptas:
@@ -539,6 +669,18 @@ class TestPipeline:
             L = min(c * D / inst.m + g for c, g in zip(inst.c, inst.gamma))
             want = brute_subsets_continuous_sp(inst)
             assert L <= want.cost * (1 + 1e-9)
+
+    def test_one_decomposition_per_solve(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr(spdesign, "decompose", counted)
+        inst, _ = gen_random_sp(7, 5, 2.0)
+        solve_sp_fptas(inst, 0.5)
+        assert len(calls) == 1
 
     def test_epsilon_domain(self):
         inst = Instance(
