@@ -17,6 +17,19 @@ zero flow at the optimum, since any flow there only adds energy. On the
 block, let B be the node-arc incidence and L(c) = B diag(c) B^T the weighted
 Laplacian grounded at t.
 
+No solve forms L densely. The block's nodes are ordered by BFS level from
+t, farthest level first, so every arc joins one level or two adjacent
+ones, and consecutive levels are merged into diagonal blocks of at most
+``_BLOCK`` nodes (a wider level is one block). L is then block
+tridiagonal (Cuthill and McKee 1969). A solve eliminates the blocks in
+order, solving each Schur complement once with the coupling to the next
+block and the right-hand side stacked, then recovers phi by
+back-substitution; block LU needs no pivoting across blocks on a symmetric
+positive definite L (Demmel, Higham and Schreiber 1995). With block widths
+w_i it takes O(sum_i w_i^3 + w_i^2 w_{i+1}) time and O(sum_i w_i^2 +
+w_i w_{i+1}) memory, against O(k^3) and O(k^2) dense: grids and other
+near-planar graphs, whose levels are much narrower than k, gain the most.
+
 * r = 1: one solve L(y) phi = e_s - e_t gives the exact flow f = y B^T phi.
 * r > 1: start from the flow of the same solve with conductances y^r, then
   take Newton steps on sum w |f|^{r+1} (w = y^-r) under conservation. With
@@ -28,12 +41,14 @@ Laplacian grounded at t.
     finite. A floor high enough to bind (1e-6 max h) clips the curvature of
     small-flow arcs, which then crawl towards their optimum at r >= 3.
   - Each step backtracks on the energy, then re-projects any conservation
-    drift with the fixed L(y^r).
+    drift with the fixed L(y^r), reusing the Schur complements and
+    couplings its first solve eliminated.
   - The loop stops once max |delta| <= 0.01 tol max(1, |f|), or once the
     energy stalls with max |delta| <= tol max(1, |f|). It raises
     NonConvergence when the step budget runs out, or after 100 stalls with
     larger steps: the flow then moves below the energy's float resolution,
-    which takes a spread of y^r near 1e18.
+    which takes a spread of y^r near 1e18 on most graphs, but far less at
+    r >= 3 on a hub with many spokes, where most flows are small.
 
 Potentials are read off the final flow along a spanning tree that takes the
 arcs of least |f| first. The potential law is then exact where it is most
@@ -53,6 +68,11 @@ from .errors import Disconnected, NonConvergence, ValidationError
 
 # Floor of the Newton curvature h relative to max h, which keeps 1/h finite.
 _H_FLOOR = 1e-15
+# Widest diagonal block that consecutive BFS levels are merged into. Fewer,
+# larger blocks save numpy calls per block but cost O(w^3) each; on the
+# benchmark's grids and random graphs 32 to 128 were within noise of each
+# other, and 16 and 256 slower.
+_BLOCK = 64
 # Steps that fail to lower the energy while still moving the flow by more
 # than tol: past this many the flow sits below the energy's resolution.
 _MAX_STALLS = 100
@@ -97,43 +117,157 @@ def _arc_drops(f, y, r):
 
 
 class _BlockSystem:
-    """Incidence operators and grounded Laplacians on the s-t block.
+    """Incidence operators and block elimination on the s-t block.
 
-    Block nodes are numbered 0..k with t = k, so the grounded system keeps
-    the first k rows and columns and potentials carry an implicit 0 at t.
+    Block nodes are numbered by BFS level from t, farthest level first, with
+    t = k last: the grounded system keeps the first k rows and columns, and
+    potentials carry an implicit 0 at t. Every arc joins one level or two
+    adjacent ones. Consecutive levels are merged into diagonal blocks A_i
+    while a block stays within ``_BLOCK`` nodes (a wider level is a block by
+    itself), so the grounded L(c) is block tridiagonal. The coupling C_i of
+    blocks i and i + 1 is nonzero only between the last level of block i
+    and the first level of block i + 1, and only that part is stored.
+
+    Far levels go first so that the arcs to t, the grounding, sit in the
+    diagonal of the blocks eliminated last. Eliminated the other way, the
+    grounding of the far blocks is the small difference of large sums in
+    their Schur complements, which can round to an exactly singular block
+    on the Newton systems, whose conductances 1/h spread up to 1e15.
     """
 
     def __init__(self, n, arcs, block, s, t):
-        index = {}
+        adj = [[] for _ in range(n)]
         for a in block:
-            for x in arcs[a]:
-                if x != t and x not in index:
-                    index[x] = len(index)
-        k = len(index)
-        index[t] = k
+            u, v = arcs[a]
+            adj[u].append(v)
+            adj[v].append(u)
+        seen = [False] * n
+        seen[t] = True
+        levels = [[t]]
+        while True:
+            ahead = []
+            for x in levels[-1]:
+                for z in adj[x]:
+                    if not seen[z]:
+                        seen[z] = True
+                        ahead.append(z)
+            if not ahead:
+                break
+            levels.append(ahead)
+        levels.reverse()
+        index = [0] * n
+        for i, x in enumerate(x for level in levels for x in level):
+            index[x] = i
+        k = index[t]
         self.k = k
         self.u = np.array([index[arcs[a][0]] for a in block], dtype=np.intp)
         self.v = np.array([index[arcs[a][1]] for a in block], dtype=np.intp)
         self.rhs = np.zeros(k)
         self.rhs[index[s]] = 1.0
 
-        # L's nonzeros as (flat position, sign, arc), skipping t's row and column
-        pos, sign, arc = [], [], []
-        ar = np.arange(len(block))
-        for p, q, sg in ((self.u, self.u, 1.0), (self.v, self.v, 1.0),
-                         (self.u, self.v, -1.0), (self.v, self.u, -1.0)):
-            keep = (p < k) & (q < k)
-            pos.append(p[keep] * k + q[keep])
-            sign.append(np.full(int(keep.sum()), sg))
-            arc.append(ar[keep])
-        self._pos = np.concatenate(pos)
-        self._sign = np.concatenate(sign)
-        self._arc = np.concatenate(arc)
+        # Blocks as [start, end, first-level end, last-level start].
+        spans = []
+        lo = 0
+        for level in levels[:-1]:
+            hi = lo + len(level)
+            if spans and hi - spans[-1][0] <= _BLOCK:
+                spans[-1][1], spans[-1][3] = hi, lo
+            else:
+                spans.append([lo, hi, hi, lo])
+            lo = hi
+        start, end, first_end, last = (np.array(col) for col in zip(*spans))
+        width = end - start
+        # C_i is p[i] x q_next[i]: block i's last level by block i + 1's first.
+        p, q_next = end - last, np.append((first_end - start)[1:], 0)
+        self._shapes = list(zip(start.tolist(), end.tolist(), p.tolist(), q_next.tolist()))
 
-    def laplacian(self, cond):
-        k = self.k
-        L = np.bincount(self._pos, weights=self._sign * cond[self._arc], minlength=k * k)
-        return L.reshape(k, k)
+        # One flat buffer holds A_0, C_0, A_1, C_1, ... row-major. Per node:
+        # its block, its column there, and where its row starts in its A_i
+        # and, on a block's last level, in its C_i.
+        sizes = np.stack([width * width, p * q_next], axis=1).ravel()
+        self._offsets = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        self._size = self._offsets[-1]
+        of = np.repeat(np.arange(len(spans)), width)
+        col = np.arange(k) - start[of]
+        row = np.array(self._offsets[0:-1:2])[of] + col * width[of]
+        c_row = np.array(self._offsets[1::2])[of] + (np.arange(k) - last[of]) * q_next[of]
+
+        # L's nonzeros as (position, sign, arc), in O(m): +c on the diagonal
+        # of each grounded end, -c off it. The lower end of an arc lies in the
+        # same block as the higher one or in the block before.
+        ids = np.arange(len(block))
+        pos, arc = [], []
+        for x in (self.u, self.v):
+            keep = x < k
+            pos.append(row[x[keep]] + col[x[keep]])
+            arc.append(ids[keep])
+        diagonal = sum(map(len, pos))
+        inner = (self.u < k) & (self.v < k)
+        lo, hi = np.minimum(self.u, self.v)[inner], np.maximum(self.u, self.v)[inner]
+        same, a = of[lo] == of[hi], ids[inner]
+        pos += [row[lo[same]] + col[hi[same]], row[hi[same]] + col[lo[same]],
+                c_row[lo[~same]] + col[hi[~same]]]
+        arc += [a[same], a[same], a[~same]]
+        self._pos = np.concatenate(pos)
+        self._arc = np.concatenate(arc)
+        self._sign = np.repeat([1.0, -1.0], [diagonal, len(self._pos) - diagonal])
+
+    def _blocks(self, cond):
+        """Views of the diagonal blocks A_i and stored couplings C_i of L(cond)."""
+        buf = np.bincount(self._pos, weights=self._sign * cond[self._arc], minlength=self._size)
+        o = self._offsets
+        A, C = [], []
+        for i, (lo, hi, p, q) in enumerate(self._shapes):
+            A.append(buf[o[2 * i]:o[2 * i + 1]].reshape(hi - lo, hi - lo))
+            C.append(buf[o[2 * i + 1]:o[2 * i + 2]].reshape(p, q))
+        return A, C
+
+    def factor(self, cond, rhs):
+        """Solve L(cond) phi = rhs by eliminating the blocks in order.
+
+        The Schur complements S_i = A_i - C_{i-1}^T S_{i-1}^{-1} C_{i-1} of a
+        symmetric positive definite L are too, so block LU needs no pivoting
+        across blocks (Demmel, Higham and Schreiber 1995). Each S_i is solved
+        once with X_i = S_i^{-1} C_i and the reduced right-hand side stacked;
+        a back-substitution then recovers phi. Returns phi and the factor
+        (the S_i, C_i and X_i), which ``resolve`` reuses for other
+        right-hand sides.
+        """
+        A, C = self._blocks(cond)
+        X, z = [], []
+        for i, (lo, hi, p, q) in enumerate(self._shapes):
+            S, y = A[i], rhs[lo:hi].copy()  # S overwrites A_i in place
+            if i:
+                c = C[i - 1]
+                S[:c.shape[1], :c.shape[1]] -= c.T @ X[-1][-len(c):]
+                y[:c.shape[1]] -= c.T @ z[-1][-len(c):]
+            stack = np.zeros((hi - lo, q + 1))
+            stack[hi - lo - p:, :q] = C[i]
+            stack[:, q] = y
+            sol = _solve(S, stack)
+            X.append(sol[:, :q])
+            z.append(sol[:, q])
+        return self._back(X, z), (A, C, X)
+
+    def resolve(self, fac, rhs):
+        """Solve L(cond) phi = rhs with the factor an earlier ``factor`` returned."""
+        S, C, X = fac
+        z = []
+        for i, (lo, hi, _, _) in enumerate(self._shapes):
+            y = rhs[lo:hi].copy()
+            if i:
+                c = C[i - 1]
+                y[:c.shape[1]] -= c.T @ z[-1][-len(c):]
+            z.append(_solve(S[i], y))
+        return self._back(X, z)
+
+    @staticmethod
+    def _back(X, z):
+        """phi_i = z_i - X_i phi_{i+1}, from the last block back to the first."""
+        phi = [z[-1]]
+        for Xi, zi in zip(X[-2::-1], z[-2::-1]):
+            phi.append(zi - Xi @ phi[-1][:Xi.shape[1]])
+        return np.concatenate(phi[::-1])
 
     def divergence(self, f):
         """Net outflow at each grounded node (t's row dropped)."""
@@ -157,15 +291,15 @@ def _newton(sys_, y, r, tol, max_steps):
     """Minimum-energy unit flow on the block for r > 1 (see module docstring)."""
     c0 = (y / y.max()) ** r  # conductances y^r, rescaled; the flow does not change
     w = 1.0 / c0
-    L0inv = _solve(sys_.laplacian(c0), np.eye(sys_.k))
+    phi0, fac0 = sys_.factor(c0, sys_.rhs)
 
     def project(f):
-        return f + c0 * sys_.drop(L0inv @ (sys_.rhs - sys_.divergence(f)))
+        return f + c0 * sys_.drop(sys_.resolve(fac0, sys_.rhs - sys_.divergence(f)))
 
     def energy(f):
         return float(np.sum(w * np.abs(f) ** (r + 1.0)))
 
-    f = project(np.zeros(len(y)))
+    f = c0 * sys_.drop(phi0)
     e = energy(f)
     pi = np.zeros(sys_.k)  # multipliers of the last step, for the residual form
     steps = stalls = 0
@@ -176,7 +310,7 @@ def _newton(sys_, y, r, tol, max_steps):
         # Solve for the change mu of the multipliers against the residual
         # rho = g - B^T pi, so that rounding error shrinks with the residual.
         rho = w * np.sign(f) * af ** r - sys_.drop(pi)
-        mu = _solve(sys_.laplacian(1.0 / h), sys_.divergence(rho / h))
+        mu, _ = sys_.factor(1.0 / h, sys_.divergence(rho / h))
         pi += mu
         delta = (sys_.drop(mu) - rho) / h
         size = float(np.max(np.abs(delta)))
@@ -230,7 +364,7 @@ def min_energy_flow(n, arcs, y, r, s, t, tol: float = 1e-10, max_line_searches: 
     yb = np.array([y[a] for a in block], dtype=float)
     if r == 1.0:
         cond = yb / yb.max()
-        fb = cond * sys_.drop(_solve(sys_.laplacian(cond), sys_.rhs))
+        fb = cond * sys_.drop(sys_.factor(cond, sys_.rhs)[0])
     else:
         fb = _newton(sys_, yb, r, tol, max_line_searches)
 

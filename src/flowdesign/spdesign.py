@@ -112,12 +112,14 @@ def _combine(left, right, parallel: bool, U: int, r: float, key_ub: float):
     minus the summed half conductances (parallel), so smaller is better in
     both; halving is exact and keeps every comparison, and a sum of halves
     stays in the float range where the full sum would overflow. Lists over
-    the total prices 0..U keep the best (key, left price) found so far. Left
-    points come in ascending price and an entry is replaced only by a
-    strictly smaller key, so of equal keys the pair that gives the left
-    child less wins. A total then survives when its (key, left price) is
-    lexicographically below every cheaper total's, so each point is the
-    first best split over budgets.
+    the total prices 0..min(U, top left price + top right price) keep the
+    best (key, left price) found so far. Left points come in ascending price
+    and an entry is replaced only by a strictly smaller key, so of equal
+    keys the pair that gives the left child less wins. Only the totals some
+    pair reached are then scanned, in ascending order: a total survives
+    when its (key, left price) is lexicographically below every cheaper
+    total's, so each point is the first best split over budgets. A step's
+    cost thus follows its pairs and its children's top prices, not U.
 
     A pair keyed above key_ub cannot lead to a root point within B (see
     ``spbounds``). Keys fall along both lists, so for each left point the
@@ -131,14 +133,16 @@ def _combine(left, right, parallel: bool, U: int, r: float, key_ub: float):
     if parallel:
         lv = [half_key(v, r) for v in lv]
         rv = [half_key(v, r) for v in rv]
-    best_key = [math.inf] * (U + 1)
-    best_lprice = [-1] * (U + 1)
+    top = min(U, lp[-1] + rp[-1])
+    best_key = [math.inf] * (top + 1)
+    best_lprice = [-1] * (top + 1)
     # Total 0 has one pair, the two price-0 points. It is entered here, over
     # the bound or not, so every list keeps its true price-0 point: a
     # series key there can be inf, which no strict improvement records, and
     # a parallel total left at key inf would read R = 0.
     best_key[0] = lv[0] + rv[0]
     best_lprice[0] = 0
+    touched = [0]
     right_points = list(zip(rp, rv))
     start = len(rv)
     for p1, k1 in zip(lp, lv):
@@ -148,15 +152,16 @@ def _combine(left, right, parallel: bool, U: int, r: float, key_ub: float):
             total = p1 + p2
             key = k1 + k2
             if key < best_key[total]:
+                if best_lprice[total] < 0:
+                    touched.append(total)
                 best_key[total] = key
                 best_lprice[total] = p1
     prices, keys, lprices = [], [], []
     # Kept points fall strictly in (key, left price), so the last one kept
     # is the minimum over all cheaper totals.
     last_key, last_lprice = math.inf, U + 1
-    for total, lprice in enumerate(best_lprice):
-        if lprice < 0:
-            continue
+    for total in sorted(touched):
+        lprice = best_lprice[total]
         key = best_key[total]
         if key < last_key or (key == last_key and lprice < last_lprice):
             prices.append(total)
@@ -180,10 +185,11 @@ def fill_table(
     Ullmann's list method for knapsack). Leaves list their menus; each
     step, in schedule order, combines its children's lists in
     ``_combine``, which keeps the best pair per total price in lists over
-    0..U, so its memory is O(U) rather than the product of the list
-    lengths. Read at any budget k through ``DPTable.at``, a node's list
-    gives R(v, k) and the argmin of the classic per-budget min-plus /
-    max-plus recursion; no per-budget rows are stored.
+    the totals its children can reach within U, so its memory is at most
+    O(U) rather than the product of the list lengths. Read at any budget k
+    through ``DPTable.at``, a node's list gives R(v, k) and the argmin of
+    the classic per-budget min-plus / max-plus recursion; no per-budget
+    rows are stored.
 
     The resistance bound B prunes, by the bounding step of the knapsack
     list method: ``spbounds.bounds`` gives each node the largest

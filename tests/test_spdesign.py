@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -274,6 +275,20 @@ class TestFillTable:
         table = fill_table(tree, same, 3, 1.0)
         assert table.at(-1, 3) == (1.5, 1)
         assert _reconstruct(tree, table, 3) == {0: 0, 1: 1}
+
+    @pytest.mark.parametrize("tree", [parallel_tree(2), decompose(3, ((0, 1), (1, 2)), 0, 2)])
+    def test_a_huge_budget_costs_no_memory_beyond_the_lists(self, tree):
+        # lists over every total 0..U would take about 16 MB at U = 10^6
+        opts = OptionSet((((1.0, 3.0), (2.0, 7.0)), ((1.5, 2.0), (3.0, 9.0))))
+        small = fill_table(tree, opts, 20, 2.0)
+        tracemalloc.start()
+        try:
+            table = fill_table(tree, opts, 10**6, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert table.points == small.points
 
     def test_bound_keeps_the_price_zero_point_of_a_parallel_node(self):
         # two arcs of conductance 1 in parallel, B = 0.6 at r = 1: the
