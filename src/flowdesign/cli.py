@@ -14,31 +14,24 @@ Solver modules load only for the commands and modes that use them: the path
 modes load pathdesign and rsp, the SP modes spdesign, and brute and gen the
 oracles. Every solve mode but brute runs without numpy; sp-fptas certifies
 its answer with a flow witness rather than the energy solver. The
-resistance and verify commands load numpy for the energy solve.
+resistance and verify commands load numpy for the energy solve. The command
+line is read against one table, _COMMANDS, which also writes the help, so no
+command loads argparse, gettext or locale. Options take their exact names (no
+abbreviations), as --opt VALUE or --opt=VALUE.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
+import types
 
 from . import core
 from .core import Instance
 from .errors import (
-    BoundExceeded,
-    DimensionMismatch,
-    Disconnected,
-    Infeasible,
-    NonConvergence,
-    NotSeriesParallel,
-    OutOfRange,
-    SchemaError,
-    TooLarge,
-    UnsupportedCase,
-    ValidationError,
-    VerificationFailed,
+    BoundExceeded, DimensionMismatch, Disconnected, Infeasible, NonConvergence, NotSeriesParallel,
+    OutOfRange, SchemaError, TooLarge, UnsupportedCase, ValidationError, VerificationFailed,
 )
 from .sptree import decompose
 
@@ -57,34 +50,29 @@ def _read_text(path: str) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _jnum(v: float):
     return "inf" if math.isinf(v) else v
 
 
-def _pick_mode(inst: Instance) -> str:
+def _pick_mode(inst: Instance):
+    """The mode `auto` runs, with the SP schedule it built (None for path modes)."""
     if inst.unbounded():
-        if all(v == 0.0 for v in inst.c):
-            return "path-exact"
-        if all(v == 0.0 for v in inst.gamma):
-            return "path-exact"
-        return "path-fptas"
+        if all(v == 0.0 for v in inst.c) or all(v == 0.0 for v in inst.gamma):
+            return "path-exact", None
+        return "path-fptas", None
     if all(math.isfinite(v) for v in inst.ybar) and all(v > 0.0 for v in inst.c):
         try:
-            decompose(inst.n, inst.arcs, inst.s, inst.t)
+            return "sp-fptas", decompose(inst.n, inst.arcs, inst.s, inst.t)
         except NotSeriesParallel:
-            raise UnsupportedCase(
-                "bounded conductances on a non-series-parallel graph; no solver applies"
-            )
-        return "sp-fptas"
+            raise UnsupportedCase("bounded conductances on a non-series-parallel graph; no solver applies")
     raise UnsupportedCase(
         "no automatic mode fits: need either ybar unbounded everywhere, or a "
         "series-parallel graph with finite ybar and positive variable costs"
@@ -115,9 +103,9 @@ def _solve_brute(inst: Instance):
 
 def _cmd_solve(args) -> int:
     inst = core.parse_instance(_read_text(args.infile))
-    mode = args.mode
+    mode, sched = args.mode, None
     if mode == "auto":
-        mode = _pick_mode(inst)
+        mode, sched = _pick_mode(inst)
     if mode in ("path-fptas", "sp-fptas"):
         try:
             core.check_epsilon(args.eps, mode)
@@ -130,14 +118,11 @@ def _cmd_solve(args) -> int:
         from . import pathdesign
 
         sol = pathdesign.to_solution(inst, pathdesign.solve_path_fptas(inst, args.eps))
-    elif mode == "sp-exact":
+    elif mode in ("sp-exact", "sp-fptas"):
         from . import spdesign
 
-        sol = spdesign.solve_sp_exact(inst)
-    elif mode == "sp-fptas":
-        from . import spdesign
-
-        sol = spdesign.solve_sp_fptas(inst, args.eps)
+        sol = (spdesign.solve_sp_exact(inst) if mode == "sp-exact"
+               else spdesign.solve_sp_fptas(inst, args.eps, sched))
     else:
         sol = _solve_brute(inst)
     print(f"mode={mode} eps={args.eps} tol={args.tol}", file=sys.stderr)
@@ -147,12 +132,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_resistance(args) -> int:
     inst = core.parse_instance(_read_text(args.infile))
+    y = inst.ybar
     if args.sol is not None:
         y = core.read_solution(_read_text(args.sol)).y
         if len(y) != inst.m:
             raise ValidationError("solution arc count does not match the instance")
-    else:
-        y = inst.ybar
     value = core._support_resistance(inst, y, args.tol)
     _emit(json.dumps({"R": _jnum(value)}, sort_keys=True), args.out)
     return EXIT_OK
@@ -163,10 +147,8 @@ def _cmd_verify(args) -> int:
     sol = core.read_solution(_read_text(args.sol))
     report = core.verify(inst, sol, tol=args.tol)
     doc = {
-        "feasible": report.feasible,
-        "achievedR": _jnum(report.achievedR),
-        "cost": _jnum(report.cost),
-        "reasons": list(report.reasons),
+        "feasible": report.feasible, "achievedR": _jnum(report.achievedR),
+        "cost": _jnum(report.cost), "reasons": list(report.reasons),
     }
     _emit(json.dumps(doc, sort_keys=True), args.out)
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
@@ -185,12 +167,7 @@ def _cmd_gen(args) -> int:
             return EXIT_USAGE
         gadget = oracles.gen_partition(_parse_numbers(args.numbers), args.r)
         inst = gadget.instance
-        meta = {
-            "family": "partition",
-            "numbers": list(gadget.a),
-            "r": args.r,
-            "threshold": gadget.threshold,
-        }
+        meta = {"family": "partition", "numbers": list(gadget.a), "r": args.r, "threshold": gadget.threshold}
     elif args.family == "knapsack":
         if not args.numbers:
             print("error: --family knapsack needs --numbers MU;P;D", file=sys.stderr)
@@ -207,15 +184,9 @@ def _cmd_gen(args) -> int:
             return EXIT_USAGE
         fixed = oracles.gen_min_knapsack(mu, p, d, args.r)
         inst = Instance(
-            n=2,
-            arcs=fixed.arcs,
-            s=0,
-            t=1,
-            r=fixed.r,
-            c=(0.0,) * fixed.m,
+            n=2, arcs=fixed.arcs, s=0, t=1, r=fixed.r, c=(0.0,) * fixed.m,
             gamma=tuple(float(opts[0][1]) for opts in fixed.options),
-            ybar=tuple(opts[0][0] for opts in fixed.options),
-            B=fixed.B,
+            ybar=tuple(opts[0][0] for opts in fixed.options), B=fixed.B,
         )
         meta = {"family": "knapsack", "mu": mu, "p": p, "D": d, "r": args.r}
     elif args.family == "steiner":
@@ -223,10 +194,7 @@ def _cmd_gen(args) -> int:
         gadget = _random_steiner(args.seed, rng_n, args.r)
         inst = gadget.instance
         meta = {
-            "family": "steiner",
-            "seed": args.seed,
-            "n": rng_n,
-            "r": args.r,
+            "family": "steiner", "seed": args.seed, "n": rng_n, "r": args.r,
             "terminals": list(gadget.terminals),
         }
     else:
@@ -259,64 +227,102 @@ def _random_steiner(seed: int, n: int, r: float):
     return oracles.gen_steiner_gadget(n, arcs, terminals, costs, r)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flowdesign",
-        description="Minimum-cost design of potential-based flow networks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_COMMON = {"--out": (str, None), "--tol": (float, 1e-9)}
+_MODES = ("auto", "path-exact", "path-fptas", "sp-exact", "sp-fptas", "brute")
 
-    def common(p, needs_in=True):
-        if needs_in:
-            p.add_argument("--in", dest="infile", required=True, metavar="PATH")
-        p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--tol", type=float, default=1e-9)
+# command: (handler, summary, {option: (converter or choices, default)}),
+# where a default of ... marks a required option. --in is read into `infile`.
+_COMMANDS = {
+    "solve": (_cmd_solve, "solve an instance file", {
+        "--in": (str, ...), **_COMMON, "--mode": (_MODES, "auto"), "--eps": (float, 0.25),
+    }),
+    "resistance": (_cmd_resistance, "effective resistance at ybar or a solution's y", {
+        "--in": (str, ...), **_COMMON, "--sol": (str, None),
+    }),
+    "verify": (_cmd_verify, "check a solution file against an instance", {
+        "--in": (str, ...), **_COMMON, "--sol": (str, ...),
+    }),
+    "gen": (_cmd_gen, "generate a corpus instance", {
+        **_COMMON, "--family": (("partition", "knapsack", "steiner", "random-sp"), ...),
+        "--seed": (int, 0), "--r": (float, 1.0), "--numbers": (str, None), "--size": (int, 6),
+    }),
+}
+_USAGE = "usage: flowdesign {solve,resistance,verify,gen} [--opt VALUE | --opt=VALUE ...] [-h]\n"
+_ABOUT = "\nMinimum-cost design of potential-based flow networks. Options take their exact names.\n\n"
 
-    p_solve = sub.add_parser("solve", help="solve an instance file")
-    common(p_solve)
-    p_solve.add_argument(
-        "--mode",
-        choices=("auto", "path-exact", "path-fptas", "sp-exact", "sp-fptas", "brute"),
-        default="auto",
-    )
-    p_solve.add_argument("--eps", type=float, default=0.25)
 
-    p_res = sub.add_parser("resistance", help="effective resistance at ybar or a solution's y")
-    common(p_res)
-    p_res.add_argument("--sol", default=None, metavar="PATH")
+def _help(names) -> str:
+    """Each named command's usage, summary and defaults, written from _COMMANDS."""
+    out = []
+    for name in names:
+        _, summary, opts = _COMMANDS[name]
+        line = f"flowdesign {name}"
+        indent, defaults = " " * len(line), []
+        for opt, (kind, default) in opts.items():
+            meta = "|".join(kind) if isinstance(kind, tuple) else kind.__name__.upper()
+            word = f"{opt} {meta}" if default is ... else f"[{opt} {meta}]"
+            if len(line) + len(word) >= 79:
+                out.append(line)
+                line = indent
+            line += " " + word
+            if default not in (None, ...):
+                defaults.append(f"{opt} {default}")
+        out += [line, f"    {summary}; defaults: {' '.join(defaults)}" if defaults else f"    {summary}"]
+    return "\n".join(out) + "\n"
 
-    p_ver = sub.add_parser("verify", help="check a solution file against an instance")
-    common(p_ver)
-    p_ver.add_argument("--sol", required=True, metavar="PATH")
 
-    p_gen = sub.add_parser("gen", help="generate a corpus instance")
-    common(p_gen, needs_in=False)
-    p_gen.add_argument(
-        "--family",
-        choices=("partition", "knapsack", "steiner", "random-sp"),
-        required=True,
-    )
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--r", type=float, default=1.0)
-    p_gen.add_argument("--numbers", default=None)
-    p_gen.add_argument("--size", type=int, default=6)
-    return parser
+def _usage_error(message: str, name: str | None = None) -> int:
+    sys.stderr.write(("usage: " + _help([name]) if name else _USAGE) + f"flowdesign: error: {message}\n")
+    return EXIT_USAGE
+
+
+def _parse_args(argv):
+    """The args namespace for argv, read against _COMMANDS, or an exit code once
+    the help (0, on stdout) or a usage error (1, on stderr) is written. A value
+    is the part after `=` or the next word, which must not start with -- or be -h."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        sys.stdout.write(_USAGE + _ABOUT + _help(_COMMANDS))
+        return EXIT_OK
+    if name not in _COMMANDS:
+        what = "a command is required" if name is None else f"invalid command {name!r}"
+        return _usage_error(f"{what} (choose from {', '.join(_COMMANDS)})")
+    opts, values, words = _COMMANDS[name][2], {}, iter(argv[1:])
+    for word in words:
+        if word in ("-h", "--help"):
+            sys.stdout.write("usage: " + _help([name]))
+            return EXIT_OK
+        opt, eq, value = word.partition("=")
+        if opt not in opts:
+            return _usage_error(f"unrecognized argument {word!r}", name)
+        if not eq:
+            value = next(words, None)
+            if value is None or value.startswith("--") or value == "-h":
+                return _usage_error(f"option {opt} expects one value", name)
+        kind = opts[opt][0]
+        if isinstance(kind, tuple):
+            if value not in kind:
+                return _usage_error(f"option {opt}: {value!r} is not one of {', '.join(kind)}", name)
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                return _usage_error(f"option {opt}: invalid {kind.__name__} value {value!r}", name)
+        values[opt] = value
+    missing = [opt for opt, (_, default) in opts.items() if default is ... and opt not in values]
+    if missing:
+        return _usage_error(f"the following options are required: {', '.join(missing)}", name)
+    return types.SimpleNamespace(command=name, **{
+        "infile" if opt == "--in" else opt[2:]: values.get(opt, default) for opt, (_, default) in opts.items()
+    })
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    if isinstance(args, int):
+        return args
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "resistance":
-            return _cmd_resistance(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_gen(args)
+        return _COMMANDS[args.command][0](args)
     except (Infeasible, Disconnected) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -326,13 +332,7 @@ def main(argv=None) -> int:
     except (BoundExceeded, VerificationFailed) as exc:
         print(f"defect: {exc}", file=sys.stderr)
         return EXIT_DEFECT
-    except (
-        DimensionMismatch,
-        SchemaError,
-        ValidationError,
-        TooLarge,
-        OSError,
-    ) as exc:
+    except (DimensionMismatch, SchemaError, ValidationError, TooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

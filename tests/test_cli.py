@@ -9,6 +9,7 @@ import pytest
 from flowdesign import (
     Instance, Solution, parse_instance, read_solution, verify, write_instance, write_solution,
 )
+from flowdesign import cli
 from flowdesign.cli import main
 from flowdesign.oracles import brute_paths_unbounded
 from flowdesign.pathdesign import solve_variable_cost_only, to_solution
@@ -63,6 +64,22 @@ class TestSolve:
         cap = capsys.readouterr()
         assert "mode=sp-fptas" in cap.err
         assert read_solution(cap.out).cost > 0.0
+
+    def test_auto_mode_decomposes_once(self, tmp_path, capsys, monkeypatch):
+        from flowdesign import spdesign, sptree
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sptree.decompose(*args)
+
+        monkeypatch.setattr(cli, "decompose", counted)
+        monkeypatch.setattr(spdesign, "decompose", counted)
+        _, path = bounded_series(tmp_path, B=3.0)
+        assert main(["solve", "--in", path, "--eps", "0.5"]) == 0
+        assert "mode=sp-fptas" in capsys.readouterr().err
+        assert len(calls) == 1
 
     def test_eps_out_of_range(self, tmp_path, capsys):
         _, path = diamond_unbounded(tmp_path)
@@ -378,7 +395,10 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-class TestArgparseEdges:
+class TestParserEdges:
+    """The command line read against cli._COMMANDS: -h exits 0 with the help on
+    stdout; every usage error exits 1 with the usage and the error on stderr."""
+
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
         capsys.readouterr()
@@ -390,6 +410,94 @@ class TestArgparseEdges:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["solve", "--in", "/nonexistent/inst.json"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_defaults_and_attribute_names(self):
+        args = cli._parse_args(["solve", "--in", "inst.json"])
+        assert (args.command, args.infile, args.out, args.tol, args.mode, args.eps) == (
+            "solve", "inst.json", None, 1e-9, "auto", 0.25,
+        )
+        args = cli._parse_args(["gen", "--family", "steiner", "--seed", "7", "--r", "2"])
+        assert (args.family, args.seed, args.r, args.numbers, args.size) == ("steiner", 7, 2.0, None, 6)
+        assert not hasattr(args, "infile")
+
+    def test_opt_equals_value_matches_opt_space_value(self, tmp_path, capsys):
+        _, path = bounded_series(tmp_path, B=3.0)
+        assert main(["solve", f"--in={path}", "--mode=sp-fptas", "--eps=0.5"]) == 0
+        joined = capsys.readouterr()
+        assert main(["solve", "--in", path, "--mode", "sp-fptas", "--eps", "0.5"]) == 0
+        spaced = capsys.readouterr()
+        assert joined.out == spaced.out and read_solution(joined.out).cost > 0.0
+        assert "mode=sp-fptas eps=0.5 tol=1e-09" in joined.err
+
+    def test_last_repeat_wins(self):
+        assert cli._parse_args(["solve", "--in", "a", "--eps", "0.1", "--eps=0.3"]).eps == 0.3
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "a command is required"),
+        (["bogus", "--in", "x"], "invalid command 'bogus'"),
+        (["--in", "x", "solve"], "invalid command '--in'"),
+        (["solve", "--in", "x", "--bogus", "1"], "unrecognized argument '--bogus'"),
+        (["solve", "--mo", "sp-exact", "--in", "x"], "unrecognized argument '--mo'"),
+        (["solve", "--in", "x", "stray"], "unrecognized argument 'stray'"),
+        (["solve", "--in"], "option --in expects one value"),
+        (["solve", "--in", "--mode", "auto"], "option --in expects one value"),
+        (["solve", "--in", "x", "--eps", "abc"], "option --eps: invalid float value 'abc'"),
+        (["solve", "--in", "x", "--eps="], "option --eps: invalid float value ''"),
+        (["gen", "--family", "steiner", "--seed", "1.5"], "option --seed: invalid int value '1.5'"),
+        (["solve", "--in", "x", "--mode", "fast"], "option --mode: 'fast' is not one of auto, "),
+        (["gen", "--family", "tree"], "option --family: 'tree' is not one of partition, "),
+        (["solve"], "the following options are required: --in"),
+        (["resistance", "--sol", "y"], "the following options are required: --in"),
+        (["verify", "--in", "x"], "the following options are required: --sol"),
+        (["gen", "--seed", "1"], "the following options are required: --family"),
+    ])
+    def test_usage_error_exits_1_with_usage_on_stderr(self, capsys, argv, message):
+        assert main(argv) == 1
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith("usage: flowdesign ")
+        assert f"\nflowdesign: error: {message}" in cap.err
+        if argv and argv[0] in cli._COMMANDS:
+            assert cap.err.startswith(f"usage: flowdesign {argv[0]} ")
+
+    @pytest.mark.parametrize("argv", [
+        [flag, *rest] for flag in ("-h", "--help") for rest in ([], ["solve"])
+    ] + [
+        [name, *rest, flag] for name in ("solve", "resistance", "verify", "gen")
+        for flag in ("-h", "--help") for rest in ([], ["--tol", "1"])
+    ])
+    def test_help_exits_0_with_usage_on_stdout(self, capsys, argv):
+        assert main(argv) == 0
+        cap = capsys.readouterr()
+        assert cap.err == "" and cap.out.startswith("usage: flowdesign ")
+        names = list(cli._COMMANDS) if argv[0] not in cli._COMMANDS else [argv[0]]
+        for name in cli._COMMANDS:
+            assert (f"flowdesign {name} " in cap.out) == (name in names)
+
+    def test_help_names_every_option_in_the_table(self, capsys):
+        assert main(["--help"]) == 0
+        full = capsys.readouterr().out
+        for name, (_, summary, opts) in cli._COMMANDS.items():
+            assert main([name, "--help"]) == 0
+            own = capsys.readouterr().out
+            assert own.removeprefix("usage: ") in full and summary in own
+            for opt, (kind, default) in opts.items():
+                meta = "|".join(kind) if isinstance(kind, tuple) else kind.__name__.upper()
+                assert (f"{opt} {meta}" in own) and ((f"[{opt} {meta}]" in own) == (default is not ...))
+                if default not in (None, ...):
+                    assert f"{opt} {default}" in own
+
+    def test_readme_shows_the_generated_help(self, capsys):
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        assert main(["-h"]) == 0
+        assert "```\n" + capsys.readouterr().out + "```\n" in text
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["flowdesign", "verify", "--help"])
+        assert main() == 0
+        assert capsys.readouterr().out.startswith("usage: flowdesign verify ")
 
 
 def test_console_script_installed(tmp_path):
@@ -462,9 +570,13 @@ def imports_after_package(stderr):
     return set(names[names.index("flowdesign") + 1:])
 
 
+# argparse and the gettext and locale it loads: no command's start path has them
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
 class TestColdStart:
     """The CLI, path mode and the SP modes run without importing numpy, and
-    the CLI without dataclasses or inspect."""
+    no command loads dataclasses, inspect, argparse, gettext or locale."""
 
     def test_cli_import_leaves_numpy_out(self):
         code = (
@@ -489,6 +601,7 @@ class TestColdStart:
         imported = imports_after_package(proc.stderr)
         assert "flowdesign.cli" in imported
         assert not imported & {"dataclasses", "inspect"}
+        assert not imported & PARSER_MODULES
 
     def test_spdesign_import_leaves_numpy_out(self):
         code = (
@@ -522,6 +635,7 @@ class TestColdStart:
         assert "flowdesign.pathdesign" in imported
         assert not {name for name in imported if name.split(".")[0] == "numpy"}
         assert not imported & {"dataclasses", "inspect"}
+        assert not imported & PARSER_MODULES
 
     def test_sp_exact_solve_leaves_numpy_out(self, tmp_path):
         inst = Instance(
@@ -532,6 +646,7 @@ class TestColdStart:
         assert "flowdesign.spdesign" in imported
         assert not {name for name in imported if name.split(".")[0] == "numpy"}
         assert not imported & {"dataclasses", "inspect"}
+        assert not imported & PARSER_MODULES
 
     @pytest.mark.parametrize("mode", ["sp-fptas", "auto"])
     def test_sp_fptas_solve_leaves_numpy_and_path_modules_out(self, tmp_path, mode):
@@ -544,4 +659,17 @@ class TestColdStart:
         assert "flowdesign.spdesign" in imported
         assert not {name for name in imported if name.split(".")[0] == "numpy"}
         assert not imported & {"dataclasses", "inspect"}
+        assert not imported & PARSER_MODULES
         assert not imported & {"flowdesign.resistance", "flowdesign.pathdesign", "flowdesign.rsp"}
+
+    def test_resistance_loads_numpy_but_no_front_end_modules(self, tmp_path):
+        _, path = bounded_series(tmp_path, B=3.0)
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "flowdesign", "resistance", "--in", path],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["R"] == pytest.approx(2.0)
+        imported = imports_after_package(proc.stderr)
+        assert {"numpy", "flowdesign.resistance"} <= imported
+        assert not imported & PARSER_MODULES
