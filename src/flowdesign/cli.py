@@ -10,13 +10,20 @@ or conductances whose y^r spread is beyond float resolution, so the energy
 solve does not converge), 4 internal defect (a proven bound broke, or a
 solver's answer failed its own final check).
 
-Solver modules load only for the commands and modes that use them: the path
-modes load pathdesign and rsp, the SP modes spdesign, and brute and gen the
-oracles. Every solve mode but brute runs without numpy; sp-fptas certifies
-its answer with a flow witness rather than the energy solver. The
-resistance and verify commands load numpy for the energy solve. The command
-line is read against one table, _COMMANDS, which also writes the help, so no
-command loads argparse, gettext or locale. Options take their exact names (no
+Each command loads only the modules it runs, so a call compiles no code it
+never uses (a fresh checkout has no bytecode cache):
+- path-exact and path-fptas load pathdesign and rsp;
+- sp-exact and sp-fptas load spdesign, spbounds and sptree, and auto loads
+  sptree for its SP check on bounded instances (``decompose`` imports it on
+  the first call), so path solves and resistance never load sptree;
+- brute and gen load oracles, which holds the generators and imports
+  pathdesign, resistance, sptree and numpy; no other command loads oracles;
+- resistance, and verify without a flow witness, load resistance and numpy
+  for the energy solve.
+Every solve mode but brute runs without numpy; sp-fptas certifies its answer
+with a flow witness rather than the energy solver. The command line is read
+against one table, _COMMANDS, which also writes the help, so no command loads
+argparse, gettext or locale. Options take their exact names (no
 abbreviations), as --opt VALUE or --opt=VALUE.
 """
 
@@ -31,9 +38,8 @@ from . import core
 from .core import Instance
 from .errors import (
     BoundExceeded, DimensionMismatch, Disconnected, Infeasible, NonConvergence, NotSeriesParallel,
-    OutOfRange, SchemaError, TooLarge, UnsupportedCase, ValidationError, VerificationFailed,
+    OddSum, OutOfRange, SchemaError, TooLarge, UnsupportedCase, ValidationError, VerificationFailed,
 )
-from .sptree import decompose
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,6 +66,13 @@ def _emit(text: str, out: str | None) -> None:
 
 def _jnum(v: float):
     return "inf" if math.isinf(v) else v
+
+
+def decompose(n, arcs, s, t):
+    """``sptree.decompose``, with sptree imported on the first call."""
+    from . import sptree
+
+    return sptree.decompose(n, arcs, s, t)
 
 
 def _pick_mode(inst: Instance):
@@ -137,7 +150,9 @@ def _cmd_resistance(args) -> int:
         y = core.read_solution(_read_text(args.sol)).y
         if len(y) != inst.m:
             raise ValidationError("solution arc count does not match the instance")
-    value = core._support_resistance(inst, y, args.tol)
+    from .resistance import support_resistance
+
+    value = support_resistance(inst, y, args.tol)
     _emit(json.dumps({"R": _jnum(value)}, sort_keys=True), args.out)
     return EXIT_OK
 
@@ -154,53 +169,11 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
-def _parse_numbers(text: str):
-    return [int(v) for v in text.replace(",", " ").split()]
-
-
 def _cmd_gen(args) -> int:
-    from . import oracles
+    from .oracles import generate
 
-    if args.family == "partition":
-        if not args.numbers:
-            print("error: --family partition needs --numbers", file=sys.stderr)
-            return EXIT_USAGE
-        gadget = oracles.gen_partition(_parse_numbers(args.numbers), args.r)
-        inst = gadget.instance
-        meta = {"family": "partition", "numbers": list(gadget.a), "r": args.r, "threshold": gadget.threshold}
-    elif args.family == "knapsack":
-        if not args.numbers:
-            print("error: --family knapsack needs --numbers MU;P;D", file=sys.stderr)
-            return EXIT_USAGE
-        parts = args.numbers.split(";")
-        if len(parts) != 3:
-            print("error: knapsack --numbers must be MU;P;D", file=sys.stderr)
-            return EXIT_USAGE
-        mu = _parse_numbers(parts[0])
-        p = _parse_numbers(parts[1])
-        d = int(parts[2])
-        if d <= 0:
-            print("error: knapsack demand must be positive for file output", file=sys.stderr)
-            return EXIT_USAGE
-        fixed = oracles.gen_min_knapsack(mu, p, d, args.r)
-        inst = Instance(
-            n=2, arcs=fixed.arcs, s=0, t=1, r=fixed.r, c=(0.0,) * fixed.m,
-            gamma=tuple(float(opts[0][1]) for opts in fixed.options),
-            ybar=tuple(opts[0][0] for opts in fixed.options), B=fixed.B,
-        )
-        meta = {"family": "knapsack", "mu": mu, "p": p, "D": d, "r": args.r}
-    elif args.family == "steiner":
-        rng_n = max(4, args.size)
-        gadget = _random_steiner(args.seed, rng_n, args.r)
-        inst = gadget.instance
-        meta = {
-            "family": "steiner", "seed": args.seed, "n": rng_n, "r": args.r,
-            "terminals": list(gadget.terminals),
-        }
-    else:
-        inst, meta = oracles.gen_random_sp(args.seed, max(1, args.size), args.r)
-    text = core.write_instance(inst)
-    _emit(text, args.out)
+    inst, meta = generate(args.family, args.seed, args.size, args.r, args.numbers)
+    _emit(core.write_instance(inst), args.out)
     meta_text = json.dumps(meta, sort_keys=True)
     if args.out is not None and args.out != "-":
         with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
@@ -208,23 +181,6 @@ def _cmd_gen(args) -> int:
     else:
         print(meta_text, file=sys.stderr)
     return EXIT_OK
-
-
-def _random_steiner(seed: int, n: int, r: float):
-    import random
-
-    from . import oracles
-
-    rng = random.Random(seed)
-    arcs = [(i, rng.randrange(i)) for i in range(1, n)]
-    for _ in range(n // 2):
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            arcs.append((u, v))
-    k = rng.randint(2, min(4, n))
-    terminals = sorted(rng.sample(range(n), k))
-    costs = [rng.randint(1, 10) for _ in arcs]
-    return oracles.gen_steiner_gadget(n, arcs, terminals, costs, r)
 
 
 _COMMON = {"--out": (str, None), "--tol": (float, 1e-9)}
@@ -332,7 +288,7 @@ def main(argv=None) -> int:
     except (BoundExceeded, VerificationFailed) as exc:
         print(f"defect: {exc}", file=sys.stderr)
         return EXIT_DEFECT
-    except (DimensionMismatch, SchemaError, ValidationError, TooLarge, OSError) as exc:
+    except (DimensionMismatch, SchemaError, ValidationError, TooLarge, OddSum, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -333,27 +333,6 @@ def write_solution(sol: Solution) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-class DisjointSets:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of a and b; False when they were already one set."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-
 def adjacency(n: int, arcs) -> list[list[tuple[int, int]]]:
     """Per-node lists of (arc, other end) in arc order; self-loops are skipped."""
     adj = [[] for _ in range(n)]
@@ -419,31 +398,6 @@ def st_block_arcs(n: int, arcs, s: int, t: int) -> list[int]:
     return []
 
 
-def _support_resistance(inst: Instance, y, tol: float) -> float:
-    """Effective s-t resistance of the installed arcs, shorting infinite ones."""
-    from .resistance import effective_resistance
-
-    ds = DisjointSets(inst.n)
-    for a, (u, v) in enumerate(inst.arcs):
-        if math.isinf(y[a]):
-            ds.union(u, v)
-    label = {}
-    for v in range(inst.n):
-        label.setdefault(ds.find(v), len(label))
-    qs, qt = label[ds.find(inst.s)], label[ds.find(inst.t)]
-    if qs == qt:
-        return 0.0
-    q_arcs = []
-    q_y = []
-    for a, (u, v) in enumerate(inst.arcs):
-        if y[a] > 0.0 and not math.isinf(y[a]):
-            q_arcs.append((label[ds.find(u)], label[ds.find(v)]))
-            q_y.append(y[a])
-    return effective_resistance(
-        len(label), q_arcs, q_y, inst.r, qs, qt, tol=min(1e-10, tol)
-    )
-
-
 # Net flow a witness may miss at any node, per arc of the instance. A unit
 # flow computed in floating point is off by a few ulps of 1 per arc it
 # splits through; 2^-40 per arc leaves room for that and still rejects any
@@ -493,7 +447,7 @@ def verify(inst: Instance, sol: Solution, tol: float = 1e-9, flow=None) -> Verif
     scratch; it does not have to match sol.cost for the solution to verify.
 
     Without ``flow`` the resistance comes from the energy solver
-    (``resistance.effective_resistance``), which loads numpy. With ``flow``,
+    (``resistance.support_resistance``), which loads numpy. With ``flow``,
     a signed per-arc unit s-t flow (positive along the arc's orientation),
     the check is O(m) and numeric-library free, by Thomson's principle:
     every unit s-t flow f has energy sum_a |f_a|^(r+1) / y_a^r >= R_eff, so
@@ -533,7 +487,9 @@ def verify(inst: Instance, sol: Solution, tol: float = 1e-9, flow=None) -> Verif
                 cost += inst.c[a] * sol.y[a]
 
     if flow is None:
-        achieved = _support_resistance(inst, sol.y, tol)
+        from .resistance import support_resistance
+
+        achieved = support_resistance(inst, sol.y, tol)
     else:
         achieved = _witness_energy(inst, sol, flow, reasons)
     feasible = not reasons and achieved <= inst.B * (1.0 + tol)

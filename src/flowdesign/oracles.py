@@ -8,7 +8,9 @@ exponential search that silently hangs is worse than one that fails.
 
 The generators build the reduction families used as structured corpora:
 number-partition bundles, min-knapsack menus, terminal-to-sink gadgets, and
-seeded random series-parallel instances.
+seeded random series-parallel instances. ``generate`` picks one by family
+name and returns the instance with its metadata, as `flowdesign gen` writes
+them.
 """
 
 from __future__ import annotations
@@ -400,3 +402,77 @@ def gen_random_sp(seed: int, m: int, r: float = 1.0) -> tuple[Instance, dict]:
     inst = Instance(n=n, arcs=arcs, s=s, t=t, r=float(r), c=c, gamma=gamma, ybar=ybar, B=B)
     meta = {"family": "random-sp", "seed": seed, "m": m, "r": r, "slack": slack}
     return inst, meta
+
+
+def _integers(text: str, what: str) -> list[int]:
+    """The integers in text, separated by commas or spaces."""
+    try:
+        return [int(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        raise ValidationError(f"{what} must be integers separated by commas or spaces, got {text!r}") from None
+
+
+def _from_numbers(family: str, r: float, numbers: str | None) -> tuple[Instance, dict]:
+    """generate for the families read from --numbers: partition and knapsack."""
+    if not numbers:
+        usage = "--numbers MU;P;D" if family == "knapsack" else "--numbers"
+        raise ValidationError(f"--family {family} needs {usage}")
+    if family == "partition":
+        gadget = gen_partition(_integers(numbers, "partition --numbers"), r)
+        meta = {"family": "partition", "numbers": list(gadget.a), "r": r, "threshold": gadget.threshold}
+        return gadget.instance, meta
+    parts = numbers.split(";")
+    if len(parts) != 3:
+        raise ValidationError("knapsack --numbers must be MU;P;D")
+    mu = _integers(parts[0], "knapsack MU")
+    p = _integers(parts[1], "knapsack P")
+    try:
+        d = int(parts[2])
+    except ValueError:
+        raise ValidationError(f"knapsack demand D must be an integer, got {parts[2]!r}") from None
+    if d <= 0:
+        raise ValidationError("knapsack demand must be positive for file output")
+    fixed = gen_min_knapsack(mu, p, d, r)
+    inst = Instance(
+        n=2, arcs=fixed.arcs, s=0, t=1, r=fixed.r, c=(0.0,) * fixed.m,
+        gamma=tuple(float(opts[0][1]) for opts in fixed.options),
+        ybar=tuple(opts[0][0] for opts in fixed.options), B=fixed.B,
+    )
+    return inst, {"family": "knapsack", "mu": mu, "p": p, "D": d, "r": r}
+
+
+def _random_steiner(seed: int, n: int, r: float) -> tuple[Instance, dict]:
+    """generate for steiner: a seeded random tree plus n // 2 chords on n nodes."""
+    rng = random.Random(seed)
+    arcs = [(i, rng.randrange(i)) for i in range(1, n)]
+    for _ in range(n // 2):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            arcs.append((u, v))
+    k = rng.randint(2, min(4, n))
+    terminals = sorted(rng.sample(range(n), k))
+    costs = [rng.randint(1, 10) for _ in arcs]
+    gadget = gen_steiner_gadget(n, arcs, terminals, costs, r)
+    meta = {"family": "steiner", "seed": seed, "n": n, "r": r, "terminals": list(gadget.terminals)}
+    return gadget.instance, meta
+
+
+def generate(family: str, seed: int, size: int, r: float, numbers: str | None) -> tuple[Instance, dict]:
+    """The instance `flowdesign gen` writes for a family, with its metadata.
+
+    partition reads the numbers from ``numbers``, knapsack reads "MU;P;D"
+    (two integer lists and the demand), steiner and random-sp draw from
+    ``seed`` at ``size`` nodes or arcs. Raises ValidationError when
+    ``numbers`` is missing or malformed or a cost or budget leaves the float
+    range, and OddSum for partition numbers with an odd total.
+    """
+    try:
+        if family in ("partition", "knapsack"):
+            return _from_numbers(family, r, numbers)
+        if family == "steiner":
+            return _random_steiner(seed, max(4, size), r)
+        if family == "random-sp":
+            return gen_random_sp(seed, max(1, size), r)
+    except OverflowError:
+        raise ValidationError(f"a {family} cost or budget is beyond the float range") from None
+    raise ValidationError(f"unknown family {family!r}")

@@ -54,6 +54,12 @@ Potentials are read off the final flow along a spanning tree that takes the
 arcs of least |f| first. The potential law is then exact where it is most
 sensitive: a potential error on an arc with a small drop moves the flow it
 implies by a factor |drop|^{1/r - 1}.
+
+``support_resistance`` is the entry point of the `resistance` command and of
+``core.verify`` without a flow witness: it drops uninstalled arcs, contracts
+infinite ones (with ``DisjointSets``, the union-find that also picks the
+potential tree) and returns the energy. Both live here rather than in core,
+so that only the commands that solve for energy compile them.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import DisjointSets, st_block_arcs
+from .core import st_block_arcs
 from .errors import Disconnected, NonConvergence, ValidationError
 
 # Floor of the Newton curvature h relative to max h, which keeps 1/h finite.
@@ -109,6 +115,29 @@ def _check_inputs(n, arcs, y, r, s, t):
         raise ValidationError("flow exponent r must be a finite real >= 1")
     if not (0 <= s < n and 0 <= t < n) or s == t:
         raise ValidationError("terminals must be distinct in-range nodes")
+
+
+class DisjointSets:
+    """Union-find over the nodes 0..n-1, with path compression."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, v: int) -> int:
+        root = v
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[v] != root:
+            self.parent[v], v = root, self.parent[v]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False when they were already one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
 
 
 def _arc_drops(f, y, r):
@@ -405,6 +434,32 @@ def effective_resistance(n, arcs, y, r, s, t, tol: float = 1e-10) -> float:
     except Disconnected:
         return math.inf
     return state.energy
+
+
+def support_resistance(inst, y, tol: float) -> float:
+    """Effective s-t resistance of the arcs of inst that y installs (y_a > 0).
+
+    An arc with infinite y is a short circuit: the ends of such arcs are
+    contracted into one node first, and the result is 0.0 when that joins s
+    and t. Without infinite arcs the nodes keep their numbers.
+    """
+    keep = [a for a, v in enumerate(y) if 0.0 < v < math.inf]
+    arcs = [inst.arcs[a] for a in keep]
+    n, s, t = inst.n, inst.s, inst.t
+    if any(math.isinf(v) for v in y):
+        ds = DisjointSets(n)
+        for a, (u, v) in enumerate(inst.arcs):
+            if math.isinf(y[a]):
+                ds.union(u, v)
+        label = {}
+        for v in range(n):
+            label.setdefault(ds.find(v), len(label))
+        node = [label[ds.find(v)] for v in range(n)]
+        n, s, t = len(label), node[s], node[t]
+        if s == t:
+            return 0.0
+        arcs = [(node[u], node[v]) for u, v in arcs]
+    return effective_resistance(n, arcs, [y[a] for a in keep], inst.r, s, t, tol=min(1e-10, tol))
 
 
 def effective_conductance(n, arcs, y, r, s, t, tol: float = 1e-10) -> float:

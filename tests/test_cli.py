@@ -382,6 +382,29 @@ class TestGen:
         parse_instance(cap.out)
         assert json.loads(cap.err)["seed"] == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "partition", "--numbers", "1,a"], "partition --numbers must be integers"),
+        (["--family", "knapsack", "--numbers", "3,4;1,2;x"], "knapsack demand D must be an integer"),
+        (["--family", "knapsack", "--numbers", "3,a;1,2;4"], "knapsack MU must be integers"),
+        (["--family", "partition", "--numbers", "1,2"], "even sum"),
+        (["--family", "partition", "--numbers", "1" + "0" * 400 + ",2"], "beyond the float range"),
+        (["--family", "steiner", "--r", "1e308"], "beyond the float range"),
+    ])
+    def test_bad_input_is_a_typed_error(self, capsys, argv, message):
+        assert main(["gen", *argv]) == 1
+        cap = capsys.readouterr()
+        assert cap.err.startswith("error: ") and message in cap.err
+        assert "Traceback" not in cap.err
+        assert cap.out == ""
+
+    def test_missing_numbers_messages_are_kept(self, capsys):
+        assert main(["gen", "--family", "knapsack"]) == 1
+        assert capsys.readouterr().err == "error: --family knapsack needs --numbers MU;P;D\n"
+        assert main(["gen", "--family", "partition", "--numbers", ""]) == 1
+        assert capsys.readouterr().err == "error: --family partition needs --numbers\n"
+        assert main(["gen", "--family", "knapsack", "--numbers", "3,4;1,2;0"]) == 1
+        assert capsys.readouterr().err == "error: knapsack demand must be positive for file output\n"
+
 
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path, capsys):
@@ -576,7 +599,9 @@ PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 class TestColdStart:
     """The CLI, path mode and the SP modes run without importing numpy, and
-    no command loads dataclasses, inspect, argparse, gettext or locale."""
+    no command loads dataclasses, inspect, argparse, gettext or locale. Each
+    command loads only its own modules: sptree only for the SP modes and
+    auto's SP check, oracles only for brute and gen."""
 
     def test_cli_import_leaves_numpy_out(self):
         code = (
@@ -602,6 +627,16 @@ class TestColdStart:
         assert "flowdesign.cli" in imported
         assert not imported & {"dataclasses", "inspect"}
         assert not imported & PARSER_MODULES
+
+    def test_cli_import_leaves_sptree_and_oracles_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", "import flowdesign.cli"],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = imports_after_package(proc.stderr)
+        assert "flowdesign.cli" in imported
+        assert not imported & {"flowdesign.sptree", "flowdesign.oracles"}
 
     def test_spdesign_import_leaves_numpy_out(self):
         code = (
@@ -636,6 +671,26 @@ class TestColdStart:
         assert not {name for name in imported if name.split(".")[0] == "numpy"}
         assert not imported & {"dataclasses", "inspect"}
         assert not imported & PARSER_MODULES
+
+    @pytest.mark.parametrize("mode", ["path-exact", "path-fptas", "auto"])
+    def test_path_solve_leaves_sptree_and_oracles_out(self, tmp_path, mode):
+        inst = Instance(
+            n=4, arcs=((0, 1), (1, 3), (0, 2), (2, 3), (1, 2)), s=0, t=3, r=2.0,
+            c=(1.0, 4.0, 3.0, 0.5, 1.0), gamma=(0.0,) * 5, ybar=(math.inf,) * 5, B=1.0,
+        )
+        imported = self.solve_imports(tmp_path, inst, "--mode", mode)
+        assert "flowdesign.pathdesign" in imported
+        assert not imported & {"flowdesign.sptree", "flowdesign.oracles"}
+
+    @pytest.mark.parametrize("mode", ["sp-exact", "sp-fptas", "auto"])
+    def test_sp_solve_loads_sptree_but_not_oracles(self, tmp_path, mode):
+        c = (0.0, 0.0) if mode == "sp-exact" else (1.0, 1.0)
+        inst = Instance(
+            n=3, arcs=((0, 1), (1, 2)), s=0, t=2, r=1.0, c=c, gamma=(1.0, 2.0), ybar=(1.0, 1.0), B=3.0,
+        )
+        imported = self.solve_imports(tmp_path, inst, "--mode", mode, "--eps", "0.5")
+        assert {"flowdesign.spdesign", "flowdesign.sptree"} <= imported
+        assert "flowdesign.oracles" not in imported
 
     def test_sp_exact_solve_leaves_numpy_out(self, tmp_path):
         inst = Instance(
@@ -673,3 +728,4 @@ class TestColdStart:
         imported = imports_after_package(proc.stderr)
         assert {"numpy", "flowdesign.resistance"} <= imported
         assert not imported & PARSER_MODULES
+        assert not imported & {"flowdesign.sptree", "flowdesign.oracles"}

@@ -6,6 +6,7 @@ import pytest
 
 from flowdesign import (
     Disconnected,
+    Instance,
     effective_conductance,
     effective_resistance,
     min_energy_flow,
@@ -176,6 +177,43 @@ def test_self_loop_carries_nothing():
     state = min_energy_flow(2, arcs, (2.0, 5.0), 1.0, 0, 1)
     assert state.f[1] == 0.0
     assert state.energy == pytest.approx(0.5)
+
+
+# --- support_resistance: the installed arcs, with infinite ones contracted ---
+
+def support_instance(n, arcs, r=1.0):
+    m = len(arcs)
+    return Instance(n=n, arcs=tuple(arcs), s=0, t=n - 1, r=r, c=(0.0,) * m, gamma=(0.0,) * m,
+                    ybar=(math.inf,) * m, B=1.0)
+
+
+def test_support_resistance_without_infinite_arcs_contracts_nothing(monkeypatch):
+    """No union-find is built, the nodes keep their numbers and y = 0 arcs
+    are dropped, so the energy solve sees exactly the installed arcs."""
+    inst = support_instance(4, [(0, 1), (1, 3), (0, 2), (2, 3), (1, 2)], r=2.0)
+    y = (1.0, 2.0, 0.0, 3.0, 0.5)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return 1.25
+
+    def no_union_find(n):
+        raise AssertionError("contracted without an infinite arc")
+
+    monkeypatch.setattr(resistance, "effective_resistance", recorded)
+    monkeypatch.setattr(resistance, "DisjointSets", no_union_find)
+    assert resistance.support_resistance(inst, y, 1e-9) == 1.25
+    assert calls == [((4, [(0, 1), (1, 3), (2, 3), (1, 2)], [1.0, 2.0, 3.0, 0.5], 2.0, 0, 3), {"tol": 1e-10})]
+
+
+def test_support_resistance_contracts_infinite_arcs():
+    inst = support_instance(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    # arc 0 shorts s to node 1; the rest is 2 + 1 in series parallel to 1
+    R = resistance.support_resistance(inst, (math.inf, 0.5, 1.0, 1.0), 1e-9)
+    assert R == pytest.approx(1.0 / (1.0 / 3.0 + 1.0))
+    assert resistance.support_resistance(inst, (math.inf, 0.0, 0.0, math.inf), 1e-9) == 0.0
+    assert resistance.support_resistance(inst, (math.inf, 0.0, 0.0, 0.0), 1e-9) == math.inf
 
 
 # --- node-space solver: decorated graphs checked through their KKT residuals ---
