@@ -51,6 +51,18 @@ def check_epsilon(epsilon: float, mode: str = "path-fptas") -> None:
         raise ValidationError(f"epsilon must be in {domain}, got {epsilon}")
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValidationError unless tol is a finite number > 0.
+
+    The domain of the tolerance ``verify`` and the CLI's --tol take. Outside
+    it the checks are void: a NaN tol fails every budget check, a negative
+    one shrinks the budget below B, tol = inf passes any finite resistance,
+    and at tol <= 0 the energy solver's stop test never passes.
+    """
+    if not (0.0 < tol < math.inf):
+        raise ValidationError(f"tol must be a finite number > 0, got {tol}")
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -458,6 +470,7 @@ def verify(inst: Instance, sol: Solution, tol: float = 1e-9, flow=None) -> Verif
     an upper bound on R_eff. A witness that fails proves nothing, so the
     solution is reported infeasible.
     """
+    check_tol(tol)
     if len(sol.x) != inst.m or len(sol.y) != inst.m:
         raise DimensionMismatch(
             f"solution has {len(sol.x)} / {len(sol.y)} entries for {inst.m} arcs"

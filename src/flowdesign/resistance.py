@@ -46,9 +46,12 @@ near-planar graphs, whose levels are much narrower than k, gain the most.
   - The loop stops once max |delta| <= 0.01 tol max(1, |f|), or once the
     energy stalls with max |delta| <= tol max(1, |f|). It raises
     NonConvergence when the step budget runs out, or after 100 stalls with
-    larger steps: the flow then moves below the energy's float resolution,
-    which takes a spread of y^r near 1e18 on most graphs, but far less at
-    r >= 3 on a hub with many spokes, where most flows are small.
+    larger steps. Such stalls were logged on wheels (a hub with spokes to a
+    rim path) at r = 3 and 4 with y^r spreads of 1e4 to 1e8, see ROADMAP
+    item 2: within 10 to 24 steps the decrement delta^T H delta had fallen
+    below 1e-15 times the energy, so the energy had converged, but arcs
+    whose h is floored kept max |delta| above tol, and the stop test never
+    passed.
 
 Potentials are read off the final flow along a spanning tree that takes the
 arcs of least |f| first. The potential law is then exact where it is most
@@ -79,8 +82,9 @@ _H_FLOOR = 1e-15
 # benchmark's grids and random graphs 32 to 128 were within noise of each
 # other, and 16 and 256 slower.
 _BLOCK = 64
-# Steps that fail to lower the energy while still moving the flow by more
-# than tol: past this many the flow sits below the energy's resolution.
+# Steps that fail to lower the energy while max |delta| stays above tol. In
+# the stalls logged so far (ROADMAP item 2) the decrement was already below
+# 1e-15 times the energy, and arcs with a floored h kept max |delta| large.
 _MAX_STALLS = 100
 
 

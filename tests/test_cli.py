@@ -341,6 +341,39 @@ class TestResistance:
         assert cap.out == ""
 
 
+class TestTol:
+    """--tol must be a finite number > 0. Outside that domain nan and -1 would
+    make verify call a feasible design infeasible, inf would pass any finite R,
+    and 0 and -1 stall the r = 2 energy solve (exit 3)."""
+
+    @pytest.fixture(params=[1.0, 2.0], ids=["r1", "r2"])
+    def design(self, request, tmp_path, capsys):
+        inst = str(tmp_path / "inst.json")
+        sol = str(tmp_path / "sol.json")
+        assert main(["gen", "--family", "random-sp", "--seed", "3", "--size", "5",
+                     "--r", repr(request.param), "--out", inst]) == 0
+        assert main(["solve", "--in", inst, "--out", sol]) == 0
+        assert main(["verify", "--in", inst, "--sol", sol]) == 0
+        capsys.readouterr()
+        return inst, sol
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("command", ["verify", "resistance"])
+    def test_outside_domain_exits_1(self, design, command, tol, capsys):
+        inst, sol = design
+        argv = [command, "--in", inst, "--tol", tol] + (["--sol", sol] if command == "verify" else [])
+        assert main(argv) == 1
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith("error: --tol: tol must be a finite number > 0, got ")
+
+    def test_positive_tol_is_accepted(self, design, capsys):
+        inst, sol = design
+        assert main(["verify", "--in", inst, "--sol", sol, "--tol", "1e-6"]) == 0
+        assert main(["resistance", "--in", inst, "--tol", "1e-6"]) == 0
+        capsys.readouterr()
+
+
 class TestGen:
     def test_partition_sidecar(self, tmp_path):
         out = str(tmp_path / "p.json")
@@ -531,6 +564,78 @@ def test_console_script_installed(tmp_path):
     assert proc.returncode == 0
     parse_instance(proc.stdout)
     assert json.loads(proc.stderr)["threshold"] == 24.0
+
+
+class TestProcessEntry:
+    """cli.run, behind python -m flowdesign and the console script, ends the
+    process with the GC frozen; it must still flush every byte main wrote."""
+
+    def files(self, tmp_path, capsys):
+        """An instance, its solution and the solution with y halved."""
+        inst = str(tmp_path / "inst.json")
+        assert main(["gen", "--family", "random-sp", "--seed", "11", "--size", "6", "--out", inst]) == 0
+        sol = str(tmp_path / "sol.json")
+        assert main(["solve", "--in", inst, "--out", sol]) == 0
+        capsys.readouterr()
+        full = read_solution((tmp_path / "sol.json").read_text())
+        half = write_solution(full._replace(y=tuple(v * 0.5 for v in full.y)))
+        return {"inst": inst, "sol": sol, "half": write_file(tmp_path, "half.json", half)}
+
+    @pytest.mark.parametrize("code, argv", [
+        (0, ["solve", "--in", "{inst}", "--eps", "0.5", "--out", "{out}"]),
+        (0, ["resistance", "--in", "{inst}", "--sol", "{sol}"]),
+        (1, ["resistance", "--in", "{inst}", "--tol", "nan"]),
+        (1, ["solve", "--in", "{inst}", "--mode", "bogus"]),
+        (2, ["verify", "--in", "{inst}", "--sol", "{half}"]),
+        (3, ["solve", "--in", "{inst}", "--mode", "path-exact"]),
+    ])
+    def test_subprocess_matches_in_process(self, tmp_path, capsys, code, argv):
+        files = self.files(tmp_path, capsys)
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)  # keep stdout buffered, so the exit must flush it
+        outs = {}
+        for side in ("process", "subprocess"):
+            out = tmp_path / f"out-{side}.json"
+            args = [a.format(out=out, **files) for a in argv]
+            if side == "process":
+                got = (main(args), *(t.encode() for t in capsys.readouterr()))
+            else:
+                proc = subprocess.run([sys.executable, "-m", "flowdesign", *args], env=env,
+                                      capture_output=True, timeout=60)
+                got = (proc.returncode, proc.stdout, proc.stderr)
+            outs[side] = got, (out.read_bytes() if out.exists() else None)
+        assert outs["process"] == outs["subprocess"]
+        assert outs["process"][0][0] == code
+        if "--out" in argv:
+            assert outs["process"][1].endswith(b"}\n")
+
+    def test_main_leaves_gc_state_alone(self, tmp_path, capsys):
+        import gc
+
+        before = (gc.isenabled(), gc.get_freeze_count())
+        inst = str(tmp_path / "inst.json")
+        sol = str(tmp_path / "sol.json")
+        for argv in (
+            ["gen", "--family", "random-sp", "--seed", "11", "--size", "6", "--out", inst],
+            ["solve", "--in", inst, "--out", sol],
+            ["resistance", "--in", inst],
+            ["verify", "--in", inst, "--sol", sol],
+        ):
+            assert main(argv) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == before, argv[0]
+        capsys.readouterr()
+
+    def test_entries_name_run(self):
+        import flowdesign
+
+        pkg = os.path.dirname(os.path.abspath(flowdesign.__file__))
+        with open(os.path.join(pkg, "__main__.py"), encoding="utf-8") as fh:
+            assert fh.read() == "from .cli import run\n\nrun()\n"
+        with open(os.path.join(pkg, "..", "..", "pyproject.toml"), encoding="utf-8") as fh:
+            scripts = fh.read().split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+        assert scripts == 'flowdesign = "flowdesign.cli:run"'
+        with open(cli.__file__, encoding="utf-8") as fh:
+            assert "__main__" not in fh.read()  # no third entry in cli.py
 
 
 class TestGuardsUnderOptimize:

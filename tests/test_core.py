@@ -163,6 +163,16 @@ def test_verify_monotone_in_tol():
     assert verify(inst, sol, tol=1e-9).feasible
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+@pytest.mark.parametrize("flow", [None, (1.0,)])
+def test_verify_rejects_tol_outside_domain(tol, flow):
+    # each of these voids the budget check: nan and -1 fail a feasible
+    # design, inf passes any finite resistance
+    sol = Solution(x=(1,), y=(1.0,), cost=1.0, achievedR=1.0)
+    with pytest.raises(ValidationError, match="tol must be a finite number > 0"):
+        verify(single_arc(), sol, tol=tol, flow=flow)
+
+
 def test_verify_recomputes_cost():
     inst = Instance(
         n=3,
