@@ -15,8 +15,9 @@ import importlib
 _SUBMODULE_EXPORTS = {
     "core": (
         "FixedInstance", "Instance", "Solution", "UNBOUNDED", "VerificationReport",
-        "parse_instance", "read_solution", "verify", "write_instance", "write_solution",
+        "parse_instance", "read_solution", "write_instance", "write_solution",
     ),
+    "certify": ("verify",),
     "errors": (
         "AllVariableCostsZero", "DimensionMismatch", "Disconnected", "Infeasible",
         "NonConvergence", "NotSeriesParallel", "OddSum", "SchemaError", "TooLarge",

@@ -16,11 +16,15 @@ from flowdesign.pathdesign import solve_variable_cost_only, to_solution
 
 
 def child_env():
-    """The environment for a fresh interpreter that imports this flowdesign."""
+    """The environment for a fresh interpreter that imports this flowdesign.
+
+    PYTHONUNBUFFERED is dropped, so the child's stdout is block-buffered as
+    in a user's shell and a run that failed to flush it would lose output."""
     import flowdesign
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(flowdesign.__file__)))
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
 
@@ -568,7 +572,8 @@ def test_console_script_installed(tmp_path):
 
 class TestProcessEntry:
     """cli.run, behind python -m flowdesign and the console script, ends the
-    process with the GC frozen; it must still flush every byte main wrote."""
+    process with os._exit; it must still run the atexit handlers and flush
+    every byte main wrote."""
 
     def files(self, tmp_path, capsys):
         """An instance, its solution and the solution with y halved."""
@@ -588,11 +593,16 @@ class TestProcessEntry:
         (1, ["solve", "--in", "{inst}", "--mode", "bogus"]),
         (2, ["verify", "--in", "{inst}", "--sol", "{half}"]),
         (3, ["solve", "--in", "{inst}", "--mode", "path-exact"]),
+        (0, ["resistance", "--in", "{inst}", "--out", "{out}"]),
+        (1, ["resistance", "--in", "{inst}", "--sol", "{inst}"]),
+        (0, ["verify", "--in", "{inst}", "--sol", "{sol}"]),
+        (0, ["verify", "--in", "{inst}", "--sol", "{sol}", "--out", "{out}"]),
+        (1, ["verify", "--in", "{inst}", "--sol", "{inst}"]),
+        (2, ["verify", "--in", "{inst}", "--sol", "{half}", "--out", "{out}"]),
     ])
     def test_subprocess_matches_in_process(self, tmp_path, capsys, code, argv):
         files = self.files(tmp_path, capsys)
         env = child_env()
-        env.pop("PYTHONUNBUFFERED", None)  # keep stdout buffered, so the exit must flush it
         outs = {}
         for side in ("process", "subprocess"):
             out = tmp_path / f"out-{side}.json"
@@ -608,6 +618,52 @@ class TestProcessEntry:
         assert outs["process"][0][0] == code
         if "--out" in argv:
             assert outs["process"][1].endswith(b"}\n")
+
+    @staticmethod
+    def run_entry(tmp_path, setup, argv, **kwargs):
+        """A fresh interpreter that runs setup, then cli.run on argv."""
+        _, inst = bounded_series(tmp_path, B=3.0)
+        argv = ["flowdesign", *argv, "--in", inst]
+        code = f"import sys\n{setup}\nfrom flowdesign import cli\nsys.argv = {argv!r}\ncli.run()\n"
+        kwargs.setdefault("stdout", subprocess.PIPE)
+        return subprocess.run([sys.executable, "-c", code], env=child_env(), stderr=subprocess.PIPE,
+                              timeout=60, **kwargs)
+
+    def test_atexit_handler_runs_once_after_main(self, tmp_path):
+        proc = self.run_entry(
+            tmp_path, "import atexit\natexit.register(lambda: print('handler ran'))", ["resistance"],
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b'{"R": 2.0}\nhandler ran\n'
+        assert proc.stderr == b""
+
+    @pytest.mark.parametrize("argv", [["solve"], ["resistance"]])
+    def test_stdout_pipe_closed_by_its_reader_exits_120(self, tmp_path, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run_entry(tmp_path, "", argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 120
+        assert b"Exception ignored" in proc.stderr and b"BrokenPipeError" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+    def test_module_teardown_is_skipped(self, tmp_path):
+        # `loud` is held by a module whose dict is in no reference cycle, so
+        # the interpreter's teardown of sys.modules frees it whatever the GC does
+        setup = (
+            "import os, types\n"
+            "class Loud:\n"
+            "    def __del__(self, write=os.write):\n"
+            "        write(2, b'torn down\\n')\n"
+            "sys.modules['loud'] = types.ModuleType('loud')\n"
+            "sys.modules['loud'].loud = Loud()"
+        )
+        proc = self.run_entry(tmp_path, setup, ["resistance"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b'{"R": 2.0}\n'
+        assert proc.stderr == b""
 
     def test_main_leaves_gc_state_alone(self, tmp_path, capsys):
         import gc
@@ -706,7 +762,8 @@ class TestColdStart:
     """The CLI, path mode and the SP modes run without importing numpy, and
     no command loads dataclasses, inspect, argparse, gettext or locale. Each
     command loads only its own modules: sptree only for the SP modes and
-    auto's SP check, oracles only for brute and gen."""
+    auto's SP check, oracles only for brute and gen, and certify only for
+    the calls that check a solution (sp-fptas, auto on SP, verify)."""
 
     def test_cli_import_leaves_numpy_out(self):
         code = (
@@ -741,7 +798,7 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         imported = imports_after_package(proc.stderr)
         assert "flowdesign.cli" in imported
-        assert not imported & {"flowdesign.sptree", "flowdesign.oracles"}
+        assert not imported & {"flowdesign.sptree", "flowdesign.oracles", "flowdesign.certify"}
 
     def test_spdesign_import_leaves_numpy_out(self):
         code = (
@@ -785,7 +842,7 @@ class TestColdStart:
         )
         imported = self.solve_imports(tmp_path, inst, "--mode", mode)
         assert "flowdesign.pathdesign" in imported
-        assert not imported & {"flowdesign.sptree", "flowdesign.oracles"}
+        assert not imported & {"flowdesign.sptree", "flowdesign.oracles", "flowdesign.certify"}
 
     @pytest.mark.parametrize("mode", ["sp-exact", "sp-fptas", "auto"])
     def test_sp_solve_loads_sptree_but_not_oracles(self, tmp_path, mode):
@@ -796,6 +853,8 @@ class TestColdStart:
         imported = self.solve_imports(tmp_path, inst, "--mode", mode, "--eps", "0.5")
         assert {"flowdesign.spdesign", "flowdesign.sptree"} <= imported
         assert "flowdesign.oracles" not in imported
+        # only the FPTAS certifies its answer, so sp-exact never loads the checker
+        assert ("flowdesign.certify" in imported) == (mode != "sp-exact")
 
     def test_sp_exact_solve_leaves_numpy_out(self, tmp_path):
         inst = Instance(
@@ -833,4 +892,19 @@ class TestColdStart:
         imported = imports_after_package(proc.stderr)
         assert {"numpy", "flowdesign.resistance"} <= imported
         assert not imported & PARSER_MODULES
-        assert not imported & {"flowdesign.sptree", "flowdesign.oracles"}
+        assert not imported & {"flowdesign.sptree", "flowdesign.oracles", "flowdesign.certify"}
+
+    def test_verify_loads_certify(self, tmp_path):
+        _, path = bounded_series(tmp_path, B=3.0)
+        sol = write_file(tmp_path, "sol.json", write_solution(Solution(
+            x=(1, 1), y=(1.0, 1.0), cost=3.0, achievedR=2.0,
+        )))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "flowdesign", "verify", "--in", path, "--sol", sol],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["feasible"] is True
+        imported = imports_after_package(proc.stderr)
+        assert {"flowdesign.certify", "flowdesign.resistance"} <= imported
+        assert not imported & {"flowdesign.sptree", "flowdesign.oracles", "flowdesign.spdesign"}

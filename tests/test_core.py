@@ -263,6 +263,20 @@ class TestFlowWitness:
             verify(inst, sol, flow=flow[:-1])
 
 
+@pytest.mark.parametrize("witness", ["none", "unit", "half"])
+def test_verify_entries_agree(witness):
+    """core.verify forwards to certify.verify, which flowdesign.verify names."""
+    import flowdesign
+    from flowdesign import certify, core
+
+    inst, sol, flow = diamond_witness_case(r=2.0)
+    flow = {"none": None, "unit": flow, "half": [f / 2 for f in flow]}[witness]
+    reports = [entry(inst, sol, 1e-9, flow) for entry in (core.verify, flowdesign.verify, certify.verify)]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].feasible == (witness != "half")
+    assert flowdesign.verify is certify.verify
+
+
 def test_write_solution_roundtrip():
     sol = Solution(x=(1,), y=(2.0,), cost=4.0, achievedR=1.0)
     text = write_solution(sol)
