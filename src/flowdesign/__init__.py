@@ -49,42 +49,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllVariableCostsZero",
-    "DimensionMismatch",
-    "Disconnected",
-    "FixedInstance",
-    "Infeasible",
-    "Instance",
-    "NonConvergence",
-    "NotSeriesParallel",
-    "OddSum",
-    "RspInstance",
-    "SchemaError",
-    "Solution",
-    "TooLarge",
-    "UNBOUNDED",
-    "UnsupportedCase",
-    "ValidationError",
-    "VerificationReport",
-    "decompose",
-    "discretize_conductances",
-    "dp_exact",
-    "effective_conductance",
-    "effective_resistance",
-    "min_energy_flow",
-    "parse_instance",
-    "read_solution",
-    "resistance_sp",
-    "rsp_exact",
-    "rsp_fptas",
-    "solve_fixed_conductance_fptas",
-    "solve_fixed_cost_only",
-    "solve_path_fptas",
-    "solve_sp_fptas",
-    "solve_variable_cost_only",
-    "sp_unit_flow",
-    "verify",
-    "write_instance",
-    "write_solution",
-]
+__all__ = sorted(_EXPORTS)

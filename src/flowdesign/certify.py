@@ -106,7 +106,7 @@ def verify(inst: Instance, sol: Solution, tol: float = 1e-9, flow=None) -> Verif
     if flow is None:
         from .resistance import support_resistance
 
-        achieved = support_resistance(inst, sol.y, tol)
+        achieved = support_resistance(inst, sol.y)
     else:
         achieved = _witness_energy(inst, sol, flow, reasons)
     feasible = not reasons and achieved <= inst.B * (1.0 + tol)

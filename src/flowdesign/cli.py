@@ -10,12 +10,9 @@ or conductances whose y^r spread is beyond float resolution, so the energy
 solve does not converge), 4 internal defect (a proven bound broke, or a
 solver's answer failed its own final check).
 
---tol must be a finite number > 0 (``core.check_tol``) in every command;
-any other value exits 1 with ``error: --tol: ...``. resistance passes
-min(1e-10, tol) to the energy solver's stop test. verify counts a design
-feasible when its resistance is at most B (1 + tol), and solves for that
-resistance as resistance does. solve only echoes tol in its ``mode=...
-tol=...`` line on stderr, and gen ignores it.
+Only verify takes --tol: it counts a design feasible when its resistance
+is at most B (1 + tol). tol must be a finite number > 0
+(``core.check_tol``); any other value exits 1 with ``error: --tol: ...``.
 
 ``run`` is the one process entry: ``python -m flowdesign`` and the
 ``flowdesign`` console script both call it. It runs ``main``, then the
@@ -166,7 +163,7 @@ def _cmd_solve(args) -> int:
                else spdesign.solve_sp_fptas(inst, args.eps, sched))
     else:
         sol = _solve_brute(inst)
-    print(f"mode={mode} eps={args.eps} tol={args.tol}", file=sys.stderr)
+    print(f"mode={mode} eps={args.eps}", file=sys.stderr)
     _emit(core.write_solution(sol), args.out)
     return EXIT_OK
 
@@ -180,12 +177,17 @@ def _cmd_resistance(args) -> int:
             raise ValidationError("solution arc count does not match the instance")
     from .resistance import support_resistance
 
-    value = support_resistance(inst, y, args.tol)
+    value = support_resistance(inst, y)
     _emit(json.dumps({"R": _jnum(value)}, sort_keys=True), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    try:
+        core.check_tol(args.tol)
+    except ValidationError as exc:
+        print(f"error: --tol: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     inst = core.parse_instance(_read_text(args.infile))
     sol = core.read_solution(_read_text(args.sol))
     report = core.verify(inst, sol, tol=args.tol)
@@ -211,7 +213,7 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-_COMMON = {"--out": (str, None), "--tol": (float, 1e-9)}
+_COMMON = {"--out": (str, None)}
 _MODES = ("auto", "path-exact", "path-fptas", "sp-exact", "sp-fptas", "brute")
 
 # command: (handler, summary, {option: (converter or choices, default)}),
@@ -224,7 +226,7 @@ _COMMANDS = {
         "--in": (str, ...), **_COMMON, "--sol": (str, None),
     }),
     "verify": (_cmd_verify, "check a solution file against an instance", {
-        "--in": (str, ...), **_COMMON, "--sol": (str, ...),
+        "--in": (str, ...), **_COMMON, "--tol": (float, 1e-9), "--sol": (str, ...),
     }),
     "gen": (_cmd_gen, "generate a corpus instance", {
         **_COMMON, "--family": (("partition", "knapsack", "steiner", "random-sp"), ...),
@@ -305,11 +307,6 @@ def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     if isinstance(args, int):
         return args
-    try:
-        core.check_tol(args.tol)
-    except ValidationError as exc:
-        print(f"error: --tol: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return _COMMANDS[args.command][0](args)
     except (Infeasible, Disconnected) as exc:

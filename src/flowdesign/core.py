@@ -58,10 +58,10 @@ def check_epsilon(epsilon: float, mode: str = "path-fptas") -> None:
 def check_tol(tol: float) -> None:
     """Raise ValidationError unless tol is a finite number > 0.
 
-    The domain of the tolerance ``verify`` and the CLI's --tol take. Outside
-    it the checks are void: a NaN tol fails every budget check, a negative
-    one shrinks the budget below B, tol = inf passes any finite resistance,
-    and at tol <= 0 the energy solver's stop test never passes.
+    The domain of the tolerance ``verify`` and verify's --tol take. Outside
+    it the check is void: a NaN tol fails every budget check, a negative
+    one shrinks the budget below B, and tol = inf passes any finite
+    resistance.
     """
     if not (0.0 < tol < math.inf):
         raise ValidationError(f"tol must be a finite number > 0, got {tol}")

@@ -43,14 +43,14 @@ near-planar graphs, whose levels are much narrower than k, gain the most.
   - Each step backtracks on the energy, then re-projects any conservation
     drift with the fixed L(y^r), reusing the Schur complements and
     couplings its first solve eliminated.
-  - The loop stops once max |delta| <= 0.01 tol max(1, |f|), or once the
-    energy stalls with max |delta| <= tol max(1, |f|). It raises
-    NonConvergence when the step budget runs out, or after 100 stalls with
-    larger steps. Such stalls were logged on wheels (a hub with spokes to a
-    rim path) at r = 3 and 4 with y^r spreads of 1e4 to 1e8, see ROADMAP
-    item 2: within 10 to 24 steps the decrement delta^T H delta had fallen
-    below 1e-15 times the energy, so the energy had converged, but arcs
-    whose h is floored kept max |delta| above tol, and the stop test never
+  - The loop stops once max |delta| <= 1e-12 max(1, |f|), or once the
+    energy stalls with max |delta| <= 1e-10 max(1, |f|). It raises
+    NonConvergence after 1,000,000 steps, or after 100 stalls with larger
+    steps. Such stalls were logged on wheels (a hub with spokes to a rim
+    path) at r = 3 and 4 with y^r spreads of 1e4 to 1e8, see ROADMAP item
+    2: within 10 to 24 steps the decrement delta^T H delta had fallen below
+    1e-15 times the energy, so the energy had converged, but arcs whose h
+    is floored kept max |delta| above 1e-10, and the stop test never
     passed.
 
 Potentials are read off the final flow along a spanning tree that takes the
@@ -82,9 +82,15 @@ _H_FLOOR = 1e-15
 # benchmark's grids and random graphs 32 to 128 were within noise of each
 # other, and 16 and 256 slower.
 _BLOCK = 64
-# Steps that fail to lower the energy while max |delta| stays above tol. In
-# the stalls logged so far (ROADMAP item 2) the decrement was already below
-# 1e-15 times the energy, and arcs with a floored h kept max |delta| large.
+# The Newton stop rule of the module docstring: step and stall limits
+# relative to max(1, |f|), and the step budget.
+_STEP_TOL = 1e-12
+_STALL_TOL = 1e-10
+_MAX_STEPS = 1_000_000
+# Steps that fail to lower the energy while max |delta| stays above
+# _STALL_TOL. In the stalls logged so far (ROADMAP item 2) the decrement was
+# already below 1e-15 times the energy, and arcs with a floored h kept
+# max |delta| large.
 _MAX_STALLS = 100
 
 
@@ -320,7 +326,7 @@ def _solve(L, rhs):
         raise NonConvergence(f"singular block Laplacian: {exc}") from None
 
 
-def _newton(sys_, y, r, tol, max_steps):
+def _newton(sys_, y, r):
     """Minimum-energy unit flow on the block for r > 1 (see module docstring)."""
     c0 = (y / y.max()) ** r  # conductances y^r, rescaled; the flow does not change
     w = 1.0 / c0
@@ -348,10 +354,10 @@ def _newton(sys_, y, r, tol, max_steps):
         delta = (sys_.drop(mu) - rho) / h
         size = float(np.max(np.abs(delta)))
         scale = max(1.0, float(af.max()))
-        if size <= 0.01 * tol * scale:
+        if size <= _STEP_TOL * scale:
             return f
-        if steps >= max_steps:
-            raise NonConvergence(f"energy descent exhausted its budget of {max_steps} Newton steps")
+        if steps >= _MAX_STEPS:
+            raise NonConvergence(f"energy descent exhausted its budget of {_MAX_STEPS} Newton steps")
         steps += 1
 
         # The decrement delta^T H delta, not -g^T delta: the latter is a sum
@@ -367,7 +373,7 @@ def _newton(sys_, y, r, tol, max_steps):
         f = project(trial)
         e, e_old = energy(f), e
         if e >= e_old:
-            if size <= tol * scale:
+            if size <= _STALL_TOL * scale:
                 return f  # the energy stalls at the floating-point floor
             stalls += 1
             if stalls > _MAX_STALLS:
@@ -376,12 +382,12 @@ def _newton(sys_, y, r, tol, max_steps):
                 )
 
 
-def min_energy_flow(n, arcs, y, r, s, t, tol: float = 1e-10, max_line_searches: int = 1_000_000) -> FlowState:
+def min_energy_flow(n, arcs, y, r, s, t) -> FlowState:
     """Minimum-energy unit s-t flow on the supported arcs (y_a > 0).
 
-    max_line_searches bounds the number of Newton steps (r > 1; r = 1 takes
-    none). Raises Disconnected when the support does not connect s to t, and
-    NonConvergence if the step budget runs out first. The potentials hold
+    Raises Disconnected when the support does not connect s to t, and
+    NonConvergence if the Newton steps (r > 1; r = 1 takes none) do not
+    converge (see the module docstring). The potentials hold
     the potential law only to the rounding of max|pi|, which at r = 4 can
     exceed 1e-6 relative on arcs with tiny drops (see FlowState); use
     energy, not pi_s - pi_t, for the resistance.
@@ -399,7 +405,7 @@ def min_energy_flow(n, arcs, y, r, s, t, tol: float = 1e-10, max_line_searches: 
         cond = yb / yb.max()
         fb = cond * sys_.drop(sys_.factor(cond, sys_.rhs)[0])
     else:
-        fb = _newton(sys_, yb, r, tol, max_line_searches)
+        fb = _newton(sys_, yb, r)
 
     f = np.zeros(m)
     f[block] = fb
@@ -431,16 +437,16 @@ def min_energy_flow(n, arcs, y, r, s, t, tol: float = 1e-10, max_line_searches: 
     return FlowState(f=tuple(f.tolist()), pi=tuple(pi), energy=energy)
 
 
-def effective_resistance(n, arcs, y, r, s, t, tol: float = 1e-10) -> float:
+def effective_resistance(n, arcs, y, r, s, t) -> float:
     """The energy of the minimum-energy unit flow; +inf when disconnected."""
     try:
-        state = min_energy_flow(n, arcs, y, r, s, t, tol=tol)
+        state = min_energy_flow(n, arcs, y, r, s, t)
     except Disconnected:
         return math.inf
     return state.energy
 
 
-def support_resistance(inst, y, tol: float) -> float:
+def support_resistance(inst, y) -> float:
     """Effective s-t resistance of the arcs of inst that y installs (y_a > 0).
 
     An arc with infinite y is a short circuit: the ends of such arcs are
@@ -463,14 +469,12 @@ def support_resistance(inst, y, tol: float) -> float:
         if s == t:
             return 0.0
         arcs = [(node[u], node[v]) for u, v in arcs]
-    return effective_resistance(n, arcs, [y[a] for a in keep], inst.r, s, t, tol=min(1e-10, tol))
+    return effective_resistance(n, arcs, [y[a] for a in keep], inst.r, s, t)
 
 
-def effective_conductance(n, arcs, y, r, s, t, tol: float = 1e-10) -> float:
-    """R^(-1/r), with the conventions 0 -> +inf and +inf -> 0."""
-    R = effective_resistance(n, arcs, y, r, s, t, tol=tol)
-    if R == 0.0:
-        return math.inf
-    if math.isinf(R):
-        return 0.0
-    return R ** (-1.0 / r)
+def effective_conductance(n, arcs, y, r, s, t) -> float:
+    """R^(-1/r) by ``sptree.res_to_cond``: 0 -> +inf, +inf -> 0, and the
+    largest finite float past the float range."""
+    from .sptree import res_to_cond  # here, so the resistance command never loads sptree
+
+    return res_to_cond(effective_resistance(n, arcs, y, r, s, t), r)

@@ -9,12 +9,12 @@ candidate pair may have, and still lead to a root point within B.
 ``spdesign._combine`` never forms the pairs over theirs.
 
 Rmin(v) is composed bottom-up from each leaf's least resistance within the
-budget, by the DP's own rules; no point of v's list is below it. The
-bounds then go top-down from ub(root) = B. A series child needs
-R + Rmin(sibling) <= ub(parent). At a parallel parent, kappa is the
-largest pair key with ``parallel_res(-kappa, -kappa)`` <= ub(parent), and
-a child needs key(R) + key(Rmin(sibling)) <= kappa, where key(R) is minus
-half the conductance: its conductance must make up
+budget, by the DP's own rules (``sptree.node_resistances``); no point of
+v's list is below it. The bounds then go top-down from ub(root) = B. A
+series child needs R + Rmin(sibling) <= ub(parent). At a parallel parent,
+kappa is the largest pair key with ``parallel_res(-kappa, -kappa)`` <=
+ub(parent), and a child needs key(R) + key(Rmin(sibling)) <= kappa, where
+key(R) is minus half the conductance: its conductance must make up
 C(ub(parent)) - Cmax(sibling), and it is unbounded when that is <= 0.
 
 Each bound is the exact float boundary of its test, found by
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import struct
 
-from .sptree import SPSchedule, cond_to_res, parallel_res, res_to_cond
+from .sptree import SPSchedule, cond_to_res, half_key, node_resistances, parallel_res
 
 _F64 = struct.Struct("<d")
 _I64 = struct.Struct("<q")
@@ -94,12 +94,6 @@ def _last_within(f, T: float, hint: float, lo: float, hi: float) -> float:
     return _unrank(good)
 
 
-def half_key(R: float, r: float) -> float:
-    """A parallel child's key in ``spdesign._combine``: minus its half
-    conductance."""
-    return -res_to_cond(R, r) / 2
-
-
 def bounds(sched: SPSchedule, leaf_rmin, r: float, B: float):
     """(res_ub, key_ub) per schedule node: the largest resistance of a list
     point, and (at steps) the largest key of a candidate pair, that can
@@ -107,13 +101,7 @@ def bounds(sched: SPSchedule, leaf_rmin, r: float, B: float):
     resistance within the budget. With B = inf every bound is the largest
     value of its kind, inf or the key 0.0, and nothing is cut."""
     m = sched.m
-    rmin = list(leaf_rmin)
-    for parallel, a, b in sched.steps:
-        if parallel:
-            key = half_key(rmin[a], r) + half_key(rmin[b], r)
-            rmin.append(parallel_res(-key, -key, r))
-        else:
-            rmin.append(rmin[a] + rmin[b])
+    rmin = node_resistances(sched, leaf_rmin, r)
     res_ub = [math.inf] * len(rmin)
     key_ub = [math.inf] * len(rmin)
     res_ub[-1] = B

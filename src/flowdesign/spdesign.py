@@ -41,12 +41,13 @@ from .errors import (
     ValidationError,
     VerificationFailed,
 )
-from .spbounds import bounds, cut, half_key
+from .spbounds import bounds, cut
 from .sptree import (
     SPSchedule,
     arc_directions,
     cond_to_res,
     decompose,
+    half_key,
     parallel_res,
     resistance_sp,
     sp_unit_flow,

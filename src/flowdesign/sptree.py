@@ -151,15 +151,29 @@ def parallel_res(ca: float, cb: float, r: float) -> float:
     return cond_to_res(c, r)
 
 
-def resistance_sp(sched: SPSchedule, y, r: float) -> float:
-    """Effective s-t resistance by composition over the schedule."""
-    vals = [cond_to_res(y[a], r) for a in range(sched.m)]
+def half_key(R: float, r: float) -> float:
+    """A parallel child's key in ``spdesign._combine``: minus its half
+    conductance."""
+    return -res_to_cond(R, r) / 2
+
+
+def node_resistances(sched: SPSchedule, leaf_res, r: float) -> list[float]:
+    """Every schedule node's resistance, composed from the leaves' by the
+    DP's own rules: a parallel join sums its children's half keys and takes
+    ``parallel_res`` of the negated sum twice."""
+    vals = list(leaf_res)
     for parallel, a, b in sched.steps:
         if parallel:
-            vals.append(parallel_res(res_to_cond(vals[a], r), res_to_cond(vals[b], r), r))
+            key = half_key(vals[a], r) + half_key(vals[b], r)
+            vals.append(parallel_res(-key, -key, r))
         else:
             vals.append(vals[a] + vals[b])
-    return vals[-1]
+    return vals
+
+
+def resistance_sp(sched: SPSchedule, y, r: float) -> float:
+    """Effective s-t resistance by composition over the schedule."""
+    return node_resistances(sched, [cond_to_res(y[a], r) for a in range(sched.m)], r)[-1]
 
 
 def _split(flow: float, ca: float, cb: float) -> tuple[float, float]:

@@ -346,9 +346,10 @@ class TestResistance:
 
 
 class TestTol:
-    """--tol must be a finite number > 0. Outside that domain nan and -1 would
-    make verify call a feasible design infeasible, inf would pass any finite R,
-    and 0 and -1 stall the r = 2 energy solve (exit 3)."""
+    """Only verify takes --tol, and it must be a finite number > 0. Outside
+    that domain nan and -1 would make verify call a feasible design
+    infeasible, and inf would pass any finite R. resistance refuses --tol at
+    any value."""
 
     @pytest.fixture(params=[1.0, 2.0], ids=["r1", "r2"])
     def design(self, request, tmp_path, capsys):
@@ -369,12 +370,14 @@ class TestTol:
         assert main(argv) == 1
         cap = capsys.readouterr()
         assert cap.out == ""
-        assert cap.err.startswith("error: --tol: tol must be a finite number > 0, got ")
+        if command == "verify":
+            assert cap.err.startswith("error: --tol: tol must be a finite number > 0, got ")
+        else:
+            assert cap.err.endswith("\nflowdesign: error: unrecognized argument '--tol'\n")
 
     def test_positive_tol_is_accepted(self, design, capsys):
         inst, sol = design
         assert main(["verify", "--in", inst, "--sol", sol, "--tol", "1e-6"]) == 0
-        assert main(["resistance", "--in", inst, "--tol", "1e-6"]) == 0
         capsys.readouterr()
 
 
@@ -473,9 +476,10 @@ class TestParserEdges:
 
     def test_defaults_and_attribute_names(self):
         args = cli._parse_args(["solve", "--in", "inst.json"])
-        assert (args.command, args.infile, args.out, args.tol, args.mode, args.eps) == (
-            "solve", "inst.json", None, 1e-9, "auto", 0.25,
+        assert (args.command, args.infile, args.out, args.mode, args.eps) == (
+            "solve", "inst.json", None, "auto", 0.25,
         )
+        assert cli._parse_args(["verify", "--in", "i", "--sol", "s"]).tol == 1e-9
         args = cli._parse_args(["gen", "--family", "steiner", "--seed", "7", "--r", "2"])
         assert (args.family, args.seed, args.r, args.numbers, args.size) == ("steiner", 7, 2.0, None, 6)
         assert not hasattr(args, "infile")
@@ -487,7 +491,7 @@ class TestParserEdges:
         assert main(["solve", "--in", path, "--mode", "sp-fptas", "--eps", "0.5"]) == 0
         spaced = capsys.readouterr()
         assert joined.out == spaced.out and read_solution(joined.out).cost > 0.0
-        assert "mode=sp-fptas eps=0.5 tol=1e-09" in joined.err
+        assert "mode=sp-fptas eps=0.5\n" in joined.err
 
     def test_last_repeat_wins(self):
         assert cli._parse_args(["solve", "--in", "a", "--eps", "0.1", "--eps=0.3"]).eps == 0.3
@@ -510,6 +514,8 @@ class TestParserEdges:
         (["resistance", "--sol", "y"], "the following options are required: --in"),
         (["verify", "--in", "x"], "the following options are required: --sol"),
         (["gen", "--seed", "1"], "the following options are required: --family"),
+        (["solve", "--in", "x", "--tol", "1e-9"], "unrecognized argument '--tol'"),
+        (["gen", "--family", "steiner", "--tol", "1e-9"], "unrecognized argument '--tol'"),
     ])
     def test_usage_error_exits_1_with_usage_on_stderr(self, capsys, argv, message):
         assert main(argv) == 1
@@ -524,7 +530,7 @@ class TestParserEdges:
         [flag, *rest] for flag in ("-h", "--help") for rest in ([], ["solve"])
     ] + [
         [name, *rest, flag] for name in ("solve", "resistance", "verify", "gen")
-        for flag in ("-h", "--help") for rest in ([], ["--tol", "1"])
+        for flag in ("-h", "--help") for rest in ([], ["--out", "1"])
     ])
     def test_help_exits_0_with_usage_on_stdout(self, capsys, argv):
         assert main(argv) == 0
@@ -546,6 +552,30 @@ class TestParserEdges:
                 assert (f"{opt} {meta}" in own) and ((f"[{opt} {meta}]" in own) == (default is not ...))
                 if default not in (None, ...):
                     assert f"{opt} {default}" in own
+
+    def test_every_command_reads_every_option(self, tmp_path):
+        # An option its handler never reads parses and shows in the help but
+        # changes nothing.
+        class Reads:
+            def __init__(self, args):
+                self.args, self.names = args, set()
+
+            def __getattr__(self, name):
+                self.names.add(name)
+                return getattr(self.args, name)
+
+        _, inst = bounded_series(tmp_path, B=3.0)
+        sol = str(tmp_path / "sol.json")
+        assert main(["solve", "--in", inst, "--out", sol]) == 0
+        argvs = {
+            "solve": ["--in", inst], "resistance": ["--in", inst],
+            "verify": ["--in", inst, "--sol", sol], "gen": ["--family", "partition", "--numbers", "1,1,2"],
+        }
+        assert set(argvs) == set(cli._COMMANDS)
+        for name, (handler, _, opts) in cli._COMMANDS.items():
+            args = Reads(cli._parse_args([name, *argvs[name]]))
+            assert handler(args) == 0
+            assert {"infile" if opt == "--in" else opt[2:] for opt in opts} <= args.names, name
 
     def test_readme_shows_the_generated_help(self, capsys):
         readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")

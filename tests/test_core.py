@@ -348,3 +348,13 @@ class TestRoundTripProperties:
             achievedR=data.draw(self.pos),
         )
         assert read_solution(write_solution(sol)) == sol
+
+
+def test_every_exported_name_is_its_submodule_object():
+    import importlib
+
+    import flowdesign
+
+    for module, names in flowdesign._SUBMODULE_EXPORTS.items():
+        for name in names:
+            assert getattr(flowdesign, name) is getattr(importlib.import_module(f"flowdesign.{module}"), name)
