@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import namedtuple
+from itertools import chain, filterfalse
 
 from .errors import SchemaError, ValidationError
 
@@ -67,12 +69,34 @@ def check_tol(tol: float) -> None:
         raise ValidationError(f"tol must be a finite number > 0, got {tol}")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+_NUMBER_TYPES = {int, float}  # what JSON numbers parse to; bool is neither
 
 
-def _is_real(v) -> bool:
-    return (isinstance(v, float) or _is_int(v)) and math.isfinite(v)
+def _finite_floats(values, message: str) -> tuple[float, ...]:
+    """values as floats, when values is a list of ints and floats (no bools)
+    within the float range; SchemaError(message) otherwise. Each check is one
+    pass in C: the types, the conversion (an int past the float range raises
+    OverflowError) and finiteness (a literal such as 1e400 parses to inf)."""
+    if type(values) is not list or not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise SchemaError(message)
+    try:
+        floats = tuple(map(float, values))
+    except OverflowError:
+        raise SchemaError(message) from None
+    if not all(map(math.isfinite, floats)):
+        raise SchemaError(message)
+    return floats
+
+
+def _finite_or_inf(values, message: str) -> tuple[float, ...]:
+    """values as floats, when each is a finite number or the string "inf"
+    (read as math.inf); SchemaError(message) otherwise."""
+    _finite_floats([*filterfalse(("inf",).__contains__, values)], message)
+    return tuple(map(float, values))
+
+
+def _finite(value, message: str) -> float:
+    return _finite_floats([value], message)[0]
 
 
 def _check_network(inst) -> None:
@@ -85,9 +109,11 @@ def _check_network(inst) -> None:
         raise ValidationError("s and t must differ")
     if not (inst.r >= 1.0) or not math.isfinite(inst.r):
         raise ValidationError("flow exponent r must be a finite real >= 1")
-    for u, v in inst.arcs:
-        if not (0 <= u < inst.n and 0 <= v < inst.n):
-            raise ValidationError("arc endpoint out of range")
+    if not {2}.issuperset(map(len, inst.arcs)):
+        raise ValidationError("each arc must be a (tail, head) pair")
+    ends = [*chain.from_iterable(inst.arcs)]
+    if ends and not (0 <= min(ends) and max(ends) < inst.n):
+        raise ValidationError("arc endpoint out of range")
     if not (inst.B > 0.0):
         raise ValidationError("budget B must be > 0")
 
@@ -115,13 +141,13 @@ class Instance(namedtuple("Instance", "n arcs s t r c gamma ybar B")):
         for name, values in (("c", c), ("gamma", gamma), ("ybar", ybar)):
             if len(values) != m:
                 raise ValidationError(f"{name} must have one entry per arc")
-        for a in range(m):
-            if not (c[a] >= 0.0) or not math.isfinite(c[a]):
-                raise ValidationError("variable costs must be finite and >= 0")
-            if not (gamma[a] >= 0.0) or not math.isfinite(gamma[a]):
-                raise ValidationError("fixed costs must be finite and >= 0")
-            if not (ybar[a] > 0.0):
-                raise ValidationError("conductance bounds must be > 0")
+        # isfinite rules out NaN first, which min would otherwise skip
+        if not (all(map(math.isfinite, c)) and min(c, default=0.0) >= 0.0):
+            raise ValidationError("variable costs must be finite and >= 0")
+        if not (all(map(math.isfinite, gamma)) and min(gamma, default=0.0) >= 0.0):
+            raise ValidationError("fixed costs must be finite and >= 0")
+        if any(map(math.isnan, ybar)) or not (min(ybar, default=1.0) > 0.0):
+            raise ValidationError("conductance bounds must be > 0")
         return self
 
     @classmethod
@@ -168,12 +194,12 @@ class FixedInstance(namedtuple("FixedInstance", "n arcs s t r B options")):
         _check_network(self)
         if len(options) != len(arcs):
             raise ValidationError("options must have one entry per arc")
-        for opts in options:
-            for mu, p in opts:
-                if not (mu > 0.0) or not math.isfinite(mu):
-                    raise ValidationError("option conductances must be finite and > 0")
-                if not (p >= 0.0) or not math.isfinite(p):
-                    raise ValidationError("option prices must be finite and >= 0")
+        pairs = [*chain.from_iterable(options)]
+        mus, prices = zip(*pairs) if pairs else ((), ())
+        if not (all(map(math.isfinite, mus)) and min(mus, default=1.0) > 0.0):
+            raise ValidationError("option conductances must be finite and > 0")
+        if not (all(map(math.isfinite, prices)) and min(prices, default=0.0) >= 0.0):
+            raise ValidationError("option prices must be finite and >= 0")
         return self
 
     @classmethod
@@ -227,57 +253,33 @@ def parse_instance(text: str) -> Instance:
     _require_fields(doc, _INSTANCE_REQUIRED, _INSTANCE_OPTIONAL, "instance")
 
     n = doc["n"]
-    if not _is_int(n):
+    if type(n) is not int:
         raise SchemaError("n must be an integer")
+    if n > sys.maxsize:
+        raise SchemaError(f"n must be at most {sys.maxsize}")
     raw_arcs = doc["arcs"]
-    if not isinstance(raw_arcs, list):
+    if type(raw_arcs) is not list:
         raise SchemaError("arcs must be a list")
-    arcs = []
-    for ent in raw_arcs:
-        if not isinstance(ent, list) or len(ent) != 2 or not all(_is_int(e) for e in ent):
-            raise SchemaError("each arc must be a [tail, head] pair of integers")
-        arcs.append((ent[0], ent[1]))
+    if not ({list}.issuperset(map(type, raw_arcs)) and {2}.issuperset(map(len, raw_arcs))
+            and {int}.issuperset(map(type, chain.from_iterable(raw_arcs)))):
+        raise SchemaError("each arc must be a [tail, head] pair of integers")
     for key in ("s", "t"):
-        if not _is_int(doc[key]):
+        if type(doc[key]) is not int:
             raise SchemaError(f"{key} must be an integer")
-    for key in ("r", "B"):
-        if not _is_real(doc[key]):
-            raise SchemaError(f"{key} must be a finite number")
-
-    def number_list(key):
-        val = doc[key]
-        if not isinstance(val, list) or not all(_is_real(v) for v in val):
-            raise SchemaError(f"{key} must be a list of finite numbers")
-        return tuple(float(v) for v in val)
-
-    c = number_list("c")
-    gamma = number_list("gamma")
+    r = _finite(doc["r"], "r must be a finite number")
+    B = _finite(doc["B"], "B must be a finite number")
+    c = _finite_floats(doc["c"], "c must be a list of finite numbers")
+    gamma = _finite_floats(doc["gamma"], "gamma must be a list of finite numbers")
     if "ybar" in doc:
-        raw = doc["ybar"]
-        if not isinstance(raw, list):
+        if type(doc["ybar"]) is not list:
             raise SchemaError("ybar must be a list")
-        ybar = []
-        for v in raw:
-            if v == "inf":
-                ybar.append(math.inf)
-            elif _is_real(v):
-                ybar.append(float(v))
-            else:
-                raise SchemaError('ybar entries must be numbers or "inf"')
-        ybar = tuple(ybar)
+        ybar = _finite_or_inf(doc["ybar"], 'ybar entries must be numbers or "inf"')
     else:
-        ybar = (math.inf,) * len(arcs)
+        ybar = (math.inf,) * len(raw_arcs)
 
     return Instance(
-        n=n,
-        arcs=tuple(arcs),
-        s=doc["s"],
-        t=doc["t"],
-        r=float(doc["r"]),
-        c=c,
-        gamma=gamma,
-        ybar=ybar,
-        B=float(doc["B"]),
+        n=n, arcs=tuple(map(tuple, raw_arcs)), s=doc["s"], t=doc["t"], r=r,
+        c=c, gamma=gamma, ybar=ybar, B=B,
     )
 
 
@@ -304,29 +306,14 @@ def read_solution(text: str) -> Solution:
     doc = _loads(text)
     _require_fields(doc, _SOLUTION_FIELDS, (), "solution")
     raw_x = doc["x"]
-    if not isinstance(raw_x, list) or not all(_is_int(v) and v in (0, 1) for v in raw_x):
+    if not (type(raw_x) is list and {int}.issuperset(map(type, raw_x)) and {0, 1}.issuperset(raw_x)):
         raise SchemaError("x must be a list of 0/1 integers")
-    raw_y = doc["y"]
-    if not isinstance(raw_y, list):
+    if type(doc["y"]) is not list:
         raise SchemaError("y must be a list")
-    y = []
-    for v in raw_y:
-        if v == "inf":
-            y.append(math.inf)
-        elif _is_real(v):
-            y.append(float(v))
-        else:
-            raise SchemaError('y entries must be numbers or "inf"')
-    if not _is_real(doc["cost"]):
-        raise SchemaError("cost must be a finite number")
-    ar = doc["achievedR"]
-    if ar == "inf":
-        ar = math.inf
-    elif _is_real(ar):
-        ar = float(ar)
-    else:
-        raise SchemaError('achievedR must be a number or "inf"')
-    return Solution(x=tuple(raw_x), y=tuple(y), cost=float(doc["cost"]), achievedR=ar)
+    y = _finite_or_inf(doc["y"], 'y entries must be numbers or "inf"')
+    cost = _finite(doc["cost"], "cost must be a finite number")
+    ar = _finite_or_inf([doc["achievedR"]], 'achievedR must be a number or "inf"')[0]
+    return Solution(x=tuple(raw_x), y=y, cost=cost, achievedR=ar)
 
 
 def write_solution(sol: Solution) -> str:

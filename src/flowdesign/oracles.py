@@ -43,24 +43,22 @@ def simple_paths(n, arcs, s, t):
 
     Arcs may be walked in either direction.
     """
-    adj = adjacency(n, arcs)
-    path = []
-    visited = {s}
+    yield from _walk(adjacency(n, arcs), s, t, [], {s})
 
-    def walk(v):
-        if v == t:
-            yield tuple(path)
-            return
-        for a, w in adj[v]:
-            if w in visited:
-                continue
-            visited.add(w)
-            path.append(a)
-            yield from walk(w)
-            path.pop()
-            visited.remove(w)
 
-    yield from walk(s)
+def _walk(adj, v, t, path, visited):
+    """simple_paths from v on: the paths that extend path (its nodes visited) to t."""
+    if v == t:
+        yield tuple(path)
+        return
+    for a, w in adj[v]:
+        if w in visited:
+            continue
+        visited.add(w)
+        path.append(a)
+        yield from _walk(adj, w, t, path, visited)
+        path.pop()
+        visited.remove(w)
 
 
 def brute_paths_unbounded(inst: Instance) -> Solution:
@@ -362,31 +360,33 @@ def random_sp_structure(rng: random.Random, m: int):
     """
     if m < 1:
         raise ValidationError("need at least one arc")
-
-    def build(k):
-        if k == 1:
-            return "leaf"
-        split = rng.randint(1, k - 1)
-        kind = rng.choice(("series", "parallel"))
-        return (kind, build(split), build(k - split))
-
-    shape = build(m)
     arcs = []
-
-    def realize(node, s, t, fresh):
-        if node == "leaf":
-            arcs.append((s, t) if rng.random() < 0.5 else (t, s))
-            return fresh
-        kind, left, right = node
-        if kind == "series":
-            mid = fresh
-            fresh = realize(left, s, mid, fresh + 1)
-            return realize(right, mid, t, fresh)
-        fresh = realize(left, s, t, fresh)
-        return realize(right, s, t, fresh)
-
-    n = realize(shape, 0, 1, 2)
+    n = _realize(rng, _build(rng, m), 0, 1, 2, arcs)
     return n, tuple(arcs), 0, 1
+
+
+def _build(rng: random.Random, k: int):
+    """A random SP shape with k leaves: "leaf" or (kind, left, right)."""
+    if k == 1:
+        return "leaf"
+    split = rng.randint(1, k - 1)
+    kind = rng.choice(("series", "parallel"))
+    return (kind, _build(rng, split), _build(rng, k - split))
+
+
+def _realize(rng: random.Random, node, s: int, t: int, fresh: int, arcs: list) -> int:
+    """Append node's arcs between s and t, numbering new nodes from fresh;
+    return the next unused node."""
+    if node == "leaf":
+        arcs.append((s, t) if rng.random() < 0.5 else (t, s))
+        return fresh
+    kind, left, right = node
+    if kind == "series":
+        mid = fresh
+        fresh = _realize(rng, left, s, mid, fresh + 1, arcs)
+        return _realize(rng, right, mid, t, fresh, arcs)
+    fresh = _realize(rng, left, s, t, fresh, arcs)
+    return _realize(rng, right, s, t, fresh, arcs)
 
 
 def gen_random_sp(seed: int, m: int, r: float = 1.0) -> tuple[Instance, dict]:

@@ -116,11 +116,10 @@ class FlowState(namedtuple("FlowState", "f pi energy")):
 def _check_inputs(n, arcs, y, r, s, t):
     if len(y) != len(arcs):
         raise ValidationError("y must have one entry per arc")
-    for v in y:
-        if math.isnan(v) or v < 0.0:
-            raise ValidationError("conductances must be >= 0")
-        if math.isinf(v):
-            raise ValidationError("contract infinite conductances before solving")
+    if any(map(math.isnan, y)) or min(y, default=0.0) < 0.0:
+        raise ValidationError("conductances must be >= 0")
+    if not all(map(math.isfinite, y)):
+        raise ValidationError("contract infinite conductances before solving")
     if not (r >= 1.0) or not math.isfinite(r):
         raise ValidationError("flow exponent r must be a finite real >= 1")
     if not (0 <= s < n and 0 <= t < n) or s == t:

@@ -51,6 +51,18 @@ def bounded_series(tmp_path, B):
     return inst, write_file(tmp_path, "inst.json", write_instance(inst))
 
 
+def solved_sp_files(tmp_path, capsys):
+    """An SP instance, its solution and the solution with y halved."""
+    inst = str(tmp_path / "inst.json")
+    assert main(["gen", "--family", "random-sp", "--seed", "11", "--size", "6", "--out", inst]) == 0
+    sol = str(tmp_path / "sol.json")
+    assert main(["solve", "--in", inst, "--out", sol]) == 0
+    capsys.readouterr()
+    full = read_solution((tmp_path / "sol.json").read_text())
+    half = write_solution(full._replace(y=tuple(v * 0.5 for v in full.y)))
+    return {"inst": inst, "sol": sol, "half": write_file(tmp_path, "half.json", half)}
+
+
 class TestSolve:
     def test_auto_mode_on_free_install_costs(self, tmp_path, capsys):
         inst, path = diamond_unbounded(tmp_path)
@@ -590,6 +602,55 @@ class TestParserEdges:
         assert capsys.readouterr().out.startswith("usage: flowdesign verify ")
 
 
+class TestOutOfRangeNumbers:
+    """A JSON integer past the float range (or n past the index range) is a
+    schema error: exit 1 with an error line, never a traceback."""
+
+    BIG = "1" + "0" * 400
+    INSTANCE = {"n": 3, "arcs": [[0, 1], [1, 2]], "s": 0, "t": 2, "r": 1, "c": [1, 1],
+                "gamma": [0.5, 0.5], "ybar": [1, 1], "B": 3}
+    SOLUTION = {"x": [1, 1], "y": [1, 1], "cost": 3, "achievedR": 2}
+
+    @classmethod
+    def with_big(cls, doc, key):
+        doc = json.loads(json.dumps(doc))
+        if isinstance(doc[key], list):
+            doc[key][-1] = "BIG"
+        else:
+            doc[key] = "BIG"
+        return json.dumps(doc).replace('"BIG"', cls.BIG)
+
+    @pytest.mark.parametrize("command", ["solve", "resistance"])
+    @pytest.mark.parametrize("key, message", [
+        ("n", f"n must be at most {sys.maxsize}"),
+        ("r", "r must be a finite number"),
+        ("B", "B must be a finite number"),
+        ("c", "c must be a list of finite numbers"),
+        ("gamma", "gamma must be a list of finite numbers"),
+        ("ybar", 'ybar entries must be numbers or "inf"'),
+    ])
+    def test_instance_field(self, tmp_path, capsys, command, key, message):
+        inst = write_file(tmp_path, "inst.json", self.with_big(self.INSTANCE, key))
+        assert main([command, "--in", inst]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["verify", "resistance"])
+    @pytest.mark.parametrize("key, message", [
+        ("y", 'y entries must be numbers or "inf"'),
+        ("cost", "cost must be a finite number"),
+        ("achievedR", 'achievedR must be a number or "inf"'),
+    ])
+    def test_solution_field(self, tmp_path, capsys, command, key, message):
+        inst = write_file(tmp_path, "inst.json", json.dumps(self.INSTANCE))
+        sol = write_file(tmp_path, "sol.json", self.with_big(self.SOLUTION, key))
+        assert main([command, "--in", inst, "--sol", sol]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_largest_index_sized_n_is_read(self):
+        doc = dict(self.INSTANCE, n=sys.maxsize)
+        assert parse_instance(json.dumps(doc)).n == sys.maxsize
+
+
 def test_console_script_installed(tmp_path):
     proc = subprocess.run(
         ["flowdesign", "gen", "--family", "partition", "--numbers", "1,1,2"],
@@ -604,17 +665,6 @@ class TestProcessEntry:
     """cli.run, behind python -m flowdesign and the console script, ends the
     process with os._exit; it must still run the atexit handlers and flush
     every byte main wrote."""
-
-    def files(self, tmp_path, capsys):
-        """An instance, its solution and the solution with y halved."""
-        inst = str(tmp_path / "inst.json")
-        assert main(["gen", "--family", "random-sp", "--seed", "11", "--size", "6", "--out", inst]) == 0
-        sol = str(tmp_path / "sol.json")
-        assert main(["solve", "--in", inst, "--out", sol]) == 0
-        capsys.readouterr()
-        full = read_solution((tmp_path / "sol.json").read_text())
-        half = write_solution(full._replace(y=tuple(v * 0.5 for v in full.y)))
-        return {"inst": inst, "sol": sol, "half": write_file(tmp_path, "half.json", half)}
 
     @pytest.mark.parametrize("code, argv", [
         (0, ["solve", "--in", "{inst}", "--eps", "0.5", "--out", "{out}"]),
@@ -631,7 +681,7 @@ class TestProcessEntry:
         (2, ["verify", "--in", "{inst}", "--sol", "{half}", "--out", "{out}"]),
     ])
     def test_subprocess_matches_in_process(self, tmp_path, capsys, code, argv):
-        files = self.files(tmp_path, capsys)
+        files = solved_sp_files(tmp_path, capsys)
         env = child_env()
         outs = {}
         for side in ("process", "subprocess"):
@@ -695,6 +745,21 @@ class TestProcessEntry:
         assert proc.stdout == b'{"R": 2.0}\n'
         assert proc.stderr == b""
 
+    def test_main_runs_with_the_collector_off(self, tmp_path):
+        _, inst = bounded_series(tmp_path, B=3.0)
+        code = (
+            "import gc, runpy, sys\n"
+            "from flowdesign import cli\n"
+            "main = cli.main\n"
+            "print('before run:', gc.isenabled())\n"
+            "cli.main = lambda: (print('in main:', gc.isenabled()), main())[1]\n"
+            f"sys.argv = ['flowdesign', 'resistance', '--in', {inst!r}]\n"
+            "runpy.run_module('flowdesign', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b'before run: True\nin main: False\n{"R": 2.0}\n'
+
     def test_main_leaves_gc_state_alone(self, tmp_path, capsys):
         import gc
 
@@ -722,6 +787,68 @@ class TestProcessEntry:
         assert scripts == 'flowdesign = "flowdesign.cli:run"'
         with open(cli.__file__, encoding="utf-8") as fh:
             assert "__main__" not in fh.read()  # no third entry in cli.py
+
+
+class TestNoCyclicGarbage:
+    """cli.run turns the cyclic collector off for the whole call, which
+    leaves no garbage behind only while no command makes reference cycles:
+    with the collector off, a collection right after main must find nothing.
+    The first call of each command imports its modules, whose one-off
+    garbage the check leaves out."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        files = solved_sp_files(tmp_path, capsys)
+        paths = Instance(
+            n=4, arcs=((0, 1), (1, 3), (0, 2), (2, 3), (1, 2)), s=0, t=3, r=1.0,
+            c=(1.0, 2.0, 3.0, 1.0, 1.0), gamma=(1.0, 1.0, 2.0, 2.0, 0.5), ybar=(math.inf,) * 5, B=1.0,
+        )
+        files["paths"] = write_file(tmp_path, "paths.json", write_instance(paths))
+        fixed = Instance(
+            n=3, arcs=((0, 1), (1, 2), (0, 2)), s=0, t=2, r=1.0,
+            c=(0.0, 0.0, 0.0), gamma=(1.0, 2.0, 3.0), ybar=(1.0, 1.0, 1.0), B=1.0,
+        )
+        files["fixed"] = write_file(tmp_path, "fixed.json", write_instance(fixed))
+        for name, make in (("diamond", diamond_unbounded), ("tight", lambda d: bounded_series(d, B=0.5))):
+            (tmp_path / name).mkdir()
+            files[name] = make(tmp_path / name)[1]
+        files["out"] = str(tmp_path / "out.json")
+        return files
+
+    @pytest.mark.parametrize("code, argv", [
+        *[(0, ["solve", "--in", "{inst}", "--mode", mode]) for mode in ("auto", "sp-fptas", "brute")],
+        (0, ["solve", "--in", "{fixed}", "--mode", "sp-exact"]),
+        *[(0, ["solve", "--in", "{paths}", "--mode", mode]) for mode in ("auto", "path-fptas", "brute")],
+        (0, ["solve", "--in", "{diamond}", "--mode", "path-exact"]),
+        (0, ["resistance", "--in", "{inst}"]),
+        (0, ["resistance", "--in", "{inst}", "--sol", "{sol}"]),
+        (0, ["verify", "--in", "{inst}", "--sol", "{sol}"]),
+        (0, ["gen", "--family", "partition", "--numbers", "3,1,2"]),
+        (0, ["gen", "--family", "knapsack", "--numbers", "3,4;1,2;4", "--out", "{out}"]),
+        (0, ["gen", "--family", "steiner", "--seed", "2"]),
+        (0, ["gen", "--family", "random-sp", "--seed", "3", "--size", "8"]),
+        (1, ["solve", "--in", "{inst}", "--mode", "bogus"]),
+        (1, ["resistance", "--in", "{inst}", "--sol", "{inst}"]),
+        (2, ["verify", "--in", "{inst}", "--sol", "{half}"]),
+        (2, ["solve", "--in", "{tight}"]),
+        (3, ["solve", "--in", "{inst}", "--mode", "path-exact"]),
+    ])
+    def test_call_leaves_no_cycles(self, files, capsys, code, argv):
+        import gc
+
+        argv = [a.format(**files) for a in argv]
+        assert main(argv) == code
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == code
+            found = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        capsys.readouterr()
+        assert found == 0
 
 
 class TestGuardsUnderOptimize:

@@ -316,11 +316,14 @@ class TestRoundTripProperties:
     """Serialization must be lossless for every representable value."""
 
     pos = st.floats(min_value=0.001, max_value=1000.0)
+    nonneg = st.floats(min_value=0.0, allow_infinity=False)
+    positive = st.floats(min_value=5e-324, allow_infinity=False)
 
-    @given(m=st.integers(1, 8), r=st.sampled_from([1.0, 1.5, 2.0, 3.0]), data=st.data())
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(m=st.integers(0, 12), r=st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.floats(1.0, 8.0)),
+           data=st.data())
+    @settings(max_examples=80, derandomize=True, deadline=None)
     def test_instance_survives_write_then_parse(self, m, r, data):
-        n = m + 1
+        n = max(m + 1, 2)
         arcs = tuple((data.draw(st.integers(0, n - 1)), a % n) for a in range(m))
         inst = Instance(
             n=n,
@@ -328,12 +331,12 @@ class TestRoundTripProperties:
             s=0,
             t=n - 1,
             r=r,
-            c=tuple(data.draw(self.pos) for _ in range(m)),
-            gamma=tuple(data.draw(self.pos) for _ in range(m)),
+            c=tuple(data.draw(st.one_of(self.pos, self.nonneg)) for _ in range(m)),
+            gamma=tuple(data.draw(st.one_of(self.pos, self.nonneg)) for _ in range(m)),
             ybar=tuple(
-                data.draw(st.one_of(st.just(math.inf), self.pos)) for _ in range(m)
+                data.draw(st.one_of(st.just(math.inf), self.pos, self.positive)) for _ in range(m)
             ),
-            B=data.draw(self.pos),
+            B=data.draw(st.one_of(self.pos, self.positive)),
         )
         assert parse_instance(write_instance(inst)) == inst
 
@@ -348,6 +351,92 @@ class TestRoundTripProperties:
             achievedR=data.draw(self.pos),
         )
         assert read_solution(write_solution(sol)) == sol
+
+
+FIVE_ARCS = {
+    "n": 4, "arcs": [[0, 1], [1, 2], [2, 3], [0, 2], [1, 3]], "s": 0, "t": 3, "r": 2,
+    "c": [1, 2.5, 0, 1, 3], "gamma": [0, 1, 0.5, 2, 1], "ybar": [1, "inf", 2.5, 3, 1], "B": 4,
+}
+BAD_ARC = (SchemaError, "each arc must be a [tail, head] pair of integers")
+BAD_YBAR = (SchemaError, 'ybar entries must be numbers or "inf"')
+MALFORMED_INSTANCE_ENTRIES = [
+    *[("arcs", bad, BAD_ARC) for bad in (True, "0", [[0], 1], [0, True], [0, 1.0], [0, 1, 2], [0], [])],
+    ("arcs", [0, 4], (ValidationError, "arc endpoint out of range")),
+    ("arcs", [-1, 2], (ValidationError, "arc endpoint out of range")),
+    *[(key, bad, (SchemaError, f"{key} must be a list of finite numbers"))
+      for key in ("c", "gamma") for bad in (True, "1", [1.0], None)],
+    ("c", -1, (ValidationError, "variable costs must be finite and >= 0")),
+    ("gamma", -0.5, (ValidationError, "fixed costs must be finite and >= 0")),
+    *[("ybar", bad, BAD_YBAR) for bad in (True, "1", "Infinity", [1.0], None)],
+    ("ybar", 0, (ValidationError, "conductance bounds must be > 0")),
+    ("ybar", -2.5, (ValidationError, "conductance bounds must be > 0")),
+]
+
+
+class TestMalformedEntries:
+    """Array validation runs one pass per check over a whole field; a single
+    malformed entry must still raise what a check of each entry in turn
+    raised, wherever in the field it sits."""
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize("key, bad, expected", MALFORMED_INSTANCE_ENTRIES)
+    def test_instance_entry(self, key, bad, expected, at):
+        d = json.loads(json.dumps(FIVE_ARCS))
+        d[key][at] = bad
+        with pytest.raises(expected[0]) as info:
+            parse_instance(json.dumps(d))
+        assert (type(info.value), str(info.value)) == expected
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize("key, bad, expected", [
+        *[("x", bad, (SchemaError, "x must be a list of 0/1 integers")) for bad in (True, "1", [1], 2, -1, 1.0)],
+        *[("y", bad, (SchemaError, 'y entries must be numbers or "inf"')) for bad in (True, "1", [1.0], None)],
+    ])
+    def test_solution_entry(self, key, bad, expected, at):
+        d = {"x": [1, 0, 1, 1, 0], "y": [1.0, 0, "inf", 2, 0.0], "cost": 3.5, "achievedR": 1.25}
+        d[key][at] = bad
+        with pytest.raises(expected[0]) as info:
+            read_solution(json.dumps(d))
+        assert (type(info.value), str(info.value)) == expected
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize("key, bad, message", [
+        ("c", math.nan, "variable costs must be finite and >= 0"),
+        ("c", math.inf, "variable costs must be finite and >= 0"),
+        ("gamma", math.nan, "fixed costs must be finite and >= 0"),
+        ("gamma", math.inf, "fixed costs must be finite and >= 0"),
+        ("ybar", math.nan, "conductance bounds must be > 0"),
+        ("ybar", -math.inf, "conductance bounds must be > 0"),
+    ])
+    def test_non_finite_values_built_directly(self, key, bad, message, at):
+        fields = {key: [1.0] * 5 for key in ("c", "gamma", "ybar")}
+        fields[key][at] = bad
+        with pytest.raises(ValidationError) as info:
+            Instance(n=6, arcs=((0, 1),) * 5, s=0, t=1, r=1.0, B=1.0,
+                     **{key: tuple(values) for key, values in fields.items()})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize("pair, message", [
+        ((math.nan, 1.0), "option conductances must be finite and > 0"),
+        ((math.inf, 1.0), "option conductances must be finite and > 0"),
+        ((0.0, 1.0), "option conductances must be finite and > 0"),
+        ((1.0, math.nan), "option prices must be finite and >= 0"),
+        ((1.0, math.inf), "option prices must be finite and >= 0"),
+        ((1.0, -1.0), "option prices must be finite and >= 0"),
+    ])
+    def test_fixed_instance_options(self, pair, message, at):
+        from flowdesign.core import FixedInstance
+
+        options = [((1.0, 2.0), (3.0, 4.0))] * 5
+        options[at] = ((2.0, 1.0), pair)
+        with pytest.raises(ValidationError) as info:
+            FixedInstance(n=2, arcs=((0, 1),) * 5, s=0, t=1, r=1.0, B=1.0, options=tuple(options))
+        assert str(info.value) == message
+
+    def test_arc_arity_is_checked_when_built_directly(self):
+        with pytest.raises(ValueError):
+            Instance(n=3, arcs=((0, 1, 2),), s=0, t=1, r=1.0, c=(1.0,), gamma=(0.0,), ybar=(1.0,), B=1.0)
 
 
 def test_every_exported_name_is_its_submodule_object():

@@ -8,6 +8,7 @@ import pytest
 from flowdesign import (
     Disconnected,
     Instance,
+    ValidationError,
     effective_conductance,
     effective_resistance,
     min_energy_flow,
@@ -549,3 +550,18 @@ def test_grid_solve_memory_stays_below_the_dense_laplacian(k, r, bound_mib):
     conservation, law = kkt_residuals(n, arcs, y, r, s, t, state)
     assert conservation <= KKT_TOL
     assert law <= KKT_TOL
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "conductances must be >= 0"),
+    (-1.0, "conductances must be >= 0"),
+    (-math.inf, "conductances must be >= 0"),
+    (math.inf, "contract infinite conductances before solving"),
+])
+def test_one_bad_conductance_anywhere_is_named(bad, message, at):
+    y = [1.0, 0.0, 2.0, 0.5, 1.0]
+    y[at] = bad
+    with pytest.raises(ValidationError) as info:
+        min_energy_flow(3, ((0, 1), (1, 2), (0, 2), (0, 1), (1, 2)), y, 2.0, 0, 2)
+    assert str(info.value) == message
