@@ -48,7 +48,8 @@ never uses (a fresh checkout has no bytecode cache):
   checker (``core.verify`` imports it on the first call); path solves,
   sp-exact and resistance never load it;
 - resistance, and verify without a flow witness, load resistance and numpy
-  for the energy solve.
+  for the energy solve, and kron when a BFS level of the s-t block is wider
+  than a block, which is then reduced first.
 Every solve mode but brute runs without numpy; sp-fptas certifies its answer
 with a flow witness rather than the energy solver. The command line is read
 against one table, _COMMANDS, which also writes the help, so no command loads

@@ -17,18 +17,35 @@ zero flow at the optimum, since any flow there only adds energy. On the
 block, let B be the node-arc incidence and L(c) = B diag(c) B^T the weighted
 Laplacian grounded at t.
 
-No solve forms L densely. The block's nodes are ordered by BFS level from
-t, farthest level first, so every arc joins one level or two adjacent
-ones, and consecutive levels are merged into diagonal blocks of at most
-``_BLOCK`` nodes (a wider level is one block). L is then block
-tridiagonal (Cuthill and McKee 1969). A solve eliminates the blocks in
-order, solving each Schur complement once with the coupling to the next
-block and the right-hand side stacked, then recovers phi by
-back-substitution; block LU needs no pivoting across blocks on a symmetric
-positive definite L (Demmel, Higham and Schreiber 1995). With block widths
-w_i it takes O(sum_i w_i^3 + w_i^2 w_{i+1}) time and O(sum_i w_i^2 +
-w_i w_{i+1}) memory, against O(k^3) and O(k^2) dense: grids and other
-near-planar graphs, whose levels are much narrower than k, gain the most.
+No solve forms L densely. ``_BlockSystem`` records two exact eliminations
+once per block, and every solve replays them: the r = 1 solve, each Newton
+step and each projection alike.
+
+* The reduction (``kron``), when some BFS level from t is wider than
+  ``_BLOCK`` nodes, as on random graphs: the nodes other than t with at
+  most ``kron._DEGREE`` neighbours are eliminated exactly, lowest degree
+  first, by star-mesh steps on the edge weights (Kron reduction). It adds
+  no cancellation, and its potentials come back by back-substitution.
+  Where levels are narrower, each node costs at most O(_BLOCK^2) in the
+  blocks already, and the block is not reduced.
+* The core, the nodes left, by BFS level from t, farthest level first, so
+  every edge joins one level or two adjacent ones, with consecutive
+  levels merged into diagonal blocks of at most ``_BLOCK`` nodes (a wider
+  level is one block). The core's L is then block tridiagonal (Cuthill
+  and McKee 1969). A solve eliminates the blocks in order, solving each
+  Schur complement once with the coupling to the next block and the
+  right-hand side stacked, then recovers phi by back-substitution; block
+  LU needs no pivoting across blocks on a symmetric positive definite L
+  (Demmel, Higham and Schreiber 1995).
+
+With core block widths w_i a solve takes O(sum_i w_i^3 + w_i^2 w_{i+1})
+time and O(sum_i w_i^2 + w_i w_{i+1}) memory, plus O(1) per reduced node,
+against O(k^3) and O(k^2) dense. Grids and other near-planar graphs, whose
+levels are much narrower than k, need no reduction. On random graphs with
+m = 2n the middle BFS levels hold a third of the nodes; the reduction
+removes about half of the nodes, and at n = 1,200 it narrowed the widest
+block from 459 to 342 nodes and cut the solve's peak traced memory from
+9.4 to 3.8 MiB.
 
 * r = 1: one solve L(y) phi = e_s - e_t gives the exact flow f = y B^T phi.
 * r > 1: start from the flow of the same solve with conductances y^r, then
@@ -41,8 +58,8 @@ near-planar graphs, whose levels are much narrower than k, gain the most.
     finite. A floor high enough to bind (1e-6 max h) clips the curvature of
     small-flow arcs, which then crawl towards their optimum at r >= 3.
   - Each step backtracks on the energy, then re-projects any conservation
-    drift with the fixed L(y^r), reusing the Schur complements and
-    couplings its first solve eliminated.
+    drift with the fixed L(y^r), replaying the reduction's shares and
+    reusing the Schur complements and couplings its first solve eliminated.
   - The loop stops once max |delta| <= 1e-12 max(1, |f|), or once the
     energy stalls with max |delta| <= 1e-10 max(1, |f|). It raises
     NonConvergence after 1,000,000 steps, or after 100 stalls with larger
@@ -61,14 +78,17 @@ implies by a factor |drop|^{1/r - 1}.
 ``support_resistance`` is the entry point of the `resistance` command and of
 ``core.verify`` without a flow witness: it drops uninstalled arcs, contracts
 infinite ones (with ``DisjointSets``, the union-find that also picks the
-potential tree) and returns the energy. Both live here rather than in core,
-so that only the commands that solve for energy compile them.
+potential tree), numbers the nodes afresh when n is larger than the arcs
+can touch, so that its cost does not grow with n, and returns the energy.
+Both live here rather than in core, so that only the commands that solve
+for energy compile them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import chain
 
 import numpy as np
 
@@ -77,10 +97,13 @@ from .errors import Disconnected, NonConvergence, ValidationError
 
 # Floor of the Newton curvature h relative to max h, which keeps 1/h finite.
 _H_FLOOR = 1e-15
-# Widest diagonal block that consecutive BFS levels are merged into. Fewer,
-# larger blocks save numpy calls per block but cost O(w^3) each; on the
-# benchmark's grids and random graphs 32 to 128 were within noise of each
-# other, and 16 and 256 slower.
+# Widest diagonal block that consecutive BFS levels are merged into, and the
+# level width past which a block is reduced first. Fewer, larger blocks
+# save numpy calls per block but cost O(w^3) each; on the benchmark's grids
+# (never reduced) and on its random graphs, reduced or not, 32 to 128 were
+# within noise of each other, and 16 and 256 slower. Reducing blocks whose
+# levels stay within 64 nodes made random graphs of 100 nodes (r = 2)
+# slower: 3.0 ms at 32 against 2.4 ms at 64.
 _BLOCK = 64
 # The Newton stop rule of the module docstring: step and stall limits
 # relative to max(1, |f|), and the step budget.
@@ -154,56 +177,84 @@ def _arc_drops(f, y, r):
     return np.sign(f) * (np.abs(f) / y) ** r
 
 
+def _levels(nbrs, t, n):
+    """The BFS levels from t of the graph nbrs, farthest first ([t] last)."""
+    seen = [False] * n
+    seen[t] = True
+    levels = [[t]]
+    while True:
+        ahead = []
+        for x in levels[-1]:
+            for z in nbrs[x]:
+                if not seen[z]:
+                    seen[z] = True
+                    ahead.append(z)
+        if not ahead:
+            break
+        levels.append(ahead)
+    levels.reverse()
+    return levels
+
+
 class _BlockSystem:
-    """Incidence operators and block elimination on the s-t block.
+    """Incidence operators and the elimination of L on the s-t block.
 
-    Block nodes are numbered by BFS level from t, farthest level first, with
-    t = k last: the grounded system keeps the first k rows and columns, and
-    potentials carry an implicit 0 at t. Every arc joins one level or two
-    adjacent ones. Consecutive levels are merged into diagonal blocks A_i
-    while a block stays within ``_BLOCK`` nodes (a wider level is a block by
-    itself), so the grounded L(c) is block tridiagonal. The coupling C_i of
-    blocks i and i + 1 is nonzero only between the last level of block i
-    and the first level of block i + 1, and only that part is stored.
+    Block nodes are numbered in the order they are eliminated, t = k last:
+    the grounded system keeps the first k rows and columns, and potentials
+    carry an implicit 0 at t. The reduced nodes come first, in the order
+    ``kron.Reduction`` reduced them, then the core. Without a reduction the
+    whole block is core, and the core's edges are its arcs; with one, they
+    are the reduced graph's edges, on which parallel arcs are merged and
+    fill is added.
 
-    Far levels go first so that the arcs to t, the grounding, sit in the
+    The core is numbered by BFS level from t, farthest level first, and
+    consecutive levels are merged into diagonal blocks A_i while a block
+    stays within ``_BLOCK`` nodes (a wider level is a block by itself), so
+    the core's grounded L is block tridiagonal. The coupling C_i of blocks
+    i and i + 1 is nonzero only between the last level of block i and the
+    first level of block i + 1, and only that part is stored.
+
+    Far levels go first so that the edges to t, the grounding, sit in the
     diagonal of the blocks eliminated last. Eliminated the other way, the
     grounding of the far blocks is the small difference of large sums in
     their Schur complements, which can round to an exactly singular block
-    on the Newton systems, whose conductances 1/h spread up to 1e15.
+    on the Newton systems, whose conductances 1/h spread up to 1e15. The
+    reduction has no such differences: it works on edge weights, not on
+    Laplacian entries.
     """
 
     def __init__(self, n, arcs, block, s, t):
+        tails = [arcs[a][0] for a in block]
+        heads = [arcs[a][1] for a in block]
         adj = [[] for _ in range(n)]
-        for a in block:
-            u, v = arcs[a]
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = [False] * n
-        seen[t] = True
-        levels = [[t]]
-        while True:
-            ahead = []
-            for x in levels[-1]:
-                for z in adj[x]:
-                    if not seen[z]:
-                        seen[z] = True
-                        ahead.append(z)
-            if not ahead:
-                break
-            levels.append(ahead)
-        levels.reverse()
-        index = [0] * n
-        for i, x in enumerate(x for level in levels for x in level):
-            index[x] = i
-        k = index[t]
+        for x, z in zip(tails, heads):
+            adj[x].append(z)
+            adj[z].append(x)
+        levels = _levels(adj, t, n)
+        reduced, red = [], None
+        if max(map(len, levels)) > _BLOCK:
+            from .kron import Reduction
+
+            red = Reduction(n, tails, heads, chain(*levels), t)
+            reduced, levels = red.reduced, _levels(red.nbrs, t, n)
+        self._reduction = red
+        first = len(reduced)  # the core's first node
+        order = reduced + [x for level in levels for x in level]
+        k = len(order) - 1
+        index = np.zeros(n, dtype=np.intp)
+        index[order] = np.arange(k + 1)
         self.k = k
-        self.u = np.array([index[arcs[a][0]] for a in block], dtype=np.intp)
-        self.v = np.array([index[arcs[a][1]] for a in block], dtype=np.intp)
+        self.u, self.v = iu, iv = index[tails], index[heads]
         self.rhs = np.zeros(k)
         self.rhs[index[s]] = 1.0
+        if red:
+            iu, iv = red.number(index)
 
-        # Blocks as [start, end, first-level end, last-level start].
+        # The core's edges in its own numbering (t = k - first), and its
+        # blocks as [start, end, first-level end, last-level start].
+        core = np.flatnonzero(np.minimum(iu, iv) >= first)
+        cu, cv = iu[core] - first, iv[core] - first
+        kc = k - first
         spans = []
         lo = 0
         for level in levels[:-1]:
@@ -213,11 +264,18 @@ class _BlockSystem:
             else:
                 spans.append([lo, hi, hi, lo])
             lo = hi
+        self._shapes, self._offsets, self._size = [], [0], 0
+        self._pos = self._arc = np.zeros(0, dtype=np.intp)
+        self._sign = np.zeros(0)
+        if not spans:
+            return
         start, end, first_end, last = (np.array(col) for col in zip(*spans))
         width = end - start
         # C_i is p[i] x q_next[i]: block i's last level by block i + 1's first.
         p, q_next = end - last, np.append((first_end - start)[1:], 0)
-        self._shapes = list(zip(start.tolist(), end.tolist(), p.tolist(), q_next.tolist()))
+        # Shapes as (start, end) in the block's numbering, p and q_next.
+        self._shapes = list(zip((start + first).tolist(), (end + first).tolist(), p.tolist(),
+                                q_next.tolist()))
 
         # One flat buffer holds A_0, C_0, A_1, C_1, ... row-major. Per node:
         # its block, its column there, and where its row starts in its A_i
@@ -226,23 +284,22 @@ class _BlockSystem:
         self._offsets = np.concatenate(([0], np.cumsum(sizes))).tolist()
         self._size = self._offsets[-1]
         of = np.repeat(np.arange(len(spans)), width)
-        col = np.arange(k) - start[of]
+        col = np.arange(kc) - start[of]
         row = np.array(self._offsets[0:-1:2])[of] + col * width[of]
-        c_row = np.array(self._offsets[1::2])[of] + (np.arange(k) - last[of]) * q_next[of]
+        c_row = np.array(self._offsets[1::2])[of] + (np.arange(kc) - last[of]) * q_next[of]
 
-        # L's nonzeros as (position, sign, arc), in O(m): +c on the diagonal
-        # of each grounded end, -c off it. The lower end of an arc lies in the
-        # same block as the higher one or in the block before.
-        ids = np.arange(len(block))
+        # L's nonzeros as (position, sign, edge), in O(m): +w on the diagonal
+        # of each grounded end, -w off it. The lower end of an edge lies in
+        # the same block as the higher one or in the block before.
         pos, arc = [], []
-        for x in (self.u, self.v):
-            keep = x < k
+        for x in (cu, cv):
+            keep = x < kc
             pos.append(row[x[keep]] + col[x[keep]])
-            arc.append(ids[keep])
+            arc.append(core[keep])
         diagonal = sum(map(len, pos))
-        inner = (self.u < k) & (self.v < k)
-        lo, hi = np.minimum(self.u, self.v)[inner], np.maximum(self.u, self.v)[inner]
-        same, a = of[lo] == of[hi], ids[inner]
+        inner = (cu < kc) & (cv < kc)
+        lo, hi = np.minimum(cu, cv)[inner], np.maximum(cu, cv)[inner]
+        same, a = of[lo] == of[hi], core[inner]
         pos += [row[lo[same]] + col[hi[same]], row[hi[same]] + col[lo[same]],
                 c_row[lo[~same]] + col[hi[~same]]]
         arc += [a[same], a[same], a[~same]]
@@ -251,7 +308,8 @@ class _BlockSystem:
         self._sign = np.repeat([1.0, -1.0], [diagonal, len(self._pos) - diagonal])
 
     def _blocks(self, cond):
-        """Views of the diagonal blocks A_i and stored couplings C_i of L(cond)."""
+        """Views of the diagonal blocks A_i and stored couplings C_i of L(cond)
+        on the core, where cond holds the conductances of its edges."""
         buf = np.bincount(self._pos, weights=self._sign * cond[self._arc], minlength=self._size)
         o = self._offsets
         A, C = [], []
@@ -261,16 +319,21 @@ class _BlockSystem:
         return A, C
 
     def factor(self, cond, rhs):
-        """Solve L(cond) phi = rhs by eliminating the blocks in order.
+        """Solve L(cond) phi = rhs: the reduction's rounds, if any, then the
+        core's blocks in order.
 
         The Schur complements S_i = A_i - C_{i-1}^T S_{i-1}^{-1} C_{i-1} of a
         symmetric positive definite L are too, so block LU needs no pivoting
         across blocks (Demmel, Higham and Schreiber 1995). Each S_i is solved
         once with X_i = S_i^{-1} C_i and the reduced right-hand side stacked;
         a back-substitution then recovers phi. Returns phi and the factor
-        (the S_i, C_i and X_i), which ``resolve`` reuses for other
-        right-hand sides.
+        (the reduction's shares, and the S_i, C_i and X_i), which
+        ``resolve`` reuses for other right-hand sides.
         """
+        shares = None
+        if self._reduction:
+            cond, shares = self._reduction.weights(cond)
+            rhs = self._reduction.push(shares, rhs)
         A, C = self._blocks(cond)
         X, z = [], []
         for i, (lo, hi, p, q) in enumerate(self._shapes):
@@ -285,11 +348,13 @@ class _BlockSystem:
             sol = _solve(S, stack)
             X.append(sol[:, :q])
             z.append(sol[:, q])
-        return self._back(X, z), (A, C, X)
+        return self._back(shares, rhs, X, z), (shares, A, C, X)
 
     def resolve(self, fac, rhs):
         """Solve L(cond) phi = rhs with the factor an earlier ``factor`` returned."""
-        S, C, X = fac
+        shares, S, C, X = fac
+        if self._reduction:
+            rhs = self._reduction.push(shares, rhs)
         z = []
         for i, (lo, hi, _, _) in enumerate(self._shapes):
             y = rhs[lo:hi].copy()
@@ -297,15 +362,17 @@ class _BlockSystem:
                 c = C[i - 1]
                 y[:c.shape[1]] -= c.T @ z[-1][-len(c):]
             z.append(_solve(S[i], y))
-        return self._back(X, z)
+        return self._back(shares, rhs, X, z)
 
-    @staticmethod
-    def _back(X, z):
-        """phi_i = z_i - X_i phi_{i+1}, from the last block back to the first."""
-        phi = [z[-1]]
-        for Xi, zi in zip(X[-2::-1], z[-2::-1]):
-            phi.append(zi - Xi @ phi[-1][:Xi.shape[1]])
-        return np.concatenate(phi[::-1])
+    def _back(self, shares, b, X, z):
+        """phi_i = z_i - X_i phi_{i+1}, from the core's last block back to its
+        first, then the reduced nodes from the pushed right-hand side b."""
+        phi = np.zeros(self.k + 1)
+        for (lo, hi, _, q), Xi, zi in zip(self._shapes[::-1], X[::-1], z[::-1]):
+            phi[lo:hi] = zi - Xi @ phi[hi:hi + q]
+        if self._reduction:
+            self._reduction.back(shares, b, phi)
+        return phi[:-1]
 
     def divergence(self, f):
         """Net outflow at each grounded node (t's row dropped)."""
@@ -450,20 +517,23 @@ def support_resistance(inst, y) -> float:
 
     An arc with infinite y is a short circuit: the ends of such arcs are
     contracted into one node first, and the result is 0.0 when that joins s
-    and t. Without infinite arcs the nodes keep their numbers.
+    and t. Then, and when inst.n exceeds twice the number of installed arcs
+    plus two, only s, t and the ends of installed and infinite arcs are
+    numbered, in their order, so the solve takes O(m) time and memory
+    however large inst.n is. Otherwise the nodes keep their numbers.
     """
     keep = [a for a, v in enumerate(y) if 0.0 < v < math.inf]
     arcs = [inst.arcs[a] for a in keep]
+    short = [inst.arcs[a] for a, v in enumerate(y) if math.isinf(v)]
     n, s, t = inst.n, inst.s, inst.t
-    if any(math.isinf(v) for v in y):
-        ds = DisjointSets(n)
-        for a, (u, v) in enumerate(inst.arcs):
-            if math.isinf(y[a]):
-                ds.union(u, v)
+    if short or n > 2 * len(arcs) + 2:
+        used = sorted({s, t}.union(*arcs, *short))
+        ids = dict(zip(used, range(len(used))))
+        ds = DisjointSets(len(ids))
+        for u, v in short:
+            ds.union(ids[u], ids[v])
         label = {}
-        for v in range(n):
-            label.setdefault(ds.find(v), len(label))
-        node = [label[ds.find(v)] for v in range(n)]
+        node = {x: label.setdefault(ds.find(i), len(label)) for x, i in ids.items()}
         n, s, t = len(label), node[s], node[t]
         if s == t:
             return 0.0

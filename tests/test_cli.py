@@ -356,6 +356,34 @@ class TestResistance:
         assert "unsupported" in cap.err and "forced" in cap.err
         assert cap.out == ""
 
+    @pytest.mark.parametrize("argv, ybar, y, field, R", [
+        (["resistance"], [1.0, 4.0, 4.0], None, "R", 1.125),
+        (["resistance", "--sol", "{sol}"], ["inf", 2.0, 2.0], ["inf", 2.0, 2.0], "R", 0.25),
+        (["verify", "--sol", "{sol}"], ["inf", 2.0, 2.0], ["inf", 2.0, 2.0], "achievedR", 0.25),
+    ])
+    def test_huge_n_takes_memory_of_the_arcs_only(self, tmp_path, argv, ybar, y, field, R):
+        # n = 10^12 with three arcs: only s, t and the arcs' ends are
+        # numbered, so the call fits in an address space of 512 MiB.
+        import resource
+
+        n = 10**12
+        doc = {"n": n, "arcs": [[5, 9], [9, n - 1], [n - 1, 9]], "s": 5, "t": n - 1, "r": 1.0,
+               "c": [0.0, 0.0, 0.0], "gamma": [0.0, 0.0, 0.0], "ybar": ybar, "B": 1.0}
+        inst = write_file(tmp_path, "inst.json", json.dumps(doc))
+        if y is not None:
+            sol = {"x": [1, 1, 1], "y": y, "cost": 0.0, "achievedR": 0.25}
+            argv = [a.format(sol=write_file(tmp_path, "sol.json", json.dumps(sol))) for a in argv]
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowdesign", *argv, "--in", inst], capture_output=True,
+            text=True, timeout=120, env=child_env(), preexec_fn=limit,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)[field] == pytest.approx(R, rel=1e-12)
+
 
 class TestTol:
     """Only verify takes --tol, and it must be a finite number > 0. Outside
@@ -919,8 +947,9 @@ class TestColdStart:
     """The CLI, path mode and the SP modes run without importing numpy, and
     no command loads dataclasses, inspect, argparse, gettext or locale. Each
     command loads only its own modules: sptree only for the SP modes and
-    auto's SP check, oracles only for brute and gen, and certify only for
-    the calls that check a solution (sp-fptas, auto on SP, verify)."""
+    auto's SP check, oracles only for brute and gen, certify only for the
+    calls that check a solution (sp-fptas, auto on SP, verify), and kron
+    only for an energy solve whose block is reduced."""
 
     def test_cli_import_leaves_numpy_out(self):
         code = (
@@ -1050,6 +1079,30 @@ class TestColdStart:
         assert {"numpy", "flowdesign.resistance"} <= imported
         assert not imported & PARSER_MODULES
         assert not imported & {"flowdesign.sptree", "flowdesign.oracles", "flowdesign.certify"}
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_resistance_loads_kron_only_for_a_wide_level(self, tmp_path, wide):
+        # A 12 x 12 grid has BFS levels of at most 12 nodes; s and t joined
+        # by 100 two-arc paths have a level of 100, which is reduced.
+        if wide:
+            n, arcs = 102, [[0, 2 + i // 2] if i % 2 == 0 else [2 + i // 2, 1] for i in range(200)]
+            s, t = 0, 1
+        else:
+            n, arcs = 144, [[v, v + d] for v in range(144) for d in (1, 12)
+                            if v + d < 144 and (d == 12 or v % 12 < 11)]
+            s, t = 0, 143
+        m = len(arcs)
+        doc = {"n": n, "arcs": arcs, "s": s, "t": t, "r": 1.0, "c": [1.0] * m,
+               "gamma": [0.0] * m, "ybar": [1.0] * m, "B": 1.0}
+        path = write_file(tmp_path, "inst.json", json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "flowdesign", "resistance", "--in", path],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        if wide:
+            assert json.loads(proc.stdout)["R"] == pytest.approx(0.02)
+        assert ("flowdesign.kron" in imports_after_package(proc.stderr)) == wide
 
     def test_verify_loads_certify(self, tmp_path):
         _, path = bounded_series(tmp_path, B=3.0)
