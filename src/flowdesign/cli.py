@@ -39,12 +39,11 @@ tests and library callers are unaffected.
 Each command loads only the modules it runs, so a call compiles no code it
 never uses (a fresh checkout has no bytecode cache):
 - path-exact and path-fptas load pathdesign and rsp;
-- sp-exact and sp-fptas load spdesign, spbounds and sptree, and auto loads
-  sptree for its SP check on bounded instances (``decompose`` imports it on
-  the first call), so path solves and resistance never load sptree;
+- sp-exact and sp-fptas load spdesign, spbounds and sptree, so path solves
+  and resistance never load sptree;
 - brute and gen load oracles, which holds the generators and imports
   pathdesign, resistance, sptree and numpy; no other command loads oracles;
-- sp-fptas, auto on an SP instance and verify load certify, the solution
+- sp-fptas (auto on a bounded instance) and verify load certify, the solution
   checker (``core.verify`` imports it on the first call); path solves,
   sp-exact and resistance never load it;
 - resistance, and verify without a flow witness, load resistance and numpy
@@ -103,74 +102,47 @@ def _jnum(v: float):
 
 def decompose(n, arcs, s, t):
     """``sptree.decompose``, with sptree imported on the first call."""
+    # No solve calls this; bench/spans.py wraps this binding.
     from . import sptree
 
     return sptree.decompose(n, arcs, s, t)
 
 
-def _pick_mode(inst: Instance):
-    """The mode `auto` runs, with the SP schedule it built (None for path modes)."""
-    if inst.unbounded():
-        if all(v == 0.0 for v in inst.c) or all(v == 0.0 for v in inst.gamma):
-            return "path-exact", None
-        return "path-fptas", None
-    if all(math.isfinite(v) for v in inst.ybar) and all(v > 0.0 for v in inst.c):
-        try:
-            return "sp-fptas", decompose(inst.n, inst.arcs, inst.s, inst.t)
-        except NotSeriesParallel:
-            raise UnsupportedCase("bounded conductances on a non-series-parallel graph; no solver applies")
-    raise UnsupportedCase(
-        "no automatic mode fits: need either ybar unbounded everywhere, or a "
-        "series-parallel graph with finite ybar and positive variable costs"
-    )
-
-
-def _solve_path_exact(inst: Instance):
+def _pick_mode(inst: Instance) -> str:
+    """The mode `auto` runs: sp-fptas on a bounded instance; on an unbounded
+    one path-exact where ``pathdesign.exact_solver`` fits, else path-fptas.
+    Each mode's solver refuses the instances it cannot solve."""
+    if not inst.unbounded():
+        return "sp-fptas"
     from . import pathdesign
 
-    if not inst.unbounded():
-        raise UnsupportedCase("path-exact needs ybar unbounded everywhere")
-    if all(v == 0.0 for v in inst.c):
-        return pathdesign.to_solution(inst, pathdesign.solve_fixed_cost_only(inst))
-    if all(v == 0.0 for v in inst.gamma):
-        return pathdesign.to_solution(inst, pathdesign.solve_variable_cost_only(inst))
-    raise UnsupportedCase("path-exact needs c identically zero or gamma identically zero")
-
-
-def _solve_brute(inst: Instance):
-    from . import oracles
-
-    if inst.unbounded():
-        return oracles.brute_paths_unbounded(inst)
-    if all(math.isfinite(v) for v in inst.ybar):
-        return oracles.brute_subsets_continuous_sp(inst)
-    raise UnsupportedCase("brute mode needs ybar all unbounded or all finite")
+    return "path-fptas" if pathdesign.exact_solver(inst) is None else "path-exact"
 
 
 def _cmd_solve(args) -> int:
     inst = core.parse_instance(_read_text(args.infile))
-    mode, sched = args.mode, None
-    if mode == "auto":
-        mode, sched = _pick_mode(inst)
+    mode = _pick_mode(inst) if args.mode == "auto" else args.mode
     if mode in ("path-fptas", "sp-fptas"):
         try:
             core.check_epsilon(args.eps, mode)
         except ValidationError as exc:
             print(f"error: --eps: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    if mode == "path-exact":
-        sol = _solve_path_exact(inst)
-    elif mode == "path-fptas":
+    if mode.startswith("path-"):
         from . import pathdesign
 
-        sol = pathdesign.to_solution(inst, pathdesign.solve_path_fptas(inst, args.eps))
-    elif mode in ("sp-exact", "sp-fptas"):
+        ps = (pathdesign.solve_path_exact(inst) if mode == "path-exact"
+              else pathdesign.solve_path_fptas(inst, args.eps))
+        sol = pathdesign.to_solution(inst, ps)
+    elif mode.startswith("sp-"):
         from . import spdesign
 
         sol = (spdesign.solve_sp_exact(inst) if mode == "sp-exact"
-               else spdesign.solve_sp_fptas(inst, args.eps, sched))
+               else spdesign.solve_sp_fptas(inst, args.eps))
     else:
-        sol = _solve_brute(inst)
+        from .oracles import brute
+
+        sol = brute(inst)
     print(f"mode={mode} eps={args.eps}", file=sys.stderr)
     _emit(core.write_solution(sol), args.out)
     return EXIT_OK

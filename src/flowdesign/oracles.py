@@ -31,6 +31,7 @@ from .errors import (
     OddSum,
     OutOfRange,
     TooLarge,
+    UnsupportedCase,
     ValidationError,
 )
 from .pathdesign import optimal_y_for_path, to_solution, PathSolution
@@ -235,6 +236,17 @@ def brute_subsets_continuous_sp(inst: Instance) -> Solution:
         raise Infeasible("no support meets the resistance budget")
     cost, x, y = best
     return Solution(x=x, y=y, cost=cost, achievedR=resistance_sp(sched, y, inst.r))
+
+
+def brute(inst: Instance) -> Solution:
+    """The exact optimum by the oracle that fits: path enumeration when ybar
+    is unbounded everywhere, support enumeration when it is finite
+    everywhere."""
+    if inst.unbounded():
+        return brute_paths_unbounded(inst)
+    if all(math.isfinite(v) for v in inst.ybar):
+        return brute_subsets_continuous_sp(inst)
+    raise UnsupportedCase("brute mode needs ybar all unbounded or all finite")
 
 
 class PartitionGadget(namedtuple("PartitionGadget", "a T r instance threshold")):

@@ -25,7 +25,9 @@ import math
 from collections import namedtuple
 
 from .core import UNBOUNDED, Instance, Solution, check_epsilon
-from .errors import AllVariableCostsZero, BoundExceeded, Disconnected, OutOfRange, ValidationError
+from .errors import (
+    AllVariableCostsZero, BoundExceeded, Disconnected, OutOfRange, UnsupportedCase, ValidationError,
+)
 from .rsp import frontier_fptas, lex_dijkstra
 from .rsp import rsp_fptas  # noqa: F401  (bench/spans.py wraps this binding)
 
@@ -104,7 +106,7 @@ def solve_fixed_cost_only(inst: Instance) -> PathSolution:
     if any(v > 0.0 for v in inst.c):
         raise ValidationError("solve_fixed_cost_only needs c == 0 on every arc")
     if not inst.unbounded():
-        raise ValidationError("conductance bounds are not supported here")
+        raise UnsupportedCase("the path solvers need ybar unbounded everywhere")
     d, seq = _shortest_path(inst, inst.gamma)
     if math.isinf(d):
         raise OutOfRange("the least fixed cost of an s-t path leaves the float range")
@@ -117,12 +119,31 @@ def solve_variable_cost_only(inst: Instance) -> PathSolution:
     if any(v > 0.0 for v in inst.gamma):
         raise ValidationError("solve_variable_cost_only needs gamma == 0 on every arc")
     if not inst.unbounded():
-        raise ValidationError("conductance bounds are not supported here")
+        raise UnsupportedCase("the path solvers need ybar unbounded everywhere")
     e = inst.r / (inst.r + 1.0)
     weights = tuple(v ** e for v in inst.c)
     _, seq = _shortest_path(inst, weights)
     y, objective = optimal_y_for_path(seq, inst.c, inst.B, inst.r)
     return PathSolution(path=seq, y=y, objective=objective)
+
+
+def exact_solver(inst: Instance):
+    """The exact solver that fits inst's costs, or None: solve_fixed_cost_only
+    when c == 0, else solve_variable_cost_only when gamma == 0."""
+    if all(v == 0.0 for v in inst.c):
+        return solve_fixed_cost_only
+    if all(v == 0.0 for v in inst.gamma):
+        return solve_variable_cost_only
+    return None
+
+
+def solve_path_exact(inst: Instance) -> PathSolution:
+    """Exact optimum with ybar unbounded when one cost vector vanishes
+    (``exact_solver``); any other instance raises UnsupportedCase."""
+    solve = exact_solver(inst)
+    if solve is None:
+        raise UnsupportedCase("path-exact needs ybar unbounded everywhere and c or gamma identically zero")
+    return solve(inst)
 
 
 def lambda_bounds(inst: Instance) -> tuple[float, float]:
@@ -180,13 +201,14 @@ def solve_path_fptas(inst: Instance, epsilon: float) -> PathSolution:
     one label-setting pass over (Gamma rounded down, S exact); see
     ``rsp.frontier_fptas`` for the bounds, the bracket and the proof. The
     winning path's conductances are derived in closed form, so the budget is
-    met exactly.
+    met exactly. Where ``exact_solver`` fits, its exact answer is returned.
     """
     check_epsilon(epsilon)
     if not inst.unbounded():
-        raise ValidationError("conductance bounds are not supported here")
-    if all(v == 0.0 for v in inst.c):
-        return solve_fixed_cost_only(inst)
+        raise UnsupportedCase("the path solvers need ybar unbounded everywhere")
+    solve = exact_solver(inst)
+    if solve is not None:
+        return solve(inst)
 
     r = inst.r
     e = r / (r + 1.0)

@@ -395,6 +395,8 @@ def _solve(L, rhs):
 def _newton(sys_, y, r):
     """Minimum-energy unit flow on the block for r > 1 (see module docstring)."""
     c0 = (y / y.max()) ** r  # conductances y^r, rescaled; the flow does not change
+    if not c0.all():
+        raise NonConvergence("singular block Laplacian: a conductance y^r underflows to 0 when rescaled")
     w = 1.0 / c0
     phi0, fac0 = sys_.factor(c0, sys_.rhs)
 

@@ -109,7 +109,7 @@ def _frontier_pass(adj, s, t, level, length, fixed, phi, delta, cap):
 _label_search = _frontier_pass  # bench/spans.py wraps this binding
 
 
-def rsp_exact(inst: RspInstance, cost_cap=None) -> tuple[int, ...]:
+def rsp_exact(inst: RspInstance) -> tuple[int, ...]:
     """Minimum-cost path within the length budget, for integer costs.
 
     One pass with unit delta and the budget phi: the first label settled at
@@ -122,11 +122,9 @@ def rsp_exact(inst: RspInstance, cost_cap=None) -> tuple[int, ...]:
         if iv != v:
             raise ValidationError("rsp_exact needs integer costs")
         icost.append(iv)
-    if cost_cap is None:
-        cost_cap = sum(icost)
     hit = _frontier_pass(
         adjacency(inst.n, inst.arcs), inst.s, inst.t, icost, inst.length, icost,
-        _budget_phi(inst.budget), 1, cost_cap + 1,
+        _budget_phi(inst.budget), 1, sum(icost) + 1,
     )
     if hit is None:
         raise Infeasible("no s-t path satisfies the length budget")

@@ -509,7 +509,7 @@ def discretize_conductances(inst: Instance, epsilon: float) -> OptionSet:
     return OptionSet(tuple(menus))
 
 
-def solve_sp_fptas(inst: Instance, epsilon: float, sched: SPSchedule | None = None) -> Solution:
+def solve_sp_fptas(inst: Instance, epsilon: float) -> Solution:
     """(1+epsilon)-approximation with continuous bounded conductances.
 
     Discretize at eps, then run the fixed-menu scheme at eps/3; the combined
@@ -519,14 +519,12 @@ def solve_sp_fptas(inst: Instance, epsilon: float, sched: SPSchedule | None = No
     ``arc_directions``, is handed to ``verify`` as a witness, which checks
     its conservation and energy on the graph itself and so does not trust
     the composition. A design that fails the check raises
-    VerificationFailed. sched is the instance's SP schedule when the caller
-    already has one, as ``cli``'s auto mode does; without it the graph is
-    decomposed here.
+    VerificationFailed. The arcs are checked before the graph, so an
+    instance the grid cannot take is refused before ``decompose`` runs.
     """
     check_epsilon(epsilon, "sp-fptas")
     _require_discretizable(inst)
-    if sched is None:
-        sched = decompose(inst.n, inst.arcs, inst.s, inst.t)
+    sched = decompose(inst.n, inst.arcs, inst.s, inst.t)
     if resistance_sp(sched, inst.ybar, inst.r) > inst.B:
         raise Infeasible("even y = ybar misses the resistance budget")
     menus = discretize_conductances(inst, epsilon)

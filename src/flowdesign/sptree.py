@@ -176,55 +176,47 @@ def resistance_sp(sched: SPSchedule, y, r: float) -> float:
     return node_resistances(sched, [cond_to_res(y[a], r) for a in range(sched.m)], r)[-1]
 
 
-def _split(flow: float, ca: float, cb: float) -> tuple[float, float]:
-    """Shares of flow for parallel children of conductances ca and cb: in
-    proportion to them, all of it to a child of infinite conductance (half
-    each to two), none when both are 0. An overflowing sum is halved first."""
-    total = ca + cb
+def _split(flow: float, ha: float, hb: float) -> tuple[float, float]:
+    """Shares of flow for parallel children of half conductances ha and hb:
+    in proportion to them, all of it to a child of infinite conductance
+    (half each to two), none when both are 0. Two finite halves never sum
+    past the float range."""
+    total = ha + hb
     if total == 0.0:
         return 0.0, 0.0
     if math.isinf(total):
-        if math.isinf(ca) and math.isinf(cb):
+        if math.isinf(ha) and math.isinf(hb):
             return flow * 0.5, flow * 0.5
-        if math.isinf(ca):
-            return flow, 0.0
-        if math.isinf(cb):
-            return 0.0, flow
-        ca, cb = ca / 2, cb / 2
-        total = ca + cb
-    return flow * (ca / total), flow * (cb / total)
+        return (flow, 0.0) if math.isinf(ha) else (0.0, flow)
+    return flow * (ha / total), flow * (hb / total)
 
 
 def sp_unit_flow(sched: SPSchedule, y, r: float) -> tuple[list[float], float]:
     """Magnitudes of the minimum-energy unit flow, plus the resistance.
 
     Requires finite conductances. A parallel junction splits the incoming
-    flow in proportion to its children's effective conductances, which is
-    exact on series-parallel graphs for every r >= 1; arcs in branches of
-    zero conductance carry nothing, and a branch of infinite conductance
-    (one whose resistance underflowed to 0) carries all of it.
+    flow in proportion to its children's effective conductances, read as
+    half keys off ``node_resistances``, which is exact on series-parallel
+    graphs for every r >= 1; arcs in branches of zero conductance carry
+    nothing, and a branch of infinite conductance (one whose resistance
+    underflowed to 0) carries all of it. The resistance is that pass's
+    root, so it equals ``resistance_sp`` bit for bit.
     """
     for v in y:
         if math.isinf(v):
             raise ValidationError("sp_unit_flow needs finite conductances")
 
     m, steps = sched.m, sched.steps
-    cond = [res_to_cond(cond_to_res(y[a], r), r) for a in range(m)]
-    for parallel, a, b in steps:
-        if parallel:
-            cond.append(cond[a] + cond[b])
-        else:
-            cond.append(res_to_cond(cond_to_res(cond[a], r) + cond_to_res(cond[b], r), r))
-
-    f = [0.0] * len(cond)
+    res = node_resistances(sched, [cond_to_res(y[a], r) for a in range(m)], r)
+    f = [0.0] * len(res)
     f[-1] = 1.0
-    for i in range(len(cond) - 1, m - 1, -1):
+    for i in range(len(res) - 1, m - 1, -1):
         parallel, a, b = steps[i - m]
         if not parallel:
             f[a] = f[b] = f[i]
         elif f[i] != 0.0:
-            f[a], f[b] = _split(f[i], cond[a], cond[b])
-    return f[:m], cond_to_res(cond[-1], r)
+            f[a], f[b] = _split(f[i], -half_key(res[a], r), -half_key(res[b], r))
+    return f[:m], res[-1]
 
 
 def arc_directions(sched: SPSchedule, arcs, s: int) -> list[int]:

@@ -29,6 +29,19 @@ def child_env():
     return env
 
 
+def run_in_512_mib(argv):
+    """``python -m flowdesign argv`` in an address space of 512 MiB."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+    return subprocess.run(
+        [sys.executable, "-m", "flowdesign", *argv], capture_output=True,
+        text=True, timeout=120, env=child_env(), preexec_fn=limit,
+    )
+
+
 def write_file(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -287,6 +300,59 @@ class TestSolve:
         assert read_solution(capsys.readouterr().out).cost > 0.0
 
 
+# Each shape is small enough for brute: a triangle, two arcs 0-1-2 in
+# parallel with one 0-2 (series-parallel), or a Wheatstone bridge (not).
+TRIANGLE = dict(n=3, arcs=((0, 1), (1, 2), (0, 2)), s=0, t=2)
+BRIDGE = dict(n=4, arcs=((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)), s=0, t=3)
+SHAPES = {
+    "unbounded": Instance(
+        **TRIANGLE, r=1.0, c=(1.0, 2.0, 5.0), gamma=(1.0, 0.5, 2.0), ybar=(math.inf,) * 3, B=1.0),
+    "unbounded-gamma-0": Instance(
+        **TRIANGLE, r=1.0, c=(1.0, 2.0, 5.0), gamma=(0.0,) * 3, ybar=(math.inf,) * 3, B=1.0),
+    "unbounded-c-0": Instance(
+        **TRIANGLE, r=2.0, c=(0.0,) * 3, gamma=(1.0, 0.5, 2.0), ybar=(math.inf,) * 3, B=1.0),
+    "bounded-sp": Instance(
+        **TRIANGLE, r=1.0, c=(1.0, 2.0, 5.0), gamma=(1.0, 0.5, 2.0), ybar=(2.0,) * 3, B=1.0),
+    "bounded-non-sp": Instance(
+        **BRIDGE, r=1.0, c=(1.0,) * 5, gamma=(0.5,) * 5, ybar=(2.0,) * 5, B=1.0),
+    "bounded-sp-c-0-arc": Instance(
+        **TRIANGLE, r=1.0, c=(0.0, 2.0, 5.0), gamma=(1.0, 0.5, 2.0), ybar=(2.0,) * 3, B=1.0),
+    "mixed-ybar": Instance(
+        **TRIANGLE, r=1.0, c=(1.0, 2.0, 5.0), gamma=(1.0, 0.5, 2.0), ybar=(math.inf, 2.0, 2.0), B=1.0),
+}
+
+
+class TestModeMatrix:
+    """Every mode on every shape solves it (exit 0), proves it infeasible
+    (exit 2) or refuses it (exit 3, one unsupported: line, no stdout);
+    no mode mismatch is a usage error."""
+
+    @pytest.mark.parametrize("mode", cli._MODES)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_solves_or_exits_2_or_3(self, tmp_path, capsys, shape, mode):
+        inst = SHAPES[shape]
+        path = write_file(tmp_path, "inst.json", write_instance(inst))
+        code = main(["solve", "--in", path, "--mode", mode])
+        cap = capsys.readouterr()
+        if code == 0:
+            assert cap.err.startswith("mode=") and verify(inst, read_solution(cap.out)).feasible
+        elif code == 2:
+            assert cap.err.startswith("infeasible: ") and cap.out == ""
+        else:
+            assert code == 3, cap.err
+            assert cap.err.startswith("unsupported: ") and cap.err.count("\n") == 1
+            assert cap.out == ""
+
+    @pytest.mark.parametrize("shape", ["unbounded-gamma-0", "unbounded-c-0"])
+    def test_path_modes_agree_where_one_cost_vanishes(self, tmp_path, capsys, shape):
+        path = write_file(tmp_path, "inst.json", write_instance(SHAPES[shape]))
+        outs = []
+        for mode in ("path-exact", "path-fptas", "auto"):
+            assert main(["solve", "--in", path, "--mode", mode]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+
+
 class TestVerify:
     def build(self, tmp_path, capsys):
         inst, path = diamond_unbounded(tmp_path)
@@ -364,8 +430,6 @@ class TestResistance:
     def test_huge_n_takes_memory_of_the_arcs_only(self, tmp_path, argv, ybar, y, field, R):
         # n = 10^12 with three arcs: only s, t and the arcs' ends are
         # numbered, so the call fits in an address space of 512 MiB.
-        import resource
-
         n = 10**12
         doc = {"n": n, "arcs": [[5, 9], [9, n - 1], [n - 1, 9]], "s": 5, "t": n - 1, "r": 1.0,
                "c": [0.0, 0.0, 0.0], "gamma": [0.0, 0.0, 0.0], "ybar": ybar, "B": 1.0}
@@ -374,15 +438,20 @@ class TestResistance:
             sol = {"x": [1, 1, 1], "y": y, "cost": 0.0, "achievedR": 0.25}
             argv = [a.format(sol=write_file(tmp_path, "sol.json", json.dumps(sol))) for a in argv]
 
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "flowdesign", *argv, "--in", inst], capture_output=True,
-            text=True, timeout=120, env=child_env(), preexec_fn=limit,
-        )
+        proc = run_in_512_mib([*argv, "--in", inst])
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)[field] == pytest.approx(R, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["auto", "sp-fptas"])
+    def test_huge_n_solve_takes_memory_of_the_arcs_only(self, tmp_path, mode):
+        # sp-fptas checks its answer's flow witness at the nodes the arcs touch
+        n = 10**12
+        doc = {"n": n, "arcs": [[5, 9], [9, n - 1], [n - 1, 9]], "s": 5, "t": n - 1, "r": 1.0,
+               "c": [1.0, 1.0, 1.0], "gamma": [0.0, 0.0, 0.0], "ybar": [1.0, 4.0, 4.0], "B": 2.0}
+        inst = write_file(tmp_path, "inst.json", json.dumps(doc))
+        proc = run_in_512_mib(["solve", "--mode", mode, "--in", inst])
+        assert (proc.returncode, proc.stderr) == (0, "mode=sp-fptas eps=0.25\n")
+        assert read_solution(proc.stdout).achievedR <= doc["B"]
 
 
 class TestTol:

@@ -565,8 +565,11 @@ class DenseSystem(resistance._BlockSystem):
         return np.linalg.solve(L, rhs)
 
 
-# These stall at r = 4 with either solve (see ROADMAP, item 2): stars with a
-# rim, and the draws of the parallel and pendant-terminal families.
+# These fail at r = 4 (see ROADMAP, item 2). Stars with a rim and the
+# parallel family stall on both draws with either solve. Of the
+# pendant-terminal draws, draw 0 converges (block and dense agree to 1.1e-15)
+# and draw 1 is refused as a singular block Laplacian (the dense solve
+# raises LinAlgError).
 STALLS_AT_R4 = {"star", "parallel", "pendant-terminals"}
 
 

@@ -697,17 +697,6 @@ class TestPipeline:
         solve_sp_fptas(inst, 0.5)
         assert len(calls) == 1
 
-    def test_given_schedule_is_used_and_gives_the_same_design(self, monkeypatch):
-        inst, _ = gen_random_sp(7, 5, 2.0)
-        want = solve_sp_fptas(inst, 0.5)
-        sched = decompose(inst.n, inst.arcs, inst.s, inst.t)
-
-        def refused(*args):
-            raise AssertionError("decomposed although a schedule was given")
-
-        monkeypatch.setattr(spdesign, "decompose", refused)
-        assert solve_sp_fptas(inst, 0.5, sched) == want
-
     def test_epsilon_domain(self):
         inst = Instance(
             n=2, arcs=((0, 1),), s=0, t=1, r=1.0,

@@ -268,6 +268,18 @@ def test_witness_conserves_across_the_float_range():
     assert checked >= 200
 
 
+def test_unit_flow_resistance_is_resistance_sp():
+    """sp_unit_flow's resistance is the root of resistance_sp's own pass."""
+    rng = random.Random(900)
+    for trial in range(900):
+        m = rng.randint(3, 30)
+        n, arcs, s, t = random_sp_structure(rng, m)
+        r = rng.choice([1.0, 1.5, 2.0, 3.0])
+        y = tuple(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(m))
+        tree = decompose(n, arcs, s, t)
+        assert sp_unit_flow(tree, y, r)[1] == resistance_sp(tree, y, r), f"trial {trial}"
+
+
 def test_unit_flow_rejects_unbounded():
     tree = decompose(2, ((0, 1),), 0, 1)
     with pytest.raises(ValidationError):
