@@ -346,61 +346,6 @@ def adjacency(n: int, arcs) -> list[list[tuple[int, int]]]:
     return adj
 
 
-def st_block_arcs(n: int, arcs, s: int, t: int) -> list[int]:
-    """Indices of the arcs that lie on some simple s-t path, ascending.
-
-    Direction is ignored. An arc lies on a simple s-t path exactly when it
-    shares a biconnected component with a virtual arc s-t, so this is one
-    iterative Hopcroft-Tarjan pass from s that stops at that component.
-    Self-loops, pendant trees, cycles hanging off a cut vertex and other
-    components are left out; the list is empty when s and t are not
-    connected.
-    """
-    virtual = len(arcs)
-    adj = adjacency(n, arcs)
-    adj[s].append((virtual, t))
-    adj[t].append((virtual, s))
-
-    disc = [-1] * n
-    low = [0] * n
-    disc[s] = 0
-    clock = 1
-    edges: list[int] = []
-    frames = [(s, -1, iter(adj[s]))]
-    while frames:
-        u, via, it = frames[-1]
-        for a, v in it:
-            if a == via:
-                continue
-            if disc[v] < 0:
-                disc[v] = low[v] = clock
-                clock += 1
-                edges.append(a)
-                frames.append((v, a, iter(adj[v])))
-                break
-            if disc[v] < disc[u]:
-                edges.append(a)
-                low[u] = min(low[u], disc[v])
-        else:
-            frames.pop()
-            if not frames:
-                break
-            p = frames[-1][0]
-            low[p] = min(low[p], low[u])
-            if low[u] >= disc[p]:
-                # u's subtree closes a block whose first arc is `via`
-                block = []
-                while True:
-                    a = edges.pop()
-                    block.append(a)
-                    if a == via:
-                        break
-                if virtual in block:
-                    block.remove(virtual)
-                    return sorted(block)
-    return []
-
-
 def verify(inst: Instance, sol: Solution, tol: float = 1e-9, flow=None) -> VerificationReport:
     """``certify.verify``, with certify imported on the first call, so a call
     that never checks a solution never compiles the checker."""

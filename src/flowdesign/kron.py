@@ -17,9 +17,15 @@ numbers, so the reduction adds no cancellation. The potentials of the
 eliminated nodes come back by back-substitution, phi_v = b_v / W_v +
 sum_a (w_a / W_v) phi_a, last round first.
 
-``Reduction`` records the rounds once, symbolically; ``weights``, ``push``
-and ``back`` replay them on numbers. Nodes of one round do not touch each
-other, so numpy eliminates a round at once.
+``Reduction`` records the rounds once, symbolically, and ``weights``,
+``push`` and ``back`` replay them on numbers. Nodes of one round do not
+touch each other, so numpy both records and eliminates a round at once:
+the round's nodes are the ones a greedy pass in degree order picks, found
+in a few array passes, and their neighbour, edge and fill rows are read
+from the edge arrays. Only the edges are numbered in Python, through one
+dict of node pairs. The rounds are those of a node-by-node greedy loop, kept
+in the tests as the reference: the same nodes, rows and edge numbers in the
+same order, so the energies are the same floats.
 """
 
 from __future__ import annotations
@@ -29,12 +35,14 @@ import numpy as np
 from .errors import NonConvergence
 
 # Most neighbours a node may have and still be reduced. On the benchmark's
-# random graphs (m = 2n; one BLAS thread, 2-core Xeon) a solve at n = 600 /
-# 900 / 1,200 took 6.7 / 11.9 / 20.2 ms at 3, 5.7 / 9.8 / 17.1 at 4, 6.3 /
-# 11.4 / 16.9 at 5 and 6.7 / 11.7 / 15.9 at 6, against 7.2 / 15.2 / 28.6
-# unreduced; the peak RSS of a resistance call on them fell from 42.5 MiB
-# (two BLAS threads: 43.7) to 36.0 at 4 (36.8; 38.3 at 3, 36.0 at 5, 35.7
-# at 6).
+# random graphs (m = 2n, r = 1; one BLAS thread, 2-core Xeon) a solve at
+# n = 600 / 900 / 1,200 took 3.9 / 7.2 / 12.2 ms at 3, 3.6 / 6.1 / 9.7 at
+# 4, 3.6 / 6.0 / 9.4 at 5 and 3.7 / 6.1 / 8.5 at 6, against 5.4 / 11.8 /
+# 27.3 with no node reduced (minima of 21 solves). The peak RSS of a
+# resistance call on them fell from 42.5 MiB (two BLAS threads: 43.7) to
+# 36.0 at 4 (36.8; 38.3 at 3, 36.0 at 5, 35.7 at 6). 5 and 6 are a little
+# faster at n = 1,200, but another value reduces other nodes, and so changes
+# the last bits of every reduced solve's energy.
 _DEGREE = 4
 # The pairs (i, j), i < j, of a reduced node's neighbours, ordered by j, so
 # that the d (d - 1) / 2 pairs of a node with d neighbours come first.
@@ -45,79 +53,92 @@ class Reduction:
     """The reduction of a block whose arc a joins tails[a] and heads[a].
 
     After construction, ``reduced`` lists the reduced nodes in their order
-    and ``nbrs[x]`` maps each neighbour x has left to the edge joining them,
-    for the caller to number the core. ``number`` then fixes the rounds in
-    the caller's numbering and drops the graph.
+    and ``left`` the ends of the edges left, in the order of the edges, for
+    the caller to number the core. ``number`` then fixes the rounds in the
+    caller's numbering.
     """
 
-    def __init__(self, n, tails, heads, nodes, t):
-        nbrs = [{} for _ in range(n)]
-        self.edge, eu, ev = [], [], []
-        for x, z in zip(tails, heads):
-            e = nbrs[x].setdefault(z, len(eu))
-            if e == len(eu):
-                nbrs[z][x] = e
-                eu.append(x)
-                ev.append(z)
-            self.edge.append(e)
-        low = {x for x in nodes if len(nbrs[x]) <= _DEGREE}
-        low.discard(t)
-        # Each round as the chosen nodes and, per chosen node, flat: its
-        # neighbours, the edges to them and the fill edge of each pair in
-        # _PAIRS, padded to the round's widest degree with t and edge -1.
+    def __init__(self, n, tails, heads, t):
+        # Edge ends, and the edge of each pair of nodes lo < hi that has one,
+        # by the key lo * n + hi.
+        self._n, self._pairs = n, {}
+        self._eu = self._ev = np.zeros(0, dtype=np.intp)
+        self.edge = self._join(tails, heads)
+        alive = np.ones(len(self._eu), dtype=bool)
+        # Each round as the chosen nodes and, per chosen node, a row of its
+        # neighbours, of the edges to them and of the fill edge of each pair
+        # in _PAIRS, padded to the round's widest degree with t and edge -1.
         rounds = []
-        while low:
-            chosen, taken = [], set()
-            for v in sorted(low, key=lambda v: (len(nbrs[v]), v)):
-                if v not in taken:
-                    chosen.append(v)
-                    taken.add(v)
-                    taken.update(nbrs[v])
-            width = max(len(nbrs[v]) for v in chosen)
-            near_rows, edge_rows, fill_rows, touched = [], [], [], set()
-            for v in chosen:
-                star = nbrs[v]
-                near = list(star)
-                for a in near:
-                    del nbrs[a][v]
-                for j, b in enumerate(near):
-                    around = nbrs[b]
-                    for a in near[:j]:
-                        e = around.get(a)
-                        if e is None:
-                            e = around[a] = nbrs[a][b] = len(eu)
-                            eu.append(a)
-                            ev.append(b)
-                        fill_rows.append(e)
-                pad = width - len(near)
-                fill_rows += [-1] * (width * (width - 1) - len(near) * (len(near) - 1) >> 1)
-                near_rows += near + [t] * pad
-                edge_rows += list(star.values()) + [-1] * pad
-                touched.update(near)
-            low.difference_update(chosen)
-            for a in touched:
-                if len(nbrs[a]) <= _DEGREE and a != t:
-                    low.add(a)
-                else:
-                    low.discard(a)
-            rounds.append((chosen, near_rows, edge_rows, fill_rows))
-        self._ends, self.nbrs, self._rounds = (eu, ev), nbrs, rounds
-        self.reduced = [v for chosen, *_ in rounds for v in chosen]
+        while True:
+            arc = np.flatnonzero(alive)
+            u, v = self._eu[arc], self._ev[arc]
+            deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+            deg[t] = 0
+            order = np.flatnonzero((deg > 0) & (deg <= _DEGREE))
+            if not len(order):
+                break
+            # Pick the nodes that a greedy pass over order, lowest degree
+            # first, picks when it skips every node joined to one picked
+            # before: the lexicographically first independent set. By rank,
+            # a node is picked once no undecided neighbour precedes it, so
+            # each pass decides the first node of every chain at once.
+            order = order[np.argsort(deg[order] * n + order)]
+            rank = np.full(n, len(order))
+            rank[order] = np.arange(len(order))
+            lo, hi = np.minimum(rank[u], rank[v]), np.maximum(rank[u], rank[v])
+            out = np.zeros(len(order) + 1, dtype=bool)
+            out[-1] = True  # the rank of every node not in order
+            while len(lo):
+                picked = ~out
+                picked[hi] = False
+                out[hi[picked[lo]]] = True
+                keep = ~(out[lo] | out[hi])
+                lo, hi = lo[keep], hi[keep]
+            chosen = order[~out[:-1]]
+            # Each chosen node's edges, by chosen node, then by edge. No edge
+            # joins two chosen nodes, and eliminating one adds no edge to
+            # another, so all rows are read before the first elimination.
+            at = np.full(n, -1)
+            at[chosen] = np.arange(len(chosen))
+            row = np.maximum(at[u], at[v])
+            mine = np.flatnonzero(row >= 0)
+            mine = mine[np.argsort(row[mine] * len(row) + mine)]  # ties by edge
+            d = deg[chosen]
+            cell = row[mine], np.arange(len(mine)) - (np.cumsum(d) - d)[row[mine]]
+            near = np.full((len(chosen), d.max()), t)
+            edges = np.full(near.shape, -1)
+            near[cell] = u[mine] + v[mine] - chosen[cell[0]]
+            edges[cell] = arc[mine]
+            i, j = (p[:d.max() * (d.max() - 1) >> 1] for p in _PAIRS)
+            pair = j < d[:, None]
+            fill = np.full(pair.shape, -1)
+            fill[pair] = self._join(near[:, i][pair], near[:, j][pair])
+            alive = np.append(alive, np.ones(len(self._eu) - len(alive), dtype=bool))
+            alive[arc[mine]] = False
+            rounds.append((chosen, near, edges, fill))
+        self._rounds = rounds
+        self.reduced = [v for chosen, *_ in rounds for v in chosen.tolist()]
+        arc = np.flatnonzero(alive)
+        self.left = list(zip(self._eu[arc].tolist(), self._ev[arc].tolist()))
+
+    def _join(self, a, b):
+        """The edge joining a[i] and b[i] for each i: the one there is, or a
+        new one, numbered in the order of the pairs' first appearance."""
+        pairs = self._pairs
+        key = (np.minimum(a, b) * self._n + np.maximum(a, b)).tolist()
+        ids = np.array([pairs.setdefault(x, len(pairs)) for x in key], dtype=np.intp)
+        # A new edge first appears where the running maximum of ids rises.
+        rise = np.maximum.accumulate(np.append(len(self._eu) - 1, ids))
+        new = np.flatnonzero(rise[1:] > rise[:-1])
+        self._eu, self._ev = np.append(self._eu, a[new]), np.append(self._ev, b[new])
+        return ids
 
     def number(self, index):
-        """Fix the rounds as arrays, with node x numbered index[x], and return
-        the ends of every edge, fill included, in that numbering."""
-        self._rounds = [
-            (index[chosen], index[near].reshape(len(chosen), -1),
-             np.array(edges, dtype=np.intp).reshape(len(chosen), -1),
-             np.array(fill, dtype=np.intp).reshape(len(chosen), len(fill) // len(chosen)))
-            for chosen, near, edges, fill in self._rounds
-        ]
-        self.edge = np.array(self.edge, dtype=np.intp)
-        eu, ev = self._ends
-        self._edges = len(eu)
-        self._ends = self.nbrs = None
-        return index[eu], index[ev]
+        """Fix the rounds with node x numbered index[x], and return the ends
+        of every edge, fill included, in that numbering."""
+        self._rounds = [(index[chosen], index[near], *rest) for chosen, near, *rest in self._rounds]
+        self._edges = len(self._eu)
+        return index[self._eu], index[self._ev]
 
     def weights(self, cond):
         """The edge weights left after the rounds, from arc conductances

@@ -11,11 +11,13 @@ while pi_s - pi_t sums the potential law along one spanning tree and
 carries its errors, which grow when conductances spread widely.
 
 The solver works in node space, on the s-t block only: the supported arcs
-that lie on some simple s-t path (``core.st_block_arcs``). Every other arc
+that lie on some simple s-t path (``st_block_arcs``). Every other arc
 (self-loops, pendant trees, cycles hanging off a cut vertex) carries exactly
 zero flow at the optimum, since any flow there only adds energy. On the
 block, let B be the node-arc incidence and L(c) = B diag(c) B^T the weighted
-Laplacian grounded at t.
+Laplacian grounded at t. One pass over the arcs builds the adjacency of the
+supported ones (``_support``); the block search and the BFS levels below
+both walk it, the levels skipping the nodes off the block.
 
 No solve forms L densely. ``_BlockSystem`` records two exact eliminations
 once per block, and every solve replays them: the r = 1 solve, each Newton
@@ -70,29 +72,30 @@ block from 459 to 342 nodes and cut the solve's peak traced memory from
     is floored kept max |delta| above 1e-10, and the stop test never
     passed.
 
-Potentials are read off the final flow along a spanning tree that takes the
-arcs of least |f| first. The potential law is then exact where it is most
-sensitive: a potential error on an arc with a small drop moves the flow it
-implies by a factor |drop|^{1/r - 1}.
+Two entries share that solve (``_block_flow``), which ends at the block's
+flow and its energy. ``effective_resistance`` returns the energy and
+builds nothing more. ``min_energy_flow`` also builds the flow on every arc
+and the potentials, in ``potentials``, which it imports on its first call;
+its energy is the same float, bit for bit.
 
 ``support_resistance`` is the entry point of the `resistance` command and of
 ``core.verify`` without a flow witness: it drops uninstalled arcs, contracts
 infinite ones (with ``DisjointSets``, the union-find that also picks the
 potential tree), numbers the nodes afresh when n is larger than the arcs
-can touch, so that its cost does not grow with n, and returns the energy.
-Both live here rather than in core, so that only the commands that solve
-for energy compile them.
+can touch, so that its cost does not grow with n, and returns the energy
+from ``effective_resistance``. The block search, ``DisjointSets`` and
+``support_resistance`` live here rather than in core, so that only the
+commands that solve for energy compile them, and the potentials live in
+their own module, so that those commands do not compile them either.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import chain
 
 import numpy as np
 
-from .core import st_block_arcs
 from .errors import Disconnected, NonConvergence, ValidationError
 
 # Floor of the Newton curvature h relative to max h, which keeps 1/h finite.
@@ -150,42 +153,94 @@ def _check_inputs(n, arcs, y, r, s, t):
 
 
 class DisjointSets:
-    """Union-find over the nodes 0..n-1, with path compression."""
+    """Union-find over the nodes 0..n-1, with path halving."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
 
     def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
+        """The least node of v's set, which is its root."""
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
+        return v
 
     def union(self, a: int, b: int) -> bool:
         """Merge the sets of a and b; False when they were already one set."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
+        ra, rb = sorted((self.find(a), self.find(b)))
+        self.parent[rb] = ra
+        return ra != rb
 
 
-def _arc_drops(f, y, r):
-    """sign(f) * (|f| / y)^r, the potential drop each arc's flow implies."""
-    return np.sign(f) * (np.abs(f) / y) ** r
+def _support(n, arcs, y):
+    """The supported arcs (y_a > 0, no self-loops) as an adjacency, in one
+    pass: adj[x] holds each neighbour of node x and the arc to it, v0, a0,
+    v1, a1, ..., in arc order."""
+    adj = [[] for _ in range(n)]
+    for a, (u, v) in enumerate(arcs):
+        if y[a] > 0.0 and u != v:
+            adj[u] += v, a
+            adj[v] += u, a
+    return adj
 
 
-def _levels(nbrs, t, n):
-    """The BFS levels from t of the graph nbrs, farthest first ([t] last)."""
-    seen = [False] * n
+def st_block_arcs(adj, s, t) -> list[int]:
+    """Indices of the arcs that lie on some simple s-t path, ascending.
+
+    adj is as ``_support`` builds it; direction is ignored. An arc lies on a
+    simple s-t path exactly when it shares a biconnected component with a
+    virtual arc s-t, so this is one iterative Hopcroft-Tarjan pass that
+    enters t from s by that arc and stops when t's subtree closes its
+    component. Self-loops, pendant trees, cycles hanging off a cut vertex
+    and other components are left out; the list is empty when s and t are
+    not connected.
+    """
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
+    disc[s] = 0
+    disc[t] = low[t] = 1
+    clock = 2
+    edges = [-1]  # the arcs of open components; -1 is the virtual arc
+    frames = [(s, None, None), (t, -1, iter(adj[t]))]
+    while True:
+        u, via, it = frames[-1]
+        for v in it:
+            a = next(it)
+            if a == via:
+                continue
+            if disc[v] < 0:
+                disc[v] = low[v] = clock
+                clock += 1
+                edges.append(a)
+                frames.append((v, a, iter(adj[v])))
+                break
+            if disc[v] < disc[u]:
+                edges.append(a)
+                if disc[v] < low[u]:
+                    low[u] = disc[v]
+        else:
+            frames.pop()
+            p = frames[-1][0]
+            if low[u] < low[p]:
+                low[p] = low[u]
+            if low[u] >= disc[p]:
+                # u's subtree closes a component whose first arc is `via`;
+                # t's is the last to close and holds all arcs left
+                if via < 0:
+                    return sorted(edges[1:])
+                while edges.pop() != via:
+                    pass
+
+
+def _levels(adj, t, seen):
+    """The BFS levels from t over adj (as ``_support`` builds it), skipping
+    the nodes seen marks, farthest first ([t] last)."""
     seen[t] = True
     levels = [[t]]
     while True:
         ahead = []
         for x in levels[-1]:
-            for z in nbrs[x]:
+            for z in adj[x][::2]:
                 if not seen[z]:
                     seen[z] = True
                     ahead.append(z)
@@ -223,27 +278,28 @@ class _BlockSystem:
     Laplacian entries.
     """
 
-    def __init__(self, n, arcs, block, s, t):
-        tails = [arcs[a][0] for a in block]
-        heads = [arcs[a][1] for a in block]
-        adj = [[] for _ in range(n)]
-        for x, z in zip(tails, heads):
-            adj[x].append(z)
-            adj[z].append(x)
-        levels = _levels(adj, t, n)
+    def __init__(self, n, arcs, block, adj, s, t):
+        tails = np.array([arcs[a][0] for a in block], dtype=np.intp)
+        heads = np.array([arcs[a][1] for a in block], dtype=np.intp)
+        # adj holds every supported arc, and every arc that joins two nodes
+        # of the block is in the block, so a BFS that skips the nodes off
+        # the block sees the block's arcs, in their order.
+        off = np.ones(n, dtype=bool)
+        off[tails] = off[heads] = False
+        levels = _levels(adj, t, off.tolist())
         reduced, red = [], None
         if max(map(len, levels)) > _BLOCK:
             from .kron import Reduction
 
-            red = Reduction(n, tails, heads, chain(*levels), t)
-            reduced, levels = red.reduced, _levels(red.nbrs, t, n)
+            red = Reduction(n, tails, heads, t)
+            reduced = red.reduced
+            levels = _levels(_support(n, red.left, [1.0] * len(red.left)), t, [False] * n)
         self._reduction = red
         first = len(reduced)  # the core's first node
         order = reduced + [x for level in levels for x in level]
-        k = len(order) - 1
+        self.k = k = len(order) - 1
         index = np.zeros(n, dtype=np.intp)
         index[order] = np.arange(k + 1)
-        self.k = k
         self.u, self.v = iu, iv = index[tails], index[heads]
         self.rhs = np.zeros(k)
         self.rhs[index[s]] = 1.0
@@ -450,6 +506,28 @@ def _newton(sys_, y, r):
                 )
 
 
+def _block_flow(n, arcs, y, r, s, t):
+    """The s-t block's arcs, their minimum-energy flow and its energy.
+
+    ``st_block_arcs`` and ``_BlockSystem`` share one adjacency.
+    """
+    _check_inputs(n, arcs, y, r, s, t)
+    adj = _support(n, arcs, y)
+    block = st_block_arcs(adj, s, t)
+    if not block:
+        raise Disconnected("s and t are not connected by installed arcs")
+
+    sys_ = _BlockSystem(n, arcs, block, adj, s, t)
+    yb = np.array([y[a] for a in block], dtype=float)
+    if r == 1.0:
+        cond = yb / yb.max()
+        fb = cond * sys_.drop(sys_.factor(cond, sys_.rhs)[0])
+    else:
+        fb = _newton(sys_, yb, r)
+    af = np.abs(fb)
+    return block, fb, float(np.sum(af * (af / yb) ** r))
+
+
 def min_energy_flow(n, arcs, y, r, s, t) -> FlowState:
     """Minimum-energy unit s-t flow on the supported arcs (y_a > 0).
 
@@ -458,60 +536,22 @@ def min_energy_flow(n, arcs, y, r, s, t) -> FlowState:
     converge (see the module docstring). The potentials hold
     the potential law only to the rounding of max|pi|, which at r = 4 can
     exceed 1e-6 relative on arcs with tiny drops (see FlowState); use
-    energy, not pi_s - pi_t, for the resistance.
+    energy, not pi_s - pi_t, for the resistance. f and pi are built in
+    ``potentials``.
     """
-    _check_inputs(n, arcs, y, r, s, t)
-    m = len(arcs)
-    support = [a for a in range(m) if y[a] > 0.0 and arcs[a][0] != arcs[a][1]]
-    block = [support[i] for i in st_block_arcs(n, [arcs[a] for a in support], s, t)]
-    if not block:
-        raise Disconnected("s and t are not connected by installed arcs")
+    from .potentials import flow_state
 
-    sys_ = _BlockSystem(n, arcs, block, s, t)
-    yb = np.array([y[a] for a in block], dtype=float)
-    if r == 1.0:
-        cond = yb / yb.max()
-        fb = cond * sys_.drop(sys_.factor(cond, sys_.rhs)[0])
-    else:
-        fb = _newton(sys_, yb, r)
-
-    f = np.zeros(m)
-    f[block] = fb
-    ys = np.array([y[a] for a in support], dtype=float)
-    drops = _arc_drops(f[support], ys, r)
-
-    # Potentials along a spanning forest of the support, least |f| first.
-    ds = DisjointSets(n)
-    tree = [[] for _ in range(n)]
-    for i in np.argsort(np.abs(f[support]), kind="stable").tolist():
-        u, v = arcs[support[i]]
-        if ds.union(u, v):
-            d = float(drops[i])
-            tree[u].append((v, -d))
-            tree[v].append((u, d))
-    pi = [0.0] * n
-    seen = [False] * n
-    seen[t] = True
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        for z, d in tree[x]:
-            if not seen[z]:
-                seen[z] = True
-                pi[z] = pi[x] + d
-                stack.append(z)
-
-    energy = float(np.sum(np.abs(fb) * _arc_drops(np.abs(fb), yb, r)))
-    return FlowState(f=tuple(f.tolist()), pi=tuple(pi), energy=energy)
+    return flow_state(n, arcs, y, r, t, *_block_flow(n, arcs, y, r, s, t))
 
 
 def effective_resistance(n, arcs, y, r, s, t) -> float:
-    """The energy of the minimum-energy unit flow; +inf when disconnected."""
+    """The energy of the minimum-energy unit flow; +inf when disconnected.
+    It builds neither the flow tuple nor the potentials, and equals
+    ``min_energy_flow(...).energy`` bit for bit."""
     try:
-        state = min_energy_flow(n, arcs, y, r, s, t)
+        return _block_flow(n, arcs, y, r, s, t)[2]
     except Disconnected:
         return math.inf
-    return state.energy
 
 
 def support_resistance(inst, y) -> float:
@@ -524,10 +564,12 @@ def support_resistance(inst, y) -> float:
     numbered, in their order, so the solve takes O(m) time and memory
     however large inst.n is. Otherwise the nodes keep their numbers.
     """
+    arcs, n, s, t = inst.arcs, inst.n, inst.s, inst.t
     keep = [a for a, v in enumerate(y) if 0.0 < v < math.inf]
-    arcs = [inst.arcs[a] for a in keep]
-    short = [inst.arcs[a] for a, v in enumerate(y) if math.isinf(v)]
-    n, s, t = inst.n, inst.s, inst.t
+    short = []
+    if len(keep) < len(y):  # else every arc is installed, none infinite
+        short = [arcs[a] for a, v in enumerate(y) if math.isinf(v)]
+        arcs, y = [arcs[a] for a in keep], [y[a] for a in keep]
     if short or n > 2 * len(arcs) + 2:
         used = sorted({s, t}.union(*arcs, *short))
         ids = dict(zip(used, range(len(used))))
@@ -540,7 +582,7 @@ def support_resistance(inst, y) -> float:
         if s == t:
             return 0.0
         arcs = [(node[u], node[v]) for u, v in arcs]
-    return effective_resistance(n, arcs, [y[a] for a in keep], inst.r, s, t)
+    return effective_resistance(n, arcs, y, inst.r, s, t)
 
 
 def effective_conductance(n, arcs, y, r, s, t) -> float:

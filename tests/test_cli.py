@@ -415,12 +415,34 @@ class TestResistance:
         def stalled(*args, **kwargs):
             raise NonConvergence("forced: the y^r spread is beyond float resolution")
 
-        monkeypatch.setattr(resistance, "min_energy_flow", stalled)
+        monkeypatch.setattr(resistance, "_block_flow", stalled)
         _, path = bounded_series(tmp_path, B=3.0)
         assert main(["resistance", "--in", path]) == 3
         cap = capsys.readouterr()
         assert "unsupported" in cap.err and "forced" in cap.err
         assert cap.out == ""
+
+    @pytest.mark.parametrize("argv", [["resistance"], ["resistance", "--sol", "{sol}"],
+                                      ["verify", "--sol", "{sol}"]])
+    def test_energy_commands_never_build_the_flow_state(self, tmp_path, capsys, monkeypatch, argv):
+        # A bridge (not series-parallel) with conductances to install: the
+        # energy solver answers, and the flow and potentials stay unbuilt.
+        from flowdesign import resistance
+
+        inst = Instance(n=4, arcs=((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)), s=0, t=3, r=2.0,
+                        c=(1.0,) * 5, gamma=(0.0,) * 5, ybar=(1.0, 2.0, 0.5, 3.0, 1.5), B=2.0)
+        path = write_file(tmp_path, "inst.json", write_instance(inst))
+        sol = Solution(x=(1,) * 5, y=(0.5, 2.0, 0.5, 3.0, 1.0), cost=7.0, achievedR=1.0)
+        argv = [a.format(sol=write_file(tmp_path, "sol.json", write_solution(sol))) for a in argv]
+        code = main([*argv, "--in", path])
+        want = capsys.readouterr().out
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the flow state was built")
+
+        monkeypatch.setattr(resistance, "min_energy_flow", unbuilt)
+        assert main([*argv, "--in", path]) == code == 0
+        assert capsys.readouterr().out == want
 
     @pytest.mark.parametrize("argv, ybar, y, field, R", [
         (["resistance"], [1.0, 4.0, 4.0], None, "R", 1.125),

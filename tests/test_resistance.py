@@ -11,6 +11,7 @@ from flowdesign import (
     ValidationError,
     effective_conductance,
     effective_resistance,
+    kron,
     min_energy_flow,
     resistance,
 )
@@ -319,8 +320,11 @@ def test_decorated_graphs_meet_kkt(r):
             assert R == pytest.approx(laplacian_resistance(n, arcs, y, s, t), rel=1e-9)
 
 
+def support_graph(n, arcs):
+    return resistance._support(n, arcs, [1.0] * len(arcs))
+
+
 def test_block_arcs_are_those_on_simple_paths():
-    from flowdesign.core import st_block_arcs
     from flowdesign.oracles import simple_paths
 
     rng = random.Random(404)
@@ -329,8 +333,8 @@ def test_block_arcs_are_those_on_simple_paths():
         on_path = set()
         for path in simple_paths(n, arcs, s, t):
             on_path.update(path)
-        assert st_block_arcs(n, arcs, s, t) == sorted(on_path), f"trial {trial}"
-    assert st_block_arcs(4, ((0, 1), (2, 3)), 0, 3) == []
+        assert resistance.st_block_arcs(support_graph(n, arcs), s, t) == sorted(on_path), f"trial {trial}"
+    assert resistance.st_block_arcs(support_graph(4, ((0, 1), (2, 3))), 0, 3) == []
 
 
 def test_large_r2_instance_meets_kkt():
@@ -496,9 +500,8 @@ FAMILIES = {
 
 
 def block_system(n, arcs, s, t):
-    from flowdesign.core import st_block_arcs
-
-    sys_ = resistance._BlockSystem(n, arcs, st_block_arcs(n, arcs, s, t), s, t)
+    adj = support_graph(n, arcs)
+    sys_ = resistance._BlockSystem(n, arcs, resistance.st_block_arcs(adj, s, t), adj, s, t)
     assert sys_._reduction or len(sys_._shapes) > 1  # the reduction or several blocks
     return sys_
 
@@ -643,6 +646,134 @@ def test_random_solve_memory_stays_below_the_level_blocks(r, bound_mib):
     conservation, law = kkt_residuals(n, arcs, y, r, 0, n - 1, state)
     assert conservation <= KKT_TOL
     assert law <= KKT_TOL
+
+
+# The corpus shapes of the benchmark's energy workload: grids of side k and
+# random graphs with m = 2n, at the r each is solved at there.
+CORPUS_SHAPES = [("grid", k, 1.0) for k in (20, 28, 35)] + [("grid", k, 2.0) for k in (10, 12, 14)] \
+    + [("random", n, 1.0) for n in (600, 900, 1200)] + [("random", n, 2.0) for n in (100, 150, 200)]
+
+
+def energy_cases():
+    """Family draws at r = 1, 1.5 and 2, at r = 4 where they converge, and
+    the corpus shapes with y in [0.5, 3]."""
+    for family in FAMILIES:
+        for r in (1.0, 1.5, 2.0, 4.0):
+            if not (family in STALLS_AT_R4 and r > 2.0):
+                rng = random.Random(f"energy-bits:{family}:{r}")
+                n, arcs, s, t = FAMILIES[family](rng)
+                yield f"{family}-r{r}", n, arcs, tuple(10.0 ** (rng.uniform(-6.0, 6.0) / r) for _ in arcs), r, s, t
+    for shape, size, r in CORPUS_SHAPES:
+        rng = random.Random(f"energy-bits:{shape}:{size}")
+        if shape == "grid":
+            n, arcs, s, t = grid_graph(size)
+        else:
+            n, arcs, s, t = size, random_connected(rng, size, size + 1), 0, size - 1
+        yield f"{shape}-{size}-r{r}", n, arcs, tuple(rng.uniform(0.5, 3.0) for _ in arcs), r, s, t
+
+
+@pytest.mark.parametrize("case", list(energy_cases()), ids=lambda case: case[0])
+def test_effective_resistance_is_the_flow_energy_bit_for_bit(case):
+    _, n, arcs, y, r, s, t = case
+    assert effective_resistance(n, arcs, y, r, s, t) == min_energy_flow(n, arcs, y, r, s, t).energy
+
+
+def reference_rounds(n, tails, heads, nodes, t):
+    """The Kron rounds recorded one node at a time, with a dict of neighbour
+    to edge per node: the reference for the array recording. Returns the
+    arc edges, the edge ends, the rounds as flat lists, and the neighbours
+    each node has left."""
+    nbrs = [{} for _ in range(n)]
+    edge, eu, ev = [], [], []
+    for x, z in zip(tails, heads):
+        e = nbrs[x].setdefault(z, len(eu))
+        if e == len(eu):
+            nbrs[z][x] = e
+            eu.append(x)
+            ev.append(z)
+        edge.append(e)
+    low = {x for x in nodes if len(nbrs[x]) <= kron._DEGREE}
+    low.discard(t)
+    rounds = []
+    while low:
+        chosen, taken = [], set()
+        for v in sorted(low, key=lambda v: (len(nbrs[v]), v)):
+            if v not in taken:
+                chosen.append(v)
+                taken.add(v)
+                taken.update(nbrs[v])
+        width = max(len(nbrs[v]) for v in chosen)
+        near_rows, edge_rows, fill_rows, touched = [], [], [], set()
+        for v in chosen:
+            star = nbrs[v]
+            near = list(star)
+            for a in near:
+                del nbrs[a][v]
+            for j, b in enumerate(near):
+                around = nbrs[b]
+                for a in near[:j]:
+                    e = around.get(a)
+                    if e is None:
+                        e = around[a] = nbrs[a][b] = len(eu)
+                        eu.append(a)
+                        ev.append(b)
+                    fill_rows.append(e)
+            pad = width - len(near)
+            fill_rows += [-1] * (width * (width - 1) - len(near) * (len(near) - 1) >> 1)
+            near_rows += near + [t] * pad
+            edge_rows += list(star.values()) + [-1] * pad
+            touched.update(near)
+            nbrs[v] = {}  # the solver's loop kept v's map; no search reached it
+        low.difference_update(chosen)
+        for a in touched:
+            if len(nbrs[a]) <= kron._DEGREE and a != t:
+                low.add(a)
+            else:
+                low.discard(a)
+        rounds.append((chosen, near_rows, edge_rows, fill_rows))
+    return edge, (eu, ev), rounds, [list(d) for d in nbrs]
+
+
+def kron_cases():
+    for family in FAMILIES:
+        for draw in range(2):
+            yield (f"{family}-{draw}", *FAMILIES[family](random.Random(f"kron:{family}:{draw}")))
+    for n in (100, 600, 1200):
+        for draw in range(2):
+            rng = random.Random(f"kron:random:{n}:{draw}")
+            yield f"random-{n}-{draw}", n, random_connected(rng, n, n + 1), 0, n - 1
+
+
+@pytest.mark.parametrize("case", list(kron_cases()), ids=lambda case: case[0])
+def test_array_rounds_are_the_reference_rounds(case):
+    # The reduction is run on the whole block, reduced or not in a solve.
+    _, n, arcs, s, t = case
+    block = resistance.st_block_arcs(support_graph(n, arcs), s, t)
+    tails = np.array([arcs[a][0] for a in block], dtype=np.intp)
+    heads = np.array([arcs[a][1] for a in block], dtype=np.intp)
+    edge, ends, rounds, left = reference_rounds(n, tails.tolist(), heads.tolist(),
+                                                set(tails.tolist()) | set(heads.tolist()), t)
+    got = kron.Reduction(n, tails, heads, t)
+    assert got.reduced == [v for chosen, *_ in rounds for v in chosen]
+    assert got.edge.tolist() == edge
+    assert [[rows.ravel().tolist() for rows in r] for r in got._rounds] == [list(r) for r in rounds]
+    assert [row[::2] for row in support_graph(n, got.left)] == left
+    assert [got._eu.tolist(), got._ev.tolist()] == list(ends)
+
+
+def test_a_wide_level_without_low_degree_nodes_reduces_nothing():
+    # s and t joined through 70 middle nodes, each also joined to the two
+    # on either side: one BFS level of 70 nodes, and every node but t has
+    # more than 4 neighbours, so the reduction has no round.
+    mid = 70
+    arcs = [(0, 2 + i) for i in range(mid)] + [(2 + i, 1) for i in range(mid)]
+    arcs += [(2 + i, 2 + (i + d) % mid) for i in range(mid) for d in (1, 2)]
+    rng = random.Random("no-rounds")
+    y = [rng.uniform(0.5, 3.0) for _ in arcs]
+    sys_ = block_system(mid + 2, arcs, 0, 1)
+    assert sys_._reduction is not None and sys_._reduction._rounds == []
+    R = effective_resistance(mid + 2, arcs, y, 1.0, 0, 1)
+    assert R == pytest.approx(laplacian_resistance(mid + 2, arcs, y, 0, 1), rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0])
