@@ -107,7 +107,8 @@ def verify(inst: Instance, sol: Solution, tol: float = 1e-9, flow=None) -> Verif
     if flow is None:
         from .resistance import support_resistance
 
-        achieved = support_resistance(inst, sol.y)
+        # a negative or NaN y, a reason above, installs nothing here
+        achieved = support_resistance(inst, [v if v > 0.0 else 0.0 for v in sol.y])
     else:
         achieved = _witness_energy(inst, sol, flow, reasons)
     feasible = not reasons and achieved <= inst.B * (1.0 + tol)

@@ -15,7 +15,7 @@ short circuit and is serialized as the string "inf".
 The records here and in the other modules are namedtuple subclasses with no
 per-instance dict: immutable, built by keyword or position, compared and
 hashed by value. A record with invariants checks them in ``__new__`` and
-routes ``_make`` (and so ``_replace``) through it.
+routes ``_make`` (and so ``_replace``) through it, as ``Network`` does.
 
 The checker itself lives in ``certify``; ``verify`` here forwards to it and
 imports it on the first call, so the calls that never check a solution
@@ -99,16 +99,26 @@ def _finite(value, message: str) -> float:
     return _finite_floats([value], message)[0]
 
 
+def check_terminals(n: int, s: int, t: int) -> None:
+    """Raise ValidationError unless s and t are distinct nodes of 0..n-1."""
+    if not (0 <= s < n and 0 <= t < n):
+        raise ValidationError("terminal out of range")
+    if s == t:
+        raise ValidationError("s and t must differ")
+
+
+def check_exponent(r: float) -> None:
+    """Raise ValidationError unless the flow exponent r is finite and >= 1."""
+    if not (1.0 <= r < math.inf):
+        raise ValidationError("flow exponent r must be a finite real >= 1")
+
+
 def _check_network(inst) -> None:
     """The checks Instance and FixedInstance share: nodes, terminals, r, arcs, B."""
     if inst.n < 2:
         raise ValidationError("need at least two nodes")
-    if not (0 <= inst.s < inst.n and 0 <= inst.t < inst.n):
-        raise ValidationError("terminal out of range")
-    if inst.s == inst.t:
-        raise ValidationError("s and t must differ")
-    if not (inst.r >= 1.0) or not math.isfinite(inst.r):
-        raise ValidationError("flow exponent r must be a finite real >= 1")
+    check_terminals(inst.n, inst.s, inst.t)
+    check_exponent(inst.r)
     if not {2}.issuperset(map(len, inst.arcs)):
         raise ValidationError("each arc must be a (tail, head) pair")
     ends = [*chain.from_iterable(inst.arcs)]
@@ -118,7 +128,21 @@ def _check_network(inst) -> None:
         raise ValidationError("budget B must be > 0")
 
 
-class Instance(namedtuple("Instance", "n arcs s t r c gamma ybar B")):
+class Network:
+    """Base of the network records: ``_make`` (so ``_replace``) runs ``__new__``'s checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    @property
+    def m(self) -> int:
+        return len(self.arcs)
+
+
+class Instance(Network, namedtuple("Instance", "n arcs s t r c gamma ybar B")):
     """A design instance. Arrays are indexed by arc in file order."""
 
     __slots__ = ()
@@ -150,14 +174,6 @@ class Instance(namedtuple("Instance", "n arcs s t r c gamma ybar B")):
             raise ValidationError("conductance bounds must be > 0")
         return self
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    @property
-    def m(self) -> int:
-        return len(self.arcs)
-
     def unbounded(self) -> bool:
         """True when no arc has a finite conductance bound."""
         return all(math.isinf(ub) for ub in self.ybar)
@@ -170,7 +186,7 @@ class Solution(namedtuple("Solution", "x y cost achievedR")):
     __slots__ = ()
 
 
-class FixedInstance(namedtuple("FixedInstance", "n arcs s t r B options")):
+class FixedInstance(Network, namedtuple("FixedInstance", "n arcs s t r B options")):
     """A design instance whose conductances come from a discrete menu.
 
     ``options[a]`` lists the installable (mu, p) pairs for arc a: conductance
@@ -201,14 +217,6 @@ class FixedInstance(namedtuple("FixedInstance", "n arcs s t r B options")):
         if not (all(map(math.isfinite, prices)) and min(prices, default=0.0) >= 0.0):
             raise ValidationError("option prices must be finite and >= 0")
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    @property
-    def m(self) -> int:
-        return len(self.arcs)
 
 
 class VerificationReport(
@@ -336,14 +344,26 @@ def write_solution(sol: Solution) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def adjacency(n: int, arcs) -> list[list[tuple[int, int]]]:
-    """Per-node lists of (arc, other end) in arc order; self-loops are skipped."""
+def adjacency(n: int, arcs, y=None) -> list[list[int]]:
+    """The arcs as an adjacency, in one pass: adj[x] holds each neighbour of
+    node x and the arc to it, v0, a0, v1, a1, ..., in arc order. Self-loops
+    are skipped, and with conductances y so are the arcs with y_a <= 0."""
     adj = [[] for _ in range(n)]
     for a, (u, v) in enumerate(arcs):
-        if u != v:
-            adj[u].append((a, v))
-            adj[v].append((a, u))
+        if u != v and (y is None or y[a] > 0.0):
+            adj[u] += v, a
+            adj[v] += u, a
     return adj
+
+
+def node_ids(n: int, arcs, s: int, t: int, merged=()):
+    """{node: number} over s, t and the ends of arcs and merged, ascending, when
+    there are arcs to merge or n > 2 len(arcs) + 2, so that a solve on these
+    numbers takes O(m) time and memory however large n is; else None."""
+    if merged or n > 2 * len(arcs) + 2:
+        used = sorted({s, t}.union(*arcs, *merged))
+        return dict(zip(used, range(len(used))))
+    return None
 
 
 def verify(inst: Instance, sol: Solution, tol: float = 1e-9, flow=None) -> VerificationReport:

@@ -23,7 +23,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import FixedInstance, Instance, Solution, adjacency
+from .core import FixedInstance, Instance, Solution, adjacency, check_terminals
 from .errors import (
     Disconnected,
     Infeasible,
@@ -52,7 +52,9 @@ def _walk(adj, v, t, path, visited):
     if v == t:
         yield tuple(path)
         return
-    for a, w in adj[v]:
+    it = iter(adj[v])
+    for w in it:
+        a = next(it)
         if w in visited:
             continue
         visited.add(w)
@@ -330,8 +332,7 @@ def gen_steiner_gadget(n, arcs, terminals, edge_costs, r: float) -> SteinerGadge
     terms = tuple(terminals)
     if len(terms) < 2 or len(set(terms)) != len(terms):
         raise ValidationError("need at least two distinct terminals")
-    if any(not (0 <= v < n) for v in terms):
-        raise ValidationError("terminal out of range")
+    check_terminals(n, min(terms), max(terms))
     if len(edge_costs) != len(arcs):
         raise ValidationError("edge costs must match the arcs")
     mt = len(terms) - 1

@@ -26,9 +26,9 @@ from collections import namedtuple
 
 from .core import UNBOUNDED, Instance, Solution, check_epsilon
 from .errors import (
-    AllVariableCostsZero, BoundExceeded, Disconnected, OutOfRange, UnsupportedCase, ValidationError,
+    AllVariableCostsZero, BoundExceeded, OutOfRange, UnsupportedCase, ValidationError,
 )
-from .rsp import frontier_fptas, lex_dijkstra
+from .rsp import frontier_fptas, lex_dijkstra, st_adjacency
 from .rsp import rsp_fptas  # noqa: F401  (bench/spans.py wraps this binding)
 
 
@@ -95,10 +95,9 @@ def to_solution(inst: Instance, ps: PathSolution) -> Solution:
 
 def _shortest_path(inst: Instance, weights) -> tuple[float, tuple[int, ...]]:
     """Least-weight s-t path as (weight, arcs), ties by lexicographic arc sequence."""
-    hit = lex_dijkstra(inst.n, inst.arcs, weights, (0.0,) * inst.m, inst.s, inst.t)
-    if hit is None:
-        raise Disconnected("no s-t path exists")
-    return hit[0], hit[2]
+    adj, s, t = st_adjacency(inst.n, inst.arcs, inst.s, inst.t)
+    d, _, seq = lex_dijkstra(adj, s, t, weights, (0.0,) * inst.m)
+    return d, seq
 
 
 def solve_fixed_cost_only(inst: Instance) -> PathSolution:

@@ -16,8 +16,8 @@ that lie on some simple s-t path (``st_block_arcs``). Every other arc
 zero flow at the optimum, since any flow there only adds energy. On the
 block, let B be the node-arc incidence and L(c) = B diag(c) B^T the weighted
 Laplacian grounded at t. One pass over the arcs builds the adjacency of the
-supported ones (``_support``); the block search and the BFS levels below
-both walk it, the levels skipping the nodes off the block.
+supported ones (``core.adjacency`` with y); the block search and the BFS
+levels below both walk it, the levels skipping the nodes off the block.
 
 No solve forms L densely. ``_BlockSystem`` records two exact eliminations
 once per block, and every solve replays them: the r = 1 solve, each Newton
@@ -81,12 +81,13 @@ its energy is the same float, bit for bit.
 ``support_resistance`` is the entry point of the `resistance` command and of
 ``core.verify`` without a flow witness: it drops uninstalled arcs, contracts
 infinite ones (with ``DisjointSets``, the union-find that also picks the
-potential tree), numbers the nodes afresh when n is larger than the arcs
-can touch, so that its cost does not grow with n, and returns the energy
-from ``effective_resistance``. The block search, ``DisjointSets`` and
-``support_resistance`` live here rather than in core, so that only the
-commands that solve for energy compile them, and the potentials live in
-their own module, so that those commands do not compile them either.
+potential tree), numbers the nodes afresh by ``core.node_ids`` when n is
+larger than the arcs can touch, so that its cost does not grow with n, and
+returns the energy from ``effective_resistance``. The block search,
+``DisjointSets`` and ``support_resistance`` live here rather than in core,
+so that only the commands that solve for energy compile them, and the
+potentials live in their own module, so that those commands do not compile
+them either.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from .core import adjacency, check_exponent, check_terminals, node_ids
 from .errors import Disconnected, NonConvergence, ValidationError
 
 # Floor of the Newton curvature h relative to max h, which keeps 1/h finite.
@@ -139,17 +141,9 @@ class FlowState(namedtuple("FlowState", "f pi energy")):
     __slots__ = ()
 
 
-def _check_inputs(n, arcs, y, r, s, t):
-    if len(y) != len(arcs):
-        raise ValidationError("y must have one entry per arc")
+def _check_nonnegative(y):
     if any(map(math.isnan, y)) or min(y, default=0.0) < 0.0:
         raise ValidationError("conductances must be >= 0")
-    if not all(map(math.isfinite, y)):
-        raise ValidationError("contract infinite conductances before solving")
-    if not (r >= 1.0) or not math.isfinite(r):
-        raise ValidationError("flow exponent r must be a finite real >= 1")
-    if not (0 <= s < n and 0 <= t < n) or s == t:
-        raise ValidationError("terminals must be distinct in-range nodes")
 
 
 class DisjointSets:
@@ -172,24 +166,12 @@ class DisjointSets:
         return ra != rb
 
 
-def _support(n, arcs, y):
-    """The supported arcs (y_a > 0, no self-loops) as an adjacency, in one
-    pass: adj[x] holds each neighbour of node x and the arc to it, v0, a0,
-    v1, a1, ..., in arc order."""
-    adj = [[] for _ in range(n)]
-    for a, (u, v) in enumerate(arcs):
-        if y[a] > 0.0 and u != v:
-            adj[u] += v, a
-            adj[v] += u, a
-    return adj
-
-
 def st_block_arcs(adj, s, t) -> list[int]:
     """Indices of the arcs that lie on some simple s-t path, ascending.
 
-    adj is as ``_support`` builds it; direction is ignored. An arc lies on a
-    simple s-t path exactly when it shares a biconnected component with a
-    virtual arc s-t, so this is one iterative Hopcroft-Tarjan pass that
+    adj is as ``core.adjacency`` builds it; direction is ignored. An arc lies
+    on a simple s-t path exactly when it shares a biconnected component with
+    a virtual arc s-t, so this is one iterative Hopcroft-Tarjan pass that
     enters t from s by that arc and stops when t's subtree closes its
     component. Self-loops, pendant trees, cycles hanging off a cut vertex
     and other components are left out; the list is empty when s and t are
@@ -233,8 +215,8 @@ def st_block_arcs(adj, s, t) -> list[int]:
 
 
 def _levels(adj, t, seen):
-    """The BFS levels from t over adj (as ``_support`` builds it), skipping
-    the nodes seen marks, farthest first ([t] last)."""
+    """The BFS levels from t over adj (as ``core.adjacency`` builds it),
+    skipping the nodes seen marks, farthest first ([t] last)."""
     seen[t] = True
     levels = [[t]]
     while True:
@@ -293,7 +275,7 @@ class _BlockSystem:
 
             red = Reduction(n, tails, heads, t)
             reduced = red.reduced
-            levels = _levels(_support(n, red.left, [1.0] * len(red.left)), t, [False] * n)
+            levels = _levels(adjacency(n, red.left), t, [False] * n)
         self._reduction = red
         first = len(reduced)  # the core's first node
         order = reduced + [x for level in levels for x in level]
@@ -511,8 +493,14 @@ def _block_flow(n, arcs, y, r, s, t):
 
     ``st_block_arcs`` and ``_BlockSystem`` share one adjacency.
     """
-    _check_inputs(n, arcs, y, r, s, t)
-    adj = _support(n, arcs, y)
+    if len(y) != len(arcs):
+        raise ValidationError("y must have one entry per arc")
+    _check_nonnegative(y)
+    if not all(map(math.isfinite, y)):
+        raise ValidationError("contract infinite conductances before solving")
+    check_exponent(r)
+    check_terminals(n, s, t)
+    adj = adjacency(n, arcs, y)
     block = st_block_arcs(adj, s, t)
     if not block:
         raise Disconnected("s and t are not connected by installed arcs")
@@ -560,19 +548,19 @@ def support_resistance(inst, y) -> float:
     An arc with infinite y is a short circuit: the ends of such arcs are
     contracted into one node first, and the result is 0.0 when that joins s
     and t. Then, and when inst.n exceeds twice the number of installed arcs
-    plus two, only s, t and the ends of installed and infinite arcs are
-    numbered, in their order, so the solve takes O(m) time and memory
-    however large inst.n is. Otherwise the nodes keep their numbers.
+    plus two, the nodes are numbered by ``core.node_ids``, so the solve
+    takes O(m) time and memory however large inst.n is. A negative or NaN
+    y raises ValidationError, as in ``effective_resistance``.
     """
     arcs, n, s, t = inst.arcs, inst.n, inst.s, inst.t
     keep = [a for a, v in enumerate(y) if 0.0 < v < math.inf]
     short = []
     if len(keep) < len(y):  # else every arc is installed, none infinite
+        _check_nonnegative(y)
         short = [arcs[a] for a, v in enumerate(y) if math.isinf(v)]
         arcs, y = [arcs[a] for a in keep], [y[a] for a in keep]
-    if short or n > 2 * len(arcs) + 2:
-        used = sorted({s, t}.union(*arcs, *short))
-        ids = dict(zip(used, range(len(used))))
+    ids = node_ids(n, arcs, s, t, short)
+    if ids is not None:
         ds = DisjointSets(len(ids))
         for u, v in short:
             ds.union(ids[u], ids[v])

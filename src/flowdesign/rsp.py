@@ -3,7 +3,7 @@
 Every path problem here minimizes phi(L_P) + F_P over simple s-t paths,
 where L_P and F_P sum a nonnegative ``length`` and ``fixed`` cost over the
 path's arcs and phi is nondecreasing. One label-setting pass
-(``_frontier_pass``) keeps, per node, the Pareto frontier of (cost, length)
+(``_label_search``) keeps, per node, the Pareto frontier of (cost, length)
 labels and settles them in (cost, length, arc-sequence) order; for every
 reachable integer cost it implicitly knows the least length. The unbounded
 design problem prices a path with phi(S) = S^((r+1)/r) / B^(1/r).
@@ -16,6 +16,7 @@ always satisfies the budget exactly; the FPTAS scales and rounds only the
 cost axis.
 
 Arcs are traversable in both directions and returned paths are simple.
+Every pass of a solve walks the one adjacency ``st_adjacency`` builds.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ import heapq
 import math
 from collections import namedtuple
 
-from .core import adjacency, check_epsilon
+from .core import Network, adjacency, check_epsilon, check_terminals, node_ids
 from .errors import Disconnected, Infeasible, ValidationError
 
 
-class RspInstance(namedtuple("RspInstance", "n arcs s t cost length budget")):
+class RspInstance(Network, namedtuple("RspInstance", "n arcs s t cost length budget")):
     """Restricted shortest path: a cheapest s-t path of length within budget."""
 
     __slots__ = ()
@@ -43,23 +44,16 @@ class RspInstance(namedtuple("RspInstance", "n arcs s t cost length budget")):
         length: tuple[float, ...],
         budget: float,
     ):
-        if not (0 <= s < n and 0 <= t < n) or s == t:
-            raise ValidationError("terminals must be distinct in-range nodes")
-        if len(cost) != len(arcs) or len(length) != len(arcs):
+        check_terminals(n, s, t)
+        if not len(cost) == len(length) == len(arcs):
             raise ValidationError("cost and length must have one entry per arc")
-        for v in cost:
-            if not (v >= 0.0) or math.isinf(v):
-                raise ValidationError("costs must be finite and >= 0")
-        for v in length:
-            if not (v >= 0.0) or math.isinf(v):
-                raise ValidationError("lengths must be finite and >= 0")
+        if not all(0.0 <= v < math.inf for v in cost):
+            raise ValidationError("costs must be finite and >= 0")
+        if not all(0.0 <= v < math.inf for v in length):
+            raise ValidationError("lengths must be finite and >= 0")
         if not (budget >= 0.0):
             raise ValidationError("budget must be >= 0")
         return super().__new__(cls, n, arcs, s, t, cost, length, budget)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 def _budget_phi(budget):
@@ -67,18 +61,30 @@ def _budget_phi(budget):
     return lambda L: 0.0 if L <= budget else math.inf
 
 
-def _frontier_pass(adj, s, t, level, length, fixed, phi, delta, cap):
+def st_adjacency(n, arcs, s, t):
+    """(adj, s, t): ``core.adjacency`` of arcs, renumbered by ``core.node_ids``
+    when n is much larger than the arcs, so a path solve takes O(m) memory.
+    Paths are arc sequences, and labels compare by node only when their arc
+    sequences, and so their ends, agree: renumbering changes no answer."""
+    ids = node_ids(n, arcs, s, t)
+    if ids:
+        n, s, t, arcs = len(ids), ids[s], ids[t], [(ids[u], ids[v]) for u, v in arcs]
+    return adjacency(n, arcs), s, t
+
+
+def _label_search(adj, s, t, length, fixed, phi, delta, cap):
     """One label-setting pass over (rounded fixed cost, exact length).
 
-    ``level[a]`` is fixed[a] rounded down to a multiple of delta, counted in
-    units of delta. Labels pop in (level, length, arc sequence) order, so
-    every label already settled at a node has no larger level than the one
-    in hand: the newcomer is dominated exactly when its length is not below
-    the shortest one settled there. A label is also dropped once its lower
-    bound phi(length) + level * delta reaches cap, which tightens to the
-    best objective phi(length) + fixed found at t. Returns (objective, path)
-    for the best label settled at t, or None when none was settled.
+    An arc's level is its fixed cost rounded down to a multiple of delta,
+    counted in units of delta. Labels pop in (level, length, arc sequence)
+    order, so every label already settled at a node has no larger level than
+    the one in hand: the newcomer is dominated exactly when its length is not
+    below the shortest one settled there. A label is also dropped once its
+    lower bound phi(length) + level * delta reaches cap, which tightens to
+    the best objective phi(length) + fixed found at t. Returns (objective,
+    path) for the best label settled at t, or None when none was settled.
     """
+    level = [int(v / delta) for v in fixed]
     shortest = [math.inf] * len(adj)
     heap = [(0, 0.0, (), s, 1 << s, 0.0)]
     best = None
@@ -95,7 +101,9 @@ def _frontier_pass(adj, s, t, level, length, fixed, phi, delta, cap):
                 best = (value, seq)
                 cap = min(cap, value)
             continue
-        for a, w in adj[v]:
+        it = iter(adj[v])
+        for w in it:
+            a = next(it)
             nl = dl + length[a]
             if nl >= shortest[w] or mask & (1 << w):
                 continue
@@ -106,9 +114,6 @@ def _frontier_pass(adj, s, t, level, length, fixed, phi, delta, cap):
     return best
 
 
-_label_search = _frontier_pass  # bench/spans.py wraps this binding
-
-
 def rsp_exact(inst: RspInstance) -> tuple[int, ...]:
     """Minimum-cost path within the length budget, for integer costs.
 
@@ -116,28 +121,22 @@ def rsp_exact(inst: RspInstance) -> tuple[int, ...]:
     t is the answer. Ties break toward the shorter, then lexicographically
     smaller path.
     """
-    icost = []
-    for v in inst.cost:
-        iv = int(v)
-        if iv != v:
-            raise ValidationError("rsp_exact needs integer costs")
-        icost.append(iv)
-    hit = _frontier_pass(
-        adjacency(inst.n, inst.arcs), inst.s, inst.t, icost, inst.length, icost,
-        _budget_phi(inst.budget), 1, sum(icost) + 1,
-    )
+    icost = [*map(int, inst.cost)]
+    if icost != [*inst.cost]:
+        raise ValidationError("rsp_exact needs integer costs")
+    hit = _label_search(*st_adjacency(inst.n, inst.arcs, inst.s, inst.t), inst.length, icost,
+                        _budget_phi(inst.budget), 1, sum(icost) + 1)
     if hit is None:
         raise Infeasible("no s-t path satisfies the length budget")
     return hit[1]
 
 
-def lex_dijkstra(n, arcs, w1, w2, s, t):
+def lex_dijkstra(adj, s, t, w1, w2):
     """Lexicographic bi-criteria shortest path: minimize (sum w1, sum w2, seq).
 
-    Returns (sum w1, sum w2, seq), or None when t is unreachable from s.
+    adj is as ``st_adjacency`` builds it. Returns (sum w1, sum w2, seq);
+    raises Disconnected when t is unreachable from s.
     """
-    adj = adjacency(n, arcs)
-    best = {s: (0.0, 0.0, ())}
     heap = [(0.0, 0.0, (), s)]
     settled = set()
     while heap:
@@ -147,14 +146,12 @@ def lex_dijkstra(n, arcs, w1, w2, s, t):
         settled.add(v)
         if v == t:
             return d1, d2, seq
-        for a, w in adj[v]:
-            if w in settled:
-                continue
-            cand = (d1 + w1[a], d2 + w2[a], seq + (a,))
-            if w not in best or cand < best[w]:
-                best[w] = cand
-                heapq.heappush(heap, (*cand, w))
-    return None
+        it = iter(adj[v])
+        for w in it:
+            a = next(it)
+            if w not in settled:
+                heapq.heappush(heap, (d1 + w1[a], d2 + w2[a], seq + (a,), w))
+    raise Disconnected("no s-t path exists")
 
 
 def rsp_fptas(inst: RspInstance, epsilon: float) -> tuple[int, ...]:
@@ -169,11 +166,11 @@ def rsp_fptas(inst: RspInstance, epsilon: float) -> tuple[int, ...]:
             inst.n, inst.arcs, inst.s, inst.t, inst.length, inst.cost,
             _budget_phi(inst.budget), epsilon,
         )
+        if sum(inst.length[a] for a in path) <= inst.budget:
+            return path
     except Disconnected:
-        path = None
-    if path is None or sum(inst.length[a] for a in path) > inst.budget:
-        raise Infeasible("no s-t path satisfies the length budget")
-    return path
+        pass
+    raise Infeasible("no s-t path satisfies the length budget")
 
 
 def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...]:
@@ -224,11 +221,9 @@ def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...
     dominated there; the visited-node mask turns it away before the push.
     """
     check_epsilon(epsilon)
-    adj = adjacency(n, arcs)
-    by_len = lex_dijkstra(n, arcs, length, fixed, s, t)
-    if by_len is None:
-        raise Disconnected("no s-t path exists")
-    by_fixed = lex_dijkstra(n, arcs, fixed, length, s, t)
+    adj, s, t = st_adjacency(n, arcs, s, t)
+    by_len = lex_dijkstra(adj, s, t, length, fixed)
+    by_fixed = lex_dijkstra(adj, s, t, fixed, length)
     ub, best = min(
         (phi(by_len[0]) + by_len[1], by_len[2]),
         (phi(by_fixed[1]) + by_fixed[0], by_fixed[2]),
@@ -239,20 +234,14 @@ def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...
     if lb <= 0.0:
         lb = min(phi(by_fixed[1]), min(v for v in fixed if v > 0.0))
 
-    def solve(delta, cap):
-        level = tuple(int(v / delta) for v in fixed)
-        return _frontier_pass(adj, s, t, level, length, fixed, phi, delta, cap)
-
     while 2.0 * lb < ub:
         probe = 2.0 * lb
-        hit = solve(probe / n, probe)
+        hit = _label_search(adj, s, t, length, fixed, phi, probe / n, probe)
         if hit is None:
             lb = probe
         else:
             ub, best = min((ub, best), hit)
             break
 
-    hit = solve(epsilon * lb / n, ub)
-    if hit is not None:
-        ub, best = min((ub, best), hit)
-    return best
+    hit = _label_search(adj, s, t, length, fixed, phi, epsilon * lb / n, ub)
+    return best if hit is None else min((ub, best), hit)[1]

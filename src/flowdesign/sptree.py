@@ -33,6 +33,7 @@ import math
 import sys
 from collections import namedtuple
 
+from .core import check_terminals
 from .errors import NotSeriesParallel, ValidationError
 
 
@@ -59,8 +60,7 @@ def decompose(n: int, arcs, s: int, t: int) -> SPSchedule:
     this one exhausts parallel merges before each series splice and always
     picks the lowest-numbered candidates, which makes the result stable.
     """
-    if not (0 <= s < n and 0 <= t < n) or s == t:
-        raise ValidationError("terminals must be distinct in-range nodes")
+    check_terminals(n, s, t)
     if not arcs:
         raise NotSeriesParallel("graph has no arcs")
 

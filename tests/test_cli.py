@@ -65,7 +65,8 @@ def bounded_series(tmp_path, B):
 
 
 def solved_sp_files(tmp_path, capsys):
-    """An SP instance, its solution and the solution with y halved."""
+    """An SP instance, its solution, the solution with y halved and the
+    solution with a negative y on its first arc."""
     inst = str(tmp_path / "inst.json")
     assert main(["gen", "--family", "random-sp", "--seed", "11", "--size", "6", "--out", inst]) == 0
     sol = str(tmp_path / "sol.json")
@@ -73,7 +74,9 @@ def solved_sp_files(tmp_path, capsys):
     capsys.readouterr()
     full = read_solution((tmp_path / "sol.json").read_text())
     half = write_solution(full._replace(y=tuple(v * 0.5 for v in full.y)))
-    return {"inst": inst, "sol": sol, "half": write_file(tmp_path, "half.json", half)}
+    negative = write_solution(full._replace(y=(-1.0, *full.y[1:])))
+    return {"inst": inst, "sol": sol, "half": write_file(tmp_path, "half.json", half),
+            "negative": write_file(tmp_path, "negative.json", negative)}
 
 
 class TestSolve:
@@ -109,6 +112,25 @@ class TestSolve:
         assert main(["solve", "--in", path, "--eps", "0.5"]) == 0
         assert "mode=sp-fptas" in capsys.readouterr().err
         assert len(calls) == 1
+
+    def test_path_fptas_builds_one_adjacency(self, tmp_path, capsys, monkeypatch):
+        # the seeds, the bracket's probes and the final pass share one adjacency
+        from flowdesign import core, rsp
+
+        inst = Instance(n=4, arcs=((0, 1), (1, 3), (0, 2), (2, 3), (1, 2)), s=0, t=3, r=1.0,
+                        c=(1.0, 2.0, 3.0, 1.0, 1.0), gamma=(1.0, 1.0, 2.0, 2.0, 0.5),
+                        ybar=(math.inf,) * 5, B=1.0)
+        path = write_file(tmp_path, "inst.json", write_instance(inst))
+        calls = {"adjacency": 0, "_label_search": 0}
+        for name, module in (("adjacency", core), ("adjacency", rsp), ("_label_search", rsp)):
+            def counted(*args, _orig=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _orig(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        assert main(["solve", "--mode", "path-fptas", "--in", path]) == 0
+        assert capsys.readouterr().err == "mode=path-fptas eps=0.25\n"
+        assert calls["adjacency"] == 1 and calls["_label_search"] >= 1
 
     def test_eps_out_of_range(self, tmp_path, capsys):
         _, path = diamond_unbounded(tmp_path)
@@ -464,16 +486,43 @@ class TestResistance:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)[field] == pytest.approx(R, rel=1e-12)
 
-    @pytest.mark.parametrize("mode", ["auto", "sp-fptas"])
-    def test_huge_n_solve_takes_memory_of_the_arcs_only(self, tmp_path, mode):
-        # sp-fptas checks its answer's flow witness at the nodes the arcs touch
+    @pytest.mark.parametrize("mode, ybar, gamma, picked", [
+        pytest.param("auto", [1.0, 4.0, 4.0], 0.0, "sp-fptas", id="auto"),
+        pytest.param("sp-fptas", [1.0, 4.0, 4.0], 0.0, "sp-fptas", id="sp-fptas"),
+        pytest.param("auto", ["inf"] * 3, 1.0, "path-fptas", id="auto-unbounded"),
+        pytest.param("path-fptas", ["inf"] * 3, 1.0, "path-fptas", id="path-fptas"),
+        pytest.param("path-exact", ["inf"] * 3, 0.0, "path-exact", id="path-exact"),
+    ])
+    def test_huge_n_solve_takes_memory_of_the_arcs_only(self, tmp_path, mode, ybar, gamma, picked):
+        # sp-fptas checks its answer's flow witness at the nodes the arcs
+        # touch, and the path modes number only those nodes
         n = 10**12
         doc = {"n": n, "arcs": [[5, 9], [9, n - 1], [n - 1, 9]], "s": 5, "t": n - 1, "r": 1.0,
-               "c": [1.0, 1.0, 1.0], "gamma": [0.0, 0.0, 0.0], "ybar": [1.0, 4.0, 4.0], "B": 2.0}
+               "c": [1.0, 1.0, 1.0], "gamma": [gamma] * 3, "ybar": ybar, "B": 2.0}
         inst = write_file(tmp_path, "inst.json", json.dumps(doc))
         proc = run_in_512_mib(["solve", "--mode", mode, "--in", inst])
-        assert (proc.returncode, proc.stderr) == (0, "mode=sp-fptas eps=0.25\n")
+        assert (proc.returncode, proc.stderr) == (0, f"mode={picked} eps=0.25\n")
         assert read_solution(proc.stdout).achievedR <= doc["B"]
+
+    @pytest.mark.parametrize("command, code, reasons", [
+        ("resistance", 1, None),
+        ("verify", 2, ["y[2] is negative or NaN"]),
+    ])
+    def test_negative_conductance_is_refused(self, tmp_path, capsys, command, code, reasons):
+        # resistance refuses y < 0 as effective_resistance does; verify
+        # reports it and takes the arc as not installed
+        inst = Instance(n=3, arcs=((0, 1), (1, 2), (0, 2)), s=0, t=2, r=1.0, c=(1.0,) * 3,
+                        gamma=(0.0,) * 3, ybar=(math.inf,) * 3, B=10.0)
+        path = write_file(tmp_path, "inst.json", write_instance(inst))
+        sol = write_file(tmp_path, "sol.json", write_solution(
+            Solution(x=(1, 1, 1), y=(1.0, 1.0, -5.0), cost=0.0, achievedR=2.0)))
+        assert main([command, "--in", path, "--sol", sol]) == code
+        cap = capsys.readouterr()
+        if reasons is None:
+            assert cap == ("", "error: conductances must be >= 0\n")
+        else:
+            doc = json.loads(cap.out)
+            assert (doc["reasons"], doc["achievedR"]) == (reasons, 2.0)
 
 
 class TestTol:
@@ -798,6 +847,8 @@ class TestProcessEntry:
         (0, ["verify", "--in", "{inst}", "--sol", "{sol}", "--out", "{out}"]),
         (1, ["verify", "--in", "{inst}", "--sol", "{inst}"]),
         (2, ["verify", "--in", "{inst}", "--sol", "{half}", "--out", "{out}"]),
+        (1, ["resistance", "--in", "{inst}", "--sol", "{negative}"]),
+        (2, ["verify", "--in", "{inst}", "--sol", "{negative}"]),
     ])
     def test_subprocess_matches_in_process(self, tmp_path, capsys, code, argv):
         files = solved_sp_files(tmp_path, capsys)

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from flowdesign import (
     DimensionMismatch,
     Instance,
+    RspInstance,
     SchemaError,
     Solution,
     UNBOUNDED,
     ValidationError,
+    decompose,
+    effective_resistance,
     parse_instance,
     read_solution,
     verify,
@@ -86,6 +89,31 @@ def test_parse_rejects_equal_terminals():
 def test_parse_rejects_subunit_exponent():
     with pytest.raises(ValidationError):
         parse_instance(doc(r=0.5))
+
+
+_PATH_ARCS = ((0, 1), (1, 2))
+# Each entry that takes a network, as build(n, s, t, r) on a 3-node path;
+# the entries without an exponent ignore r.
+NETWORK_ENTRIES = {
+    "Instance": lambda n, s, t, r: Instance(n=n, arcs=_PATH_ARCS, s=s, t=t, r=r, c=(1.0, 1.0),
+                                            gamma=(0.0, 0.0), ybar=(1.0, 1.0), B=1.0),
+    "effective_resistance": lambda n, s, t, r: effective_resistance(n, _PATH_ARCS, (1.0, 1.0), r, s, t),
+    "decompose": lambda n, s, t, r: decompose(n, _PATH_ARCS, s, t),
+    "RspInstance": lambda n, s, t, r: RspInstance(n, _PATH_ARCS, s, t, (1.0, 1.0), (1.0, 1.0), 1.0),
+}
+_TERMINAL_CASES = [(0, 3, "terminal out of range"), (-1, 2, "terminal out of range"),
+                   (1, 1, "s and t must differ")]
+
+
+@pytest.mark.parametrize("entry, s, t, r, message", [
+    *[(entry, s, t, 1.0, message) for entry in NETWORK_ENTRIES for s, t, message in _TERMINAL_CASES],
+    *[(entry, 0, 2, r, "flow exponent r must be a finite real >= 1")
+      for entry in ("Instance", "effective_resistance") for r in (0.5, math.nan, math.inf)],
+])
+def test_network_checks_share_one_message(entry, s, t, r, message):
+    with pytest.raises(ValidationError) as err:
+        NETWORK_ENTRIES[entry](3, s, t, r)
+    assert str(err.value) == message
 
 
 def test_write_omits_ybar_when_unbounded():

@@ -326,13 +326,13 @@ def test_wide_bracket_is_narrowed_before_the_final_pass(monkeypatch):
 
     inst = unbounded_instance(2, [(0, 1), (0, 1), (0, 1)], (1e-6, 1e6, 1.0), (1e3, 0.0, 1.0))
     calls = []
-    orig = rsp._frontier_pass
+    orig = rsp._label_search
 
     def spy(*args):
         calls.append(args[-2:])  # (delta, cap)
         return orig(*args)
 
-    monkeypatch.setattr(rsp, "_frontier_pass", spy)
+    monkeypatch.setattr(rsp, "_label_search", spy)
     for eps in (0.5, 0.01):
         calls.clear()
         got = solve_path_fptas(inst, eps)

@@ -15,6 +15,7 @@ from flowdesign import (
     min_energy_flow,
     resistance,
 )
+from flowdesign.core import adjacency
 
 
 def laplacian_resistance(n, arcs, y, s, t):
@@ -320,10 +321,6 @@ def test_decorated_graphs_meet_kkt(r):
             assert R == pytest.approx(laplacian_resistance(n, arcs, y, s, t), rel=1e-9)
 
 
-def support_graph(n, arcs):
-    return resistance._support(n, arcs, [1.0] * len(arcs))
-
-
 def test_block_arcs_are_those_on_simple_paths():
     from flowdesign.oracles import simple_paths
 
@@ -333,8 +330,8 @@ def test_block_arcs_are_those_on_simple_paths():
         on_path = set()
         for path in simple_paths(n, arcs, s, t):
             on_path.update(path)
-        assert resistance.st_block_arcs(support_graph(n, arcs), s, t) == sorted(on_path), f"trial {trial}"
-    assert resistance.st_block_arcs(support_graph(4, ((0, 1), (2, 3))), 0, 3) == []
+        assert resistance.st_block_arcs(adjacency(n, arcs), s, t) == sorted(on_path), f"trial {trial}"
+    assert resistance.st_block_arcs(adjacency(4, ((0, 1), (2, 3))), 0, 3) == []
 
 
 def test_large_r2_instance_meets_kkt():
@@ -500,7 +497,7 @@ FAMILIES = {
 
 
 def block_system(n, arcs, s, t):
-    adj = support_graph(n, arcs)
+    adj = adjacency(n, arcs)
     sys_ = resistance._BlockSystem(n, arcs, resistance.st_block_arcs(adj, s, t), adj, s, t)
     assert sys_._reduction or len(sys_._shapes) > 1  # the reduction or several blocks
     return sys_
@@ -748,7 +745,7 @@ def kron_cases():
 def test_array_rounds_are_the_reference_rounds(case):
     # The reduction is run on the whole block, reduced or not in a solve.
     _, n, arcs, s, t = case
-    block = resistance.st_block_arcs(support_graph(n, arcs), s, t)
+    block = resistance.st_block_arcs(adjacency(n, arcs), s, t)
     tails = np.array([arcs[a][0] for a in block], dtype=np.intp)
     heads = np.array([arcs[a][1] for a in block], dtype=np.intp)
     edge, ends, rounds, left = reference_rounds(n, tails.tolist(), heads.tolist(),
@@ -757,7 +754,7 @@ def test_array_rounds_are_the_reference_rounds(case):
     assert got.reduced == [v for chosen, *_ in rounds for v in chosen]
     assert got.edge.tolist() == edge
     assert [[rows.ravel().tolist() for rows in r] for r in got._rounds] == [list(r) for r in rounds]
-    assert [row[::2] for row in support_graph(n, got.left)] == left
+    assert [row[::2] for row in adjacency(n, got.left)] == left
     assert [got._eu.tolist(), got._ev.tolist()] == list(ends)
 
 
