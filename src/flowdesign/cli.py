@@ -110,13 +110,13 @@ def decompose(n, arcs, s, t):
 
 def _pick_mode(inst: Instance) -> str:
     """The mode `auto` runs: sp-fptas on a bounded instance; on an unbounded
-    one path-exact where ``pathdesign.exact_solver`` fits, else path-fptas.
+    one path-exact where ``pathdesign.single_cost`` holds, else path-fptas.
     Each mode's solver refuses the instances it cannot solve."""
     if not inst.unbounded():
         return "sp-fptas"
     from . import pathdesign
 
-    return "path-fptas" if pathdesign.exact_solver(inst) is None else "path-exact"
+    return "path-exact" if pathdesign.single_cost(inst) else "path-fptas"
 
 
 def _cmd_solve(args) -> int:

@@ -366,6 +366,15 @@ def node_ids(n: int, arcs, s: int, t: int, merged=()):
     return None
 
 
+def compact(n: int, arcs, s: int, t: int):
+    """(n, arcs, s, t) on the numbering of ``node_ids``, which keeps the
+    nodes' order, when it numbers them; else as given."""
+    ids = node_ids(n, arcs, s, t)
+    if ids:
+        return len(ids), [(ids[u], ids[v]) for u, v in arcs], ids[s], ids[t]
+    return n, arcs, s, t
+
+
 def verify(inst: Instance, sol: Solution, tol: float = 1e-9, flow=None) -> VerificationReport:
     """``certify.verify``, with certify imported on the first call, so a call
     that never checks a solution never compiles the checker."""

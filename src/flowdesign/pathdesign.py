@@ -9,10 +9,11 @@ closed-form conductance
 which meets the resistance budget with equality; zero-variable-cost arcs
 get UNBOUNDED conductance and contribute only their fixed cost. The path
 then costs phi(S_P) + Gamma_P, with S_P the sum of c_a^{r/(r+1)}, Gamma_P
-the sum of gamma_a and phi(S) = S^{(r+1)/r} / B^{1/r} increasing. Finding
-the best path is exact when one cost vector vanishes (a shortest-path
-problem) and otherwise approximated by one label-setting pass over the
-(S, Gamma) Pareto frontier (``rsp.frontier_fptas``).
+the sum of gamma_a and phi(S) = S^{(r+1)/r} / B^{1/r} increasing. Every
+entry finds the best path with ``rsp.frontier_fptas``, one label-setting
+pass over the (S, Gamma) Pareto frontier, and checks only its own
+preconditions. When one cost vector vanishes (``single_cost``), the
+frontier's bounds meet and it returns the path exactly, with no pass.
 
 ``lambda_bounds`` and ``lambda_grid`` describe the KKT multiplier of the
 budget constraint: the bracket and geometric grid of an earlier scheme that
@@ -28,7 +29,7 @@ from .core import UNBOUNDED, Instance, Solution, check_epsilon
 from .errors import (
     AllVariableCostsZero, BoundExceeded, OutOfRange, UnsupportedCase, ValidationError,
 )
-from .rsp import frontier_fptas, lex_dijkstra, st_adjacency
+from .rsp import frontier_fptas
 from .rsp import rsp_fptas  # noqa: F401  (bench/spans.py wraps this binding)
 
 
@@ -58,91 +59,71 @@ def optimal_y_for_path(path, c, B: float, r: float, gamma=None):
     gamma defaults to all zeros. Arcs with c_a = 0 get UNBOUNDED; when the
     whole path is free of variable costs the resistance is 0 and only fixed
     costs remain. Raises OutOfRange when the objective or a conductance does
-    not fit in a float.
+    not fit in a float (a conductance that rounds to 0 or +inf).
     """
     if not (B > 0.0):
         raise ValidationError("budget B must be > 0")
     e = r / (r + 1.0)
     S = sum(c[a] ** e for a in path if c[a] > 0.0)
+    num, Bq = S ** (1.0 / r), B ** (1.0 / r)
     y = []
     for a in path:
         if c[a] > 0.0:
-            y.append(S ** (1.0 / r) / (c[a] ** (1.0 / (r + 1.0)) * B ** (1.0 / r)))
+            ca = c[a] ** (1.0 / (r + 1.0))
+            # ca * Bq may leave the float range where y does not
+            y.append(num / (ca * Bq) if 0.0 < ca * Bq < math.inf else num / ca / Bq)
         else:
             y.append(UNBOUNDED)
     objective = phi(S, B, r) if S > 0.0 else 0.0
     if gamma is not None:
         objective += sum(gamma[a] for a in path)
-    if math.isinf(objective) or any(math.isinf(v) for v, a in zip(y, path) if c[a] > 0.0):
+    if math.isinf(objective) or not all(0.0 < v < math.inf for v, a in zip(y, path) if c[a] > 0.0):
         raise OutOfRange(f"the cost of path {tuple(path)} leaves the float range")
     return tuple(y), objective
 
 
 def to_solution(inst: Instance, ps: PathSolution) -> Solution:
-    """Expand a PathSolution into full per-arc vectors."""
+    """Expand a PathSolution into full per-arc vectors. Raises OutOfRange
+    when the achieved resistance, about B, rounds past the float range."""
     x = [0] * inst.m
     y = [0.0] * inst.m
     for a, ya in zip(ps.path, ps.y):
         x[a] = 1
         y[a] = ya
-    achieved = 0.0
-    for a in ps.path:
-        ya = y[a]
-        if not math.isinf(ya):
-            achieved += ya ** (-float(inst.r))
+    try:
+        achieved = sum((ya ** (-float(inst.r)) for ya in ps.y if not math.isinf(ya)), 0.0)
+    except OverflowError:
+        raise OutOfRange("the resistance of the design leaves the float range") from None
     return Solution(x=tuple(x), y=tuple(y), cost=ps.objective, achievedR=achieved)
 
 
-def _shortest_path(inst: Instance, weights) -> tuple[float, tuple[int, ...]]:
-    """Least-weight s-t path as (weight, arcs), ties by lexicographic arc sequence."""
-    adj, s, t = st_adjacency(inst.n, inst.arcs, inst.s, inst.t)
-    d, _, seq = lex_dijkstra(adj, s, t, weights, (0.0,) * inst.m)
-    return d, seq
+def single_cost(inst: Instance) -> bool:
+    """True when c or gamma vanishes on every arc. The two shortest paths
+    that seed ``rsp.frontier_fptas`` are then one path whose cost is both
+    bounds, so the path solve returns it, exactly, before any label pass."""
+    return all(v == 0.0 for v in inst.c) or all(v == 0.0 for v in inst.gamma)
 
 
 def solve_fixed_cost_only(inst: Instance) -> PathSolution:
     """Exact solver for c == 0: a shortest path under the fixed costs gamma."""
     if any(v > 0.0 for v in inst.c):
         raise ValidationError("solve_fixed_cost_only needs c == 0 on every arc")
-    if not inst.unbounded():
-        raise UnsupportedCase("the path solvers need ybar unbounded everywhere")
-    d, seq = _shortest_path(inst, inst.gamma)
-    if math.isinf(d):
-        raise OutOfRange("the least fixed cost of an s-t path leaves the float range")
-    y = (UNBOUNDED,) * len(seq)
-    return PathSolution(path=seq, y=y, objective=d)
+    return solve_path_exact(inst)
 
 
 def solve_variable_cost_only(inst: Instance) -> PathSolution:
     """Exact solver for gamma == 0: shortest path under lengths c^(r/(r+1))."""
     if any(v > 0.0 for v in inst.gamma):
         raise ValidationError("solve_variable_cost_only needs gamma == 0 on every arc")
-    if not inst.unbounded():
-        raise UnsupportedCase("the path solvers need ybar unbounded everywhere")
-    e = inst.r / (inst.r + 1.0)
-    weights = tuple(v ** e for v in inst.c)
-    _, seq = _shortest_path(inst, weights)
-    y, objective = optimal_y_for_path(seq, inst.c, inst.B, inst.r)
-    return PathSolution(path=seq, y=y, objective=objective)
-
-
-def exact_solver(inst: Instance):
-    """The exact solver that fits inst's costs, or None: solve_fixed_cost_only
-    when c == 0, else solve_variable_cost_only when gamma == 0."""
-    if all(v == 0.0 for v in inst.c):
-        return solve_fixed_cost_only
-    if all(v == 0.0 for v in inst.gamma):
-        return solve_variable_cost_only
-    return None
+    return solve_path_exact(inst)
 
 
 def solve_path_exact(inst: Instance) -> PathSolution:
     """Exact optimum with ybar unbounded when one cost vector vanishes
-    (``exact_solver``); any other instance raises UnsupportedCase."""
-    solve = exact_solver(inst)
-    if solve is None:
+    (``single_cost``); any other instance raises UnsupportedCase."""
+    if not single_cost(inst):
         raise UnsupportedCase("path-exact needs ybar unbounded everywhere and c or gamma identically zero")
-    return solve(inst)
+    return solve_path_fptas(inst, 1.0)  # LB = UB, so epsilon rounds nothing
 
 
 def lambda_bounds(inst: Instance) -> tuple[float, float]:
@@ -200,15 +181,12 @@ def solve_path_fptas(inst: Instance, epsilon: float) -> PathSolution:
     one label-setting pass over (Gamma rounded down, S exact); see
     ``rsp.frontier_fptas`` for the bounds, the bracket and the proof. The
     winning path's conductances are derived in closed form, so the budget is
-    met exactly. Where ``exact_solver`` fits, its exact answer is returned.
+    met exactly. When one cost vector vanishes (``single_cost``), the bounds
+    of ``frontier_fptas`` meet and the answer is exact, whatever epsilon.
     """
     check_epsilon(epsilon)
     if not inst.unbounded():
         raise UnsupportedCase("the path solvers need ybar unbounded everywhere")
-    solve = exact_solver(inst)
-    if solve is not None:
-        return solve(inst)
-
     r = inst.r
     e = r / (r + 1.0)
     lengths = tuple(v ** e for v in inst.c)

@@ -81,9 +81,10 @@ its energy is the same float, bit for bit.
 ``support_resistance`` is the entry point of the `resistance` command and of
 ``core.verify`` without a flow witness: it drops uninstalled arcs, contracts
 infinite ones (with ``DisjointSets``, the union-find that also picks the
-potential tree), numbers the nodes afresh by ``core.node_ids`` when n is
-larger than the arcs can touch, so that its cost does not grow with n, and
-returns the energy from ``effective_resistance``. The block search,
+potential tree) on the node numbering of ``core.node_ids``, and returns
+the energy from ``effective_resistance``. ``_block_flow`` numbers the nodes
+afresh (``core.compact``) when n is larger than the arcs can touch, so
+neither entry's cost grows with n. The block search,
 ``DisjointSets`` and ``support_resistance`` live here rather than in core,
 so that only the commands that solve for energy compile them, and the
 potentials live in their own module, so that those commands do not compile
@@ -97,7 +98,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import adjacency, check_exponent, check_terminals, node_ids
+from .core import adjacency, check_exponent, check_terminals, compact, node_ids
 from .errors import Disconnected, NonConvergence, ValidationError
 
 # Floor of the Newton curvature h relative to max h, which keeps 1/h finite.
@@ -491,6 +492,8 @@ def _newton(sys_, y, r):
 def _block_flow(n, arcs, y, r, s, t):
     """The s-t block's arcs, their minimum-energy flow and its energy.
 
+    The nodes are numbered by ``core.compact``, in their order, so the
+    solve takes O(m) memory however large n is, with the same floats.
     ``st_block_arcs`` and ``_BlockSystem`` share one adjacency.
     """
     if len(y) != len(arcs):
@@ -500,6 +503,7 @@ def _block_flow(n, arcs, y, r, s, t):
         raise ValidationError("contract infinite conductances before solving")
     check_exponent(r)
     check_terminals(n, s, t)
+    n, arcs, s, t = compact(n, arcs, s, t)
     adj = adjacency(n, arcs, y)
     block = st_block_arcs(adj, s, t)
     if not block:
@@ -525,7 +529,7 @@ def min_energy_flow(n, arcs, y, r, s, t) -> FlowState:
     the potential law only to the rounding of max|pi|, which at r = 4 can
     exceed 1e-6 relative on arcs with tiny drops (see FlowState); use
     energy, not pi_s - pi_t, for the resistance. f and pi are built in
-    ``potentials``.
+    ``potentials``; pi has an entry per node, so it takes O(n) memory.
     """
     from .potentials import flow_state
 
@@ -534,7 +538,8 @@ def min_energy_flow(n, arcs, y, r, s, t) -> FlowState:
 
 def effective_resistance(n, arcs, y, r, s, t) -> float:
     """The energy of the minimum-energy unit flow; +inf when disconnected.
-    It builds neither the flow tuple nor the potentials, and equals
+    It takes O(m) memory however large n is, builds neither the flow tuple
+    nor the potentials, and equals
     ``min_energy_flow(...).energy`` bit for bit."""
     try:
         return _block_flow(n, arcs, y, r, s, t)[2]
@@ -546,30 +551,29 @@ def support_resistance(inst, y) -> float:
     """Effective s-t resistance of the arcs of inst that y installs (y_a > 0).
 
     An arc with infinite y is a short circuit: the ends of such arcs are
-    contracted into one node first, and the result is 0.0 when that joins s
-    and t. Then, and when inst.n exceeds twice the number of installed arcs
-    plus two, the nodes are numbered by ``core.node_ids``, so the solve
-    takes O(m) time and memory however large inst.n is. A negative or NaN
+    contracted into one node first, on the numbering ``core.node_ids`` gives
+    their ends, s, t and the installed arcs' ends, and the result is 0.0
+    when that joins s and t. The solve then takes O(m) time and memory
+    however large inst.n is (``effective_resistance``). A negative or NaN
     y raises ValidationError, as in ``effective_resistance``.
     """
     arcs, n, s, t = inst.arcs, inst.n, inst.s, inst.t
     keep = [a for a, v in enumerate(y) if 0.0 < v < math.inf]
-    short = []
     if len(keep) < len(y):  # else every arc is installed, none infinite
         _check_nonnegative(y)
         short = [arcs[a] for a, v in enumerate(y) if math.isinf(v)]
         arcs, y = [arcs[a] for a in keep], [y[a] for a in keep]
-    ids = node_ids(n, arcs, s, t, short)
-    if ids is not None:
-        ds = DisjointSets(len(ids))
-        for u, v in short:
-            ds.union(ids[u], ids[v])
-        label = {}
-        node = {x: label.setdefault(ds.find(i), len(label)) for x, i in ids.items()}
-        n, s, t = len(label), node[s], node[t]
-        if s == t:
-            return 0.0
-        arcs = [(node[u], node[v]) for u, v in arcs]
+        if short:
+            ids = node_ids(n, arcs, s, t, short)
+            ds = DisjointSets(len(ids))
+            for u, v in short:
+                ds.union(ids[u], ids[v])
+            label = {}
+            node = {x: label.setdefault(ds.find(i), len(label)) for x, i in ids.items()}
+            n, s, t = len(label), node[s], node[t]
+            if s == t:
+                return 0.0
+            arcs = [(node[u], node[v]) for u, v in arcs]
     return effective_resistance(n, arcs, y, inst.r, s, t)
 
 

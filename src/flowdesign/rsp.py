@@ -25,7 +25,7 @@ import heapq
 import math
 from collections import namedtuple
 
-from .core import Network, adjacency, check_epsilon, check_terminals, node_ids
+from .core import Network, adjacency, check_epsilon, check_terminals, compact
 from .errors import Disconnected, Infeasible, ValidationError
 
 
@@ -62,13 +62,11 @@ def _budget_phi(budget):
 
 
 def st_adjacency(n, arcs, s, t):
-    """(adj, s, t): ``core.adjacency`` of arcs, renumbered by ``core.node_ids``
+    """(adj, s, t): ``core.adjacency`` of arcs, renumbered by ``core.compact``
     when n is much larger than the arcs, so a path solve takes O(m) memory.
     Paths are arc sequences, and labels compare by node only when their arc
     sequences, and so their ends, agree: renumbering changes no answer."""
-    ids = node_ids(n, arcs, s, t)
-    if ids:
-        n, s, t, arcs = len(ids), ids[s], ids[t], [(ids[u], ids[v]) for u, v in arcs]
+    n, arcs, s, t = compact(n, arcs, s, t)
     return adjacency(n, arcs), s, t
 
 
@@ -83,8 +81,13 @@ def _label_search(adj, s, t, length, fixed, phi, delta, cap):
     lower bound phi(length) + level * delta reaches cap, which tightens to
     the best objective phi(length) + fixed found at t. Returns (objective,
     path) for the best label settled at t, or None when none was settled.
+    Levels stop at cap / delta + 1, where any label is dropped anyway, so
+    v / delta never leaves the float range. Every float is a multiple of the
+    least one, so a delta that underflows to 0 is raised to it losslessly.
     """
-    level = [int(v / delta) for v in fixed]
+    delta = max(delta, math.ulp(0.0))
+    top = cap / delta + 1.0
+    level = [int(min(v / delta, top)) for v in fixed]
     shortest = [math.inf] * len(adj)
     heap = [(0, 0.0, (), s, 1 << s, 0.0)]
     best = None
@@ -185,22 +188,25 @@ def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...
 
     Bounds. The least-length path (L_min) and the least-fixed-cost path
     (F_min) are both candidates, so the better of them gives UB >= OPT, and
-    LB = max(phi(L_min), F_min) <= OPT. If that is 0 but UB > 0, a path
-    either pays a positive fixed cost or is free of fixed cost and then no
-    shorter than the least-fixed-cost path; so LB = min(phi(its length), the
-    least positive fixed cost) is <= OPT, and both terms are positive since
-    both seeds cost more than 0. An infinite LB means every path costs +inf,
-    and the better seed is returned as it is.
+    LB = max(phi(L_min), F_min) <= OPT. Once LB >= UB, the better seed is
+    returned as it is: every path costs 0 or +inf, or one of the two costs
+    vanishes, so both seeds are the same lexicographic shortest path and
+    its cost is both bounds. If LB is 0 but UB > 0, a path either pays a
+    positive fixed cost or is free of fixed cost and then no shorter than
+    the least-fixed-cost path; so LB = min(phi(its length), the least
+    positive fixed cost) is <= OPT, and both terms are positive since both
+    seeds cost more than 0.
 
-    Bracket (Hassin's doubling; Lorenz and Raz). While UB > 2 LB, probe
-    P = 2 LB with delta = P/n and cap P. If the probe settles nothing at t,
-    OPT >= P (the frontier argument below, with cap P, would otherwise reach
-    t), so LB := P. If it settles a label at t, that label has
-    phi(L) + g delta < P and loses less than n delta = P to rounding, so
-    UB < 2P = 4 LB. Either way the final pass sees UB <= 4 LB.
+    Bracket (Hassin's doubling; Lorenz and Raz). k counts the nodes with an
+    arc; no simple path has k arcs. While UB > 2 LB, probe P = 2 LB with
+    delta = P/k and cap P. If the probe settles nothing at t, OPT >= P (the
+    frontier argument below, with cap P, would otherwise reach t), so
+    LB := P. If it settles a label at t, that label has phi(L) + g delta < P
+    and loses less than k delta = P to rounding, so UB < 2P = 4 LB. Either
+    way the final pass sees UB <= 4 LB.
 
     Final pass and guarantee. Round F down to multiples of
-    delta = epsilon LB / n, so a simple path (at most n-1 arcs) loses less
+    delta = epsilon LB / k, so a simple path (at most k-1 arcs) loses less
     than epsilon LB <= epsilon OPT. Labels pop in (g, L, arc sequence)
     order, so everything settled at a node has g no larger than the label in
     hand, and a label is dominated exactly when its length is not below the
@@ -214,7 +220,7 @@ def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...
     reaches t with g <= g(P*) and L <= L(P*), hence a cost below
     phi(L(P*)) + F(P*) + epsilon LB <= (1+epsilon) OPT. The pass stops once
     g delta reaches the best cost found; level counts stay below
-    UB / delta <= 4n / epsilon.
+    UB / delta <= 4k / epsilon.
 
     Paths stay simple: a label that returns to a node on its own path has a
     length no smaller than the settled prefix that visited it, so it is
@@ -222,6 +228,7 @@ def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...
     """
     check_epsilon(epsilon)
     adj, s, t = st_adjacency(n, arcs, s, t)
+    k = sum(map(bool, adj))
     by_len = lex_dijkstra(adj, s, t, length, fixed)
     by_fixed = lex_dijkstra(adj, s, t, fixed, length)
     ub, best = min(
@@ -229,19 +236,19 @@ def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...
         (phi(by_fixed[1]) + by_fixed[0], by_fixed[2]),
     )
     lb = max(phi(by_len[0]), by_fixed[0])
-    if ub <= 0.0 or math.isinf(lb):
-        return best  # every path costs 0, or +inf
+    if lb >= ub:
+        return best
     if lb <= 0.0:
         lb = min(phi(by_fixed[1]), min(v for v in fixed if v > 0.0))
 
     while 2.0 * lb < ub:
         probe = 2.0 * lb
-        hit = _label_search(adj, s, t, length, fixed, phi, probe / n, probe)
+        hit = _label_search(adj, s, t, length, fixed, phi, probe / k, probe)
         if hit is None:
             lb = probe
         else:
             ub, best = min((ub, best), hit)
             break
 
-    hit = _label_search(adj, s, t, length, fixed, phi, epsilon * lb / n, ub)
+    hit = _label_search(adj, s, t, length, fixed, phi, epsilon * lb / k, ub)
     return best if hit is None else min((ub, best), hit)[1]

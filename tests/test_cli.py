@@ -1,13 +1,15 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from flowdesign import (
-    Instance, Solution, parse_instance, read_solution, verify, write_instance, write_solution,
+    Disconnected, Instance, Solution, parse_instance, read_solution, verify, write_instance,
+    write_solution,
 )
 from flowdesign import cli
 from flowdesign.cli import main
@@ -29,15 +31,16 @@ def child_env():
     return env
 
 
-def run_in_512_mib(argv):
-    """``python -m flowdesign argv`` in an address space of 512 MiB."""
+def run_in_512_mib(argv, head=("-m", "flowdesign")):
+    """``python -m flowdesign argv`` (``python *head argv``) in an address
+    space of 512 MiB."""
     import resource
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
 
     return subprocess.run(
-        [sys.executable, "-m", "flowdesign", *argv], capture_output=True,
+        [sys.executable, *head, *argv], capture_output=True,
         text=True, timeout=120, env=child_env(), preexec_fn=limit,
     )
 
@@ -375,6 +378,118 @@ class TestModeMatrix:
         assert outs[0] == outs[1] == outs[2]
 
 
+def log_uniform(rng, lo=1e-300, hi=1e300):
+    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+
+def small_unbounded_doc(rng, cost, n_max=8, isolated=0):
+    """A connected random graph on at most n_max nodes, plus `isolated` nodes
+    with no arc (so s or t may be one), with c and gamma drawn by cost()."""
+    n = rng.randint(2, n_max)
+    arcs = [[i, rng.randrange(i)] for i in range(1, n)]
+    arcs += [[rng.randrange(n), rng.randrange(n)] for _ in range(rng.randint(0, 6))]
+    n += isolated
+    s, t = rng.sample(range(n), 2)
+    return {"n": n, "arcs": arcs, "s": s, "t": t, "r": rng.choice([1.0, 1.5, 2.0, 4.0]),
+            "c": [cost() for _ in arcs], "gamma": [cost() for _ in arcs], "B": log_uniform(rng)}
+
+
+class TestPathModes:
+    """path-exact, path-fptas and auto run one solve, ``rsp.frontier_fptas``;
+    where one cost vector vanishes its bounds meet before any label pass."""
+
+    @pytest.mark.parametrize("mode", ["auto", "path-exact", "path-fptas"])
+    @pytest.mark.parametrize("c, gamma", [
+        pytest.param((0.0,) * 3, (1.0, 0.5, 2.0), id="c-0"),
+        pytest.param((1.0, 2.0, 5.0), (0.0,) * 3, id="gamma-0"),
+        pytest.param((0.0,) * 3, (0.0,) * 3, id="all-0"),
+    ])
+    def test_single_cost_runs_no_label_pass(self, tmp_path, capsys, monkeypatch, mode, c, gamma):
+        from flowdesign import rsp
+
+        def unrun(*args):
+            raise AssertionError("a label pass ran")
+
+        inst = Instance(**TRIANGLE, r=1.0, c=c, gamma=gamma, ybar=(math.inf,) * 3, B=1.0)
+        path = write_file(tmp_path, "inst.json", write_instance(inst))
+        monkeypatch.setattr(rsp, "_label_search", unrun)
+        assert main(["solve", "--in", path, "--mode", mode]) == 0
+        assert verify(inst, read_solution(capsys.readouterr().out)).feasible
+
+    def test_single_cost_modes_agree_with_path_enumeration(self, tmp_path, capsys):
+        # c or gamma vanishes; the other is drawn near 1, or log-uniform over
+        # the float range; up to 4 isolated nodes, so s or t may be cut off
+        rng = random.Random(29)
+        path = str(tmp_path / "inst.json")
+        for i in range(240):
+            def cost():
+                return rng.choice([0.0, rng.uniform(0.0, 5.0), log_uniform(rng)])
+
+            doc = small_unbounded_doc(rng, cost, isolated=rng.choice([0, 0, 4]))
+            doc["c" if i % 2 else "gamma"] = [0.0] * len(doc["arcs"])
+            write_file(tmp_path, "inst.json", json.dumps(doc))
+            runs = []
+            for mode in ("path-exact", "path-fptas", "auto"):
+                code = main(["solve", "--in", path, "--mode", mode])
+                runs.append((code, *capsys.readouterr()))
+            assert runs[0][:2] == runs[1][:2] == runs[2][:2], doc
+            code, out, err = runs[0]
+            inst = parse_instance(json.dumps(doc))
+            if code == 0:
+                want = brute_paths_unbounded(inst)
+                assert read_solution(out).cost == pytest.approx(want.cost, rel=1e-12), doc
+            elif code == 2:
+                with pytest.raises(Disconnected):
+                    brute_paths_unbounded(inst)
+            else:
+                # the optimal path's cost or a conductance on it leaves the float range
+                assert (code, err.endswith("leaves the float range\n")) == (3, True), (doc, err)
+
+    @pytest.mark.parametrize("mode", ["auto", "path-exact", "path-fptas", "brute"])
+    def test_resistance_that_rounds_past_the_float_range(self, tmp_path, capsys, mode):
+        # y^-4 is B = the largest float, rounded up past it
+        doc = {"n": 2, "arcs": [[0, 1]], "s": 0, "t": 1, "r": 4.0, "c": [3.0], "gamma": [0.0],
+               "B": sys.float_info.max}
+        path = write_file(tmp_path, "inst.json", json.dumps(doc))
+        assert main(["solve", "--in", path, "--mode", mode]) == 3
+        assert capsys.readouterr() == (
+            "", "unsupported: the resistance of the design leaves the float range\n")
+
+    @pytest.mark.parametrize("mode", ["auto", "path-exact", "path-fptas", "brute"])
+    @pytest.mark.parametrize("c, B, y", [(1e300, 1e300, 1e-300), (1e-300, 1e-300, 1e300)])
+    def test_conductance_whose_factors_leave_the_float_range(self, tmp_path, capsys, mode, c, B, y):
+        # c^(1/2) B is 1e450 or 1e-450, while y = c^(1/2) / (c^(1/2) B) is in range
+        doc = {"n": 2, "arcs": [[0, 1]], "s": 0, "t": 1, "r": 1.0, "c": [c], "gamma": [0.0], "B": B}
+        path = write_file(tmp_path, "inst.json", json.dumps(doc))
+        assert main(["solve", "--in", path, "--mode", mode]) == 0
+        sol = read_solution(capsys.readouterr().out)
+        assert sol.y[0] == pytest.approx(y, rel=1e-12)
+        assert sol.achievedR == pytest.approx(B, rel=1e-12)
+
+    def test_rounding_step_below_the_least_float(self, tmp_path, capsys):
+        # LB = 1e-322, so epsilon LB / 2 underflows to 0 at eps = 0.01
+        doc = {"n": 2, "arcs": [[0, 1], [0, 1]], "s": 0, "t": 1, "r": 1.0, "c": [1e-300, 0.0],
+               "gamma": [0.0, 1e-300], "B": 1e22}
+        path = write_file(tmp_path, "inst.json", json.dumps(doc))
+        assert main(["solve", "--in", path, "--eps", "0.01"]) == 0
+        sol = read_solution(capsys.readouterr().out)
+        assert (sol.x, sol.cost) == ((1, 0), 1e-322)
+
+    def test_costs_across_the_float_range_never_raise(self, tmp_path, capsys):
+        # c and gamma in {0} and [1e-300, 1e300], B in [1e-300, 1e300]: every
+        # mode exits 0, 2 or 3, never with a traceback, and no output holds a NaN
+        rng = random.Random(9)
+        path = str(tmp_path / "inst.json")
+        for _ in range(400):
+            doc = small_unbounded_doc(rng, lambda: rng.choice([0.0, log_uniform(rng)]))
+            write_file(tmp_path, "inst.json", json.dumps(doc))
+            for mode in ("auto", "path-exact", "path-fptas", "brute"):
+                code = main(["solve", "--in", path, "--mode", mode])
+                out, err = capsys.readouterr()
+                assert code in (0, 2, 3), (doc, mode, err)
+                assert "NaN" not in out, (doc, mode)
+
+
 class TestVerify:
     def build(self, tmp_path, capsys):
         inst, path = diamond_unbounded(tmp_path)
@@ -485,6 +600,14 @@ class TestResistance:
         proc = run_in_512_mib([*argv, "--in", inst])
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)[field] == pytest.approx(R, rel=1e-12)
+
+    def test_huge_n_energy_takes_memory_of_the_arcs_only(self):
+        # effective_resistance numbers the nodes the arcs touch itself, so a
+        # library call with n = 10^9 needs no support_resistance in front
+        code = ("from flowdesign.resistance import effective_resistance as er; n = 10**9; "
+                "print(er(n, [(5, 9), (9, n - 1), (n - 1, 9)], [1, 4, 4], 1.0, 5, n - 1))")
+        proc = run_in_512_mib([code], head=("-c",))
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "1.125\n")
 
     @pytest.mark.parametrize("mode, ybar, gamma, picked", [
         pytest.param("auto", [1.0, 4.0, 4.0], 0.0, "sp-fptas", id="auto"),

@@ -343,6 +343,18 @@ def test_wide_bracket_is_narrowed_before_the_final_pass(monkeypatch):
         assert cap / delta <= 4.0 * inst.n / eps
 
 
+def test_isolated_nodes_change_neither_the_rounding_nor_the_path():
+    # The rounding step is epsilon LB / k with k the nodes an arc touches;
+    # rounded by n = 11,000 instead, this gadget's answer moved from
+    # 149560 to 149488.
+    from flowdesign.oracles import gen_partition
+
+    inst = gen_partition([11, 11, 19, 21, 13, 35, 14, 12, 13, 25], 1.0).instance
+    got = solve_path_fptas(inst, 0.5)
+    assert solve_path_fptas(inst._replace(n=1000 * inst.n), 0.5) == got
+    assert got.objective == 149560.0
+
+
 def test_grid_bound_violation_is_a_typed_error(monkeypatch):
     from flowdesign import pathdesign
     from flowdesign.errors import BoundExceeded
