@@ -12,14 +12,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 
-from .core import Instance, Solution, VerificationReport, check_tol
+from .core import FLOW_SLACK_PER_ARC, Instance, Solution, VerificationReport, check_tol
 from .errors import DimensionMismatch
-
-# Net flow a witness may miss at any node, per arc of the instance. A unit
-# flow computed in floating point is off by a few ulps of 1 per arc it
-# splits through; 2^-40 per arc leaves room for that and still rejects any
-# real leak, such as a half-unit flow.
-_FLOW_SLACK_PER_ARC = 2.0 ** -40
 
 
 def _witness_energy(inst: Instance, sol: Solution, flow, reasons: list[str]) -> float:
@@ -48,7 +42,7 @@ def _witness_energy(inst: Instance, sol: Solution, flow, reasons: list[str]) -> 
             energy = math.inf
     net[inst.s] += 1.0
     net[inst.t] -= 1.0
-    slack = _FLOW_SLACK_PER_ARC * inst.m
+    slack = FLOW_SLACK_PER_ARC * inst.m
     if not all(abs(v) <= slack for v in net.values()):
         reasons.append(f"flow is not a unit s-t flow: a node's net flow is off by more than {slack:.3e}")
     return energy

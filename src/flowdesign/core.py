@@ -34,6 +34,12 @@ from .errors import SchemaError, ValidationError
 
 UNBOUNDED = math.inf
 
+# Net flow a unit s-t flow may miss at any node, per arc it spans. A unit
+# flow computed in floating point is off by a few ulps of 1 per arc it
+# splits through; 2^-40 per arc leaves room for that and still rejects any
+# real leak, such as a half-unit flow.
+FLOW_SLACK_PER_ARC = 2.0 ** -40
+
 _INSTANCE_REQUIRED = ("n", "arcs", "s", "t", "r", "c", "gamma", "B")
 _INSTANCE_OPTIONAL = ("ybar",)
 _SOLUTION_FIELDS = ("x", "y", "cost", "achievedR")

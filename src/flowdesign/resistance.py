@@ -49,7 +49,8 @@ removes about half of the nodes, and at n = 1,200 it narrowed the widest
 block from 459 to 342 nodes and cut the solve's peak traced memory from
 9.4 to 3.8 MiB.
 
-* r = 1: one solve L(y) phi = e_s - e_t gives the exact flow f = y B^T phi.
+* r = 1: one solve L(y) phi = e_s - e_t gives the flow f = y B^T phi,
+  projected onto conservation while that shrinks its leak (``unit_flow``).
 * r > 1: start from the flow of the same solve with conductances y^r, then
   take Newton steps on sum w |f|^{r+1} (w = y^-r) under conservation. With
   g = w sign(f) |f|^r and h = r w |f|^{r-1}, a step solves
@@ -64,7 +65,7 @@ block from 459 to 342 nodes and cut the solve's peak traced memory from
     reusing the Schur complements and couplings its first solve eliminated.
   - The loop stops once max |delta| <= 1e-12 max(1, |f|), or once the
     energy stalls with max |delta| <= 1e-10 max(1, |f|). It raises
-    NonConvergence after 1,000,000 steps, or after 100 stalls with larger
+    NonConvergence after 10,000 steps, or after 100 stalls with larger
     steps. Such stalls were logged on wheels (a hub with spokes to a rim
     path) at r = 3 and 4 with y^r spreads of 1e4 to 1e8, see ROADMAP item
     2: within 10 to 24 steps the decrement delta^T H delta had fallen below
@@ -73,7 +74,8 @@ block from 459 to 342 nodes and cut the solve's peak traced memory from
     passed.
 
 Two entries share that solve (``_block_flow``), which ends at the block's
-flow and its energy. ``effective_resistance`` returns the energy and
+flow and its energy, and raises NonConvergence unless that flow is finite
+and conserves. ``effective_resistance`` returns the energy and
 builds nothing more. ``min_energy_flow`` also builds the flow on every arc
 and the potentials, in ``potentials``, which it imports on its first call;
 its energy is the same float, bit for bit.
@@ -98,7 +100,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import adjacency, check_exponent, check_terminals, compact, node_ids
+from .core import FLOW_SLACK_PER_ARC, adjacency, check_exponent, check_terminals, compact, node_ids
 from .errors import Disconnected, NonConvergence, ValidationError
 
 # Floor of the Newton curvature h relative to max h, which keeps 1/h finite.
@@ -115,7 +117,9 @@ _BLOCK = 64
 # relative to max(1, |f|), and the step budget.
 _STEP_TOL = 1e-12
 _STALL_TOL = 1e-10
-_MAX_STEPS = 1_000_000
+# Converged solves took at most 9 steps on the benchmark's `energy` seeds
+# 11-20, 45 in the test suite and 886 on the wheels of ROADMAP item 2.
+_MAX_STEPS = 10_000
 # Steps that fail to lower the energy while max |delta| stays above
 # _STALL_TOL. In the stalls logged so far (ROADMAP item 2) the decrement was
 # already below 1e-15 times the energy, and arcs with a floored h kept
@@ -286,6 +290,7 @@ class _BlockSystem:
         self.u, self.v = iu, iv = index[tails], index[heads]
         self.rhs = np.zeros(k)
         self.rhs[index[s]] = 1.0
+        self.slack = FLOW_SLACK_PER_ARC * len(block)  # the leak a verify witness may have
         if red:
             iu, iv = red.number(index)
 
@@ -423,6 +428,29 @@ class _BlockSystem:
         full = np.append(phi, 0.0)
         return full[self.u] - full[self.v]
 
+    def leak(self, f):
+        """The most a node's net flow misses the unit s-t flow's by, or NaN."""
+        return float(np.max(np.abs(self.divergence(f) - self.rhs)))
+
+    def project(self, cond, fac, f):
+        """f plus the flow of L(cond) that cancels its leak, solved with the
+        factor of L(cond) an earlier ``factor`` returned."""
+        return f + cond * self.drop(self.resolve(fac, self.rhs - self.divergence(f)))
+
+    def unit_flow(self, cond):
+        """The unit s-t flow of L(cond), and the factor of L(cond). A wide
+        spread of cond leaves the solve's residual in the flow, about 1e-5
+        at a spread of 1e12; it is projected out while that shrinks the
+        leak, in one to three projections, down to ``slack``."""
+        phi, fac = self.factor(cond, self.rhs)
+        f = cond * self.drop(phi)
+        while self.leak(f) > self.slack:
+            trial = self.project(cond, fac, f)
+            if not self.leak(trial) < self.leak(f):
+                break
+            f = trial
+        return f, fac
+
 
 def _solve(L, rhs):
     try:
@@ -437,15 +465,11 @@ def _newton(sys_, y, r):
     if not c0.all():
         raise NonConvergence("singular block Laplacian: a conductance y^r underflows to 0 when rescaled")
     w = 1.0 / c0
-    phi0, fac0 = sys_.factor(c0, sys_.rhs)
-
-    def project(f):
-        return f + c0 * sys_.drop(sys_.resolve(fac0, sys_.rhs - sys_.divergence(f)))
+    f, fac0 = sys_.unit_flow(c0)
 
     def energy(f):
         return float(np.sum(w * np.abs(f) ** (r + 1.0)))
 
-    f = c0 * sys_.drop(phi0)
     e = energy(f)
     pi = np.zeros(sys_.k)  # multipliers of the last step, for the residual form
     steps = stalls = 0
@@ -477,7 +501,7 @@ def _newton(sys_, y, r):
             alpha *= 0.5
             trial = f + alpha * delta
             e_trial = energy(trial)
-        f = project(trial)
+        f = sys_.project(c0, fac0, trial)
         e, e_old = energy(f), e
         if e >= e_old:
             if size <= _STALL_TOL * scale:
@@ -491,6 +515,10 @@ def _newton(sys_, y, r):
 
 def _block_flow(n, arcs, y, r, s, t):
     """The s-t block's arcs, their minimum-energy flow and its energy.
+
+    Raises NonConvergence unless the flow is finite and leaks at most
+    ``_BlockSystem.slack``: past the float range the leak is NaN, or grows
+    under projection.
 
     The nodes are numbered by ``core.compact``, in their order, so the
     solve takes O(m) memory however large n is, with the same floats.
@@ -511,11 +539,10 @@ def _block_flow(n, arcs, y, r, s, t):
 
     sys_ = _BlockSystem(n, arcs, block, adj, s, t)
     yb = np.array([y[a] for a in block], dtype=float)
-    if r == 1.0:
-        cond = yb / yb.max()
-        fb = cond * sys_.drop(sys_.factor(cond, sys_.rhs)[0])
-    else:
-        fb = _newton(sys_, yb, r)
+    fb = sys_.unit_flow(yb / yb.max())[0] if r == 1.0 else _newton(sys_, yb, r)
+    leak = sys_.leak(fb)
+    if not leak <= sys_.slack:  # a NaN leak fails too
+        raise NonConvergence(f"the block's flow misses conservation by {leak!r} at a node")
     af = np.abs(fb)
     return block, fb, float(np.sum(af * (af / yb) ** r))
 

@@ -77,28 +77,33 @@ def _label_search(adj, s, t, length, fixed, phi, delta, cap):
     counted in units of delta. Labels pop in (level, length, arc sequence)
     order, so every label already settled at a node has no larger level than
     the one in hand: the newcomer is dominated exactly when its length is not
-    below the shortest one settled there. A label is also dropped once its
-    lower bound phi(length) + level * delta reaches cap, which tightens to
-    the best objective phi(length) + fixed found at t. Returns (objective,
-    path) for the best label settled at t, or None when none was settled.
-    Levels stop at cap / delta + 1, where any label is dropped anyway, so
-    v / delta never leaves the float range. Every float is a multiple of the
-    least one, so a delta that underflows to 0 is raised to it losslessly.
+    below the shortest one settled there, a test that also keeps paths
+    simple (see ``frontier_fptas``). A label is also dropped once its lower
+    bound phi(length) + level * delta reaches cap, which tightens to the
+    best objective phi(length) + fixed found at t, the fixed cost summed
+    left to right over the arc sequence. Returns (objective, path) for the
+    best label settled at t, or None when none was settled. Levels stop at
+    cap / delta + 1, where any label is dropped anyway, so v / delta never
+    leaves the float range. Every float is a multiple of the least one, so
+    a delta that underflows to 0 is raised to it losslessly.
     """
     delta = max(delta, math.ulp(0.0))
     top = cap / delta + 1.0
     level = [int(min(v / delta, top)) for v in fixed]
     shortest = [math.inf] * len(adj)
-    heap = [(0, 0.0, (), s, 1 << s, 0.0)]
+    heap = [(0, 0.0, (), s)]
     best = None
     while heap:
-        g, dl, seq, v, mask, gam = heapq.heappop(heap)
+        g, dl, seq, v = heapq.heappop(heap)
         if g * delta >= cap:
             break
         if dl >= shortest[v]:
             continue
         shortest[v] = dl
         if v == t:
+            gam = 0.0
+            for a in seq:
+                gam += fixed[a]
             value = phi(dl) + gam
             if best is None or value < best[0]:
                 best = (value, seq)
@@ -108,12 +113,12 @@ def _label_search(adj, s, t, length, fixed, phi, delta, cap):
         for w in it:
             a = next(it)
             nl = dl + length[a]
-            if nl >= shortest[w] or mask & (1 << w):
+            if nl >= shortest[w]:
                 continue
             ng = g + level[a]
             if ng * delta + phi(nl) >= cap:
                 continue
-            heapq.heappush(heap, (ng, nl, seq + (a,), w, mask | (1 << w), gam + fixed[a]))
+            heapq.heappush(heap, (ng, nl, seq + (a,), w))
     return best
 
 
@@ -223,8 +228,8 @@ def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...
     UB / delta <= 4k / epsilon.
 
     Paths stay simple: a label that returns to a node on its own path has a
-    length no smaller than the settled prefix that visited it, so it is
-    dominated there; the visited-node mask turns it away before the push.
+    length no smaller than the settled prefix that visited it (lengths are
+    >= 0 and float addition is monotone), so it is dominated there.
     """
     check_epsilon(epsilon)
     adj, s, t = st_adjacency(n, arcs, s, t)

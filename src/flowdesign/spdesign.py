@@ -352,12 +352,13 @@ def solve_fixed_conductance_fptas(
     positive price p lies in exactly one bracket P/2 < p <= P; a guess whose
     bracket holds no option price cannot be the optimum's and is skipped.
 
-    For a guess, options priced above P drop out (the menus are prefixes of
-    each arc's options sorted by price, grown as P rises), the rest scale to
-    rho = floor(p / delta) with delta = eps * P / (8m), and the integer DP
-    runs with budget U = m * floor(P / delta); P = 0 runs the exact DP at
-    U = 0. Reconstructions are priced at the original costs, so every
-    candidate is genuine.
+    For a guess, each arc's menu keeps its options priced at most P, in
+    index order, the rest drop out. They scale to rho = floor(p / delta)
+    with delta = eps * P / (8m), and the integer DP runs with budget
+    U = m * floor(P / delta). At P = 0, delta is 1: every kept price is 0,
+    so rho and U are 0 and the DP is exact. A delta that underflows to 0
+    raises OutOfRange. Reconstructions are priced at the original costs, so
+    every candidate is genuine.
 
     Guarantee. If p* = 0, the P = 0 guess is exact. Otherwise take the guess
     of p*'s bracket: p* <= P < 2p*, and the cap keeps this, since it only
@@ -387,43 +388,33 @@ def solve_fixed_conductance_fptas(
         raise Infeasible("even the highest-conductance installation misses the budget")
 
     all_prices = sorted({p for opts in inst.options for _, p in opts})
-    by_price = [sorted(range(len(opts)), key=lambda i: opts[i][1]) for opts in inst.options]
-    taken = [0] * m
-    cap = [0.0] * m
     best = None
     best_cost = math.inf
     for P in _price_guesses(all_prices):
         if P >= 2.0 * best_cost:
             break
-        for a, opts in enumerate(inst.options):
-            order = by_price[a]
-            while taken[a] < len(order) and opts[order[taken[a]]][1] <= P:
-                cap[a] = max(cap[a], opts[order[taken[a]]][0])
-                taken[a] += 1
+        idx_maps = [[i for i, (_, p) in enumerate(opts) if p <= P] for opts in inst.options]
+        included = [[opts[i] for i in idx] for opts, idx in zip(inst.options, idx_maps)]
+        cap = [max((mu for mu, _ in opts), default=0.0) for opts in included]
         if resistance_sp(sched, cap, inst.r) > inst.B:
             continue
-        idx_maps = [sorted(order[:k]) for order, k in zip(by_price, taken)]
-        included = [tuple(opts[i] for i in idx) for opts, idx in zip(inst.options, idx_maps)]
 
-        if P == 0.0:
-            delta = 1.0
-            scaled = OptionSet(tuple(tuple((mu, 0) for mu, _ in opts) for opts in included))
-            U = 0
-        else:
-            delta = epsilon * P / (8 * m)
-            rows = []
-            for opts in included:
-                row = []
-                for mu, p in opts:
-                    rho = int(p / delta)
-                    if not (delta * rho <= p * (1.0 + 1e-9) and p <= delta * rho + delta * (1.0 + 1e-9)):
-                        raise BoundExceeded(f"price {p} rounds to {rho} units of {delta}")
-                    row.append((mu, rho))
-                rows.append(tuple(row))
-            scaled = OptionSet(tuple(rows))
-            U = m * int(P / delta)
-            if math.isfinite(best_cost):
-                U = min(U, math.ceil(best_cost / delta) + m)
+        delta = epsilon * P / (8 * m) if P else 1.0
+        if delta == 0.0:
+            raise OutOfRange(f"the price unit eps * P / (8m) at P = {P!r} underflows to 0")
+        rows = []
+        for opts in included:
+            row = []
+            for mu, p in opts:
+                rho = int(p / delta)
+                if not (delta * rho <= p * (1.0 + 1e-9) and p <= delta * rho + delta * (1.0 + 1e-9)):
+                    raise BoundExceeded(f"price {p} rounds to {rho} units of {delta}")
+                row.append((mu, rho))
+            rows.append(tuple(row))
+        scaled = OptionSet(tuple(rows))
+        U = m * int(P / delta)
+        if math.isfinite(best_cost):
+            U = min(U, math.ceil(best_cost / delta) + m)
 
         table = fill_table(sched, scaled, U, inst.r, inst.B)
         k = _cheapest_budget(table, inst.B)

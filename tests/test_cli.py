@@ -559,6 +559,29 @@ class TestResistance:
         assert "unsupported" in cap.err and "forced" in cap.err
         assert cap.out == ""
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["resistance", "verify"])
+    @pytest.mark.parametrize("arcs, y", [
+        # y from 1e-264 to 1e-53 on the path 3-1-0-2-7: the solve ends in NaN
+        ([[1, 0], [2, 0], [3, 1], [4, 1], [5, 0], [6, 2], [7, 2]],
+         [2.5898e-264, 1.9614e-147, 6.1615e-53, 0, 0, 0, 5.9740e-117]),
+        # a short circuit and y up to 9.5e75 on the path 3-2-1-0-7, whose
+        # series sum is 0.268: the flow misses conservation by 12,432
+        ([[1, 0], [2, 1], [3, 2], [4, 3], [5, 4], [6, 4], [7, 0]],
+         [3.7288, 9.5048e75, "inf", 0, 0, 0, 46353.76]),
+    ])
+    def test_energy_of_a_flow_that_does_not_conserve_exits_3(self, tmp_path, capsys, command, arcs, y):
+        doc = {"n": 8, "arcs": arcs, "s": 3, "t": 7, "r": 1.0,
+               "c": [0.0 if v == "inf" else 1.0 for v in y], "gamma": [0.0] * 7,
+               "ybar": ["inf"] * 7, "B": 1.0}
+        sol = {"x": [int(v != 0) for v in y], "y": y, "cost": 0.0, "achievedR": 1.0}
+        path = write_file(tmp_path, "inst.json", json.dumps(doc))
+        sol_path = write_file(tmp_path, "sol.json", json.dumps(sol))
+        assert main([command, "--in", path, "--sol", sol_path]) == 3
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert "misses conservation" in cap.err
+
     @pytest.mark.parametrize("argv", [["resistance"], ["resistance", "--sol", "{sol}"],
                                       ["verify", "--sol", "{sol}"]])
     def test_energy_commands_never_build_the_flow_state(self, tmp_path, capsys, monkeypatch, argv):

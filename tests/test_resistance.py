@@ -799,3 +799,50 @@ def test_one_bad_conductance_anywhere_is_named(bad, message, at):
     with pytest.raises(ValidationError) as info:
         min_energy_flow(3, ((0, 1), (1, 2), (0, 2), (0, 1), (1, 2)), y, 2.0, 0, 2)
     assert str(info.value) == message
+
+
+# Conductances spread past what the solve can resolve: a series path whose
+# y span 1e-264 to 1e-53 (the solve ends in NaN), and one whose y span
+# 3.7 to 9.5e75 (the flow misses conservation by about 1.2e4 at a node).
+UNRESOLVED = [
+    (8, ((1, 0), (2, 0), (3, 1), (4, 1), (5, 0), (6, 2), (7, 2)), 3, 7,
+     (2.5898e-264, 1.9614e-147, 6.1615e-53, 0.0, 0.0, 0.0, 5.9740e-117)),
+    (8, ((1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (6, 4), (7, 0)), 3, 7,
+     (3.7288, 9.5048e75, 1.0, 0.0, 0.0, 0.0, 46353.76)),
+]
+
+
+def test_r1_flow_under_a_wide_spread_is_projected_until_it_conserves():
+    # y log-uniform over 1e-6..1e6 on a ladder: the one r = 1 solve leaves
+    # about 2e-5 of its residual in the flow, which the projections remove
+    from flowdesign.core import FLOW_SLACK_PER_ARC
+
+    rng = random.Random("dense-ref:ladder:1.0")
+    n, arcs, s, t = ladder_graph(100)
+    y = tuple(10.0 ** rng.uniform(-6.0, 6.0) for _ in arcs)
+    state = min_energy_flow(n, arcs, y, 1.0, s, t)
+    conservation, _ = kkt_residuals(n, arcs, y, 1.0, s, t, state)
+    assert conservation <= FLOW_SLACK_PER_ARC * len(arcs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", UNRESOLVED)
+def test_a_flow_that_does_not_conserve_has_no_energy(case):
+    from flowdesign.errors import NonConvergence
+
+    n, arcs, s, t, y = case
+    for solve in (effective_resistance, min_energy_flow):
+        with pytest.raises(NonConvergence, match="misses conservation"):
+            solve(n, arcs, y, 1.0, s, t)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_newton_budget_ends_a_descent_that_never_stops():
+    # three arcs in series and parallel at r = 2 whose y spread by 1e58: the
+    # steps neither meet the stop test nor stall, so the budget ends them
+    from flowdesign.errors import NonConvergence
+
+    arcs = ((1, 0), (2, 1), (3, 0), (4, 0), (3, 0))
+    y = (3.1148, 3.1333e58, 0.0, 0.0, 1.4987e58)
+    with pytest.raises(NonConvergence, match=f"budget of {resistance._MAX_STEPS} Newton steps"):
+        effective_resistance(5, arcs, y, 2.0, 2, 3)

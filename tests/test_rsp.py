@@ -14,6 +14,22 @@ def path_length(inst, path):
     return sum(inst.length[a] for a in path)
 
 
+def path_nodes(inst, path):
+    """The nodes an s-t arc sequence visits, s first; it must end at t."""
+    nodes = [inst.s]
+    for a in path:
+        u, v = inst.arcs[a]
+        assert nodes[-1] in (u, v), f"arc {a} does not leave node {nodes[-1]}"
+        nodes.append(v if nodes[-1] == u else u)
+    assert nodes[-1] == inst.t
+    return nodes
+
+
+def assert_simple(inst, path):
+    nodes = path_nodes(inst, path)
+    assert len(set(nodes)) == len(nodes), f"path {path} repeats a node of {nodes}"
+
+
 def enumerate_paths(inst):
     """All simple s-t paths by brute force, arcs usable in both directions."""
     adj = [[] for _ in range(inst.n)]
@@ -175,6 +191,7 @@ def test_fptas_guarantee_random_graphs(eps):
             assert want is None, f"trial {trial}"
             continue
         assert want is not None
+        assert_simple(inst, got)
         assert path_length(inst, got) <= inst.budget + 1e-12, "length is never rounded"
         assert path_cost(inst, got) <= (1.0 + eps) * want[0] + 1e-9, f"trial {trial}"
 
@@ -196,11 +213,30 @@ def test_fptas_tiny_epsilon_agrees_with_exact():
             budget=float(rng.randint(2, 16)),
         )
         try:
-            exact_cost = path_cost(inst, rsp_exact(inst))
+            exact = rsp_exact(inst)
         except Infeasible:
             continue
         approx = rsp_fptas(inst, 1e-3)
-        assert path_cost(inst, approx) == pytest.approx(exact_cost, rel=1e-3)
+        assert_simple(inst, exact)
+        assert_simple(inst, approx)
+        assert path_cost(inst, approx) == pytest.approx(path_cost(inst, exact), rel=1e-3)
+
+
+@pytest.mark.parametrize("cost_in, length_in", [(0.0, 0.0), (1.0, 1.0)])
+def test_zero_cycle_between_s_and_t_is_never_walked(cost_in, length_in):
+    # s = 0 enters the all-zero cycle 1-2-3-1 (arcs 1, 2, 3) by arc 0 and t = 4
+    # leaves it by arc 4, so going round the cycle costs and lengthens
+    # nothing: only the domination test keeps labels from walking it
+    inst = RspInstance(
+        n=5, arcs=((0, 1), (1, 2), (2, 3), (3, 1), (3, 4)), s=0, t=4,
+        cost=(cost_in, 0.0, 0.0, 0.0, cost_in), length=(length_in, 0.0, 0.0, 0.0, length_in),
+        budget=2.0 * length_in,
+    )
+    want = best_by_enumeration(inst)
+    for got in (rsp_exact(inst), rsp_fptas(inst, 0.5), rsp_fptas(inst, 1e-3)):
+        assert_simple(inst, got)
+        assert path_cost(inst, got) == want[0]
+        assert got in ((0, 3, 4), (0, 1, 2, 4)), got
 
 
 def test_budget_monotonicity():

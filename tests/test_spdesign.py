@@ -521,6 +521,16 @@ class TestScalingFptas:
             assert sol.cost == 1e308
             assert sol.achievedR == pytest.approx(1.0 / 3.0, rel=1e-15)
 
+    def test_price_unit_that_underflows_is_out_of_range(self):
+        # the first guess P = 5e-324 is the least float, so its unit
+        # eps * P / (8m) rounds to 0 and no price can be counted in it
+        fixed = FixedInstance(
+            n=2, arcs=((0, 1), (0, 1)), s=0, t=1, r=1.0, B=1.0,
+            options=(((1.0, 5e-324),), ((1.0, 1e-323),)),
+        )
+        with pytest.raises(OutOfRange, match="underflows to 0"):
+            solve_fixed_conductance_fptas(fixed, 0.5)
+
     def test_rounding_loss_stays_within_a_quarter_eps(self):
         # seven series arcs: one dear arc priced just above 32 (bracket guess
         # P = 64; its unused option at 1000 keeps P from being capped), six
