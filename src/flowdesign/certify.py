@@ -13,7 +13,7 @@ import math
 from collections import defaultdict
 
 from .core import FLOW_SLACK_PER_ARC, Instance, Solution, VerificationReport, check_tol
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonConvergence
 
 
 def _witness_energy(inst: Instance, sol: Solution, flow, reasons: list[str]) -> float:
@@ -58,12 +58,14 @@ def verify(inst: Instance, sol: Solution, tol: float = 1e-9, flow=None) -> Verif
     scratch; it does not have to match sol.cost for the solution to verify.
 
     Without ``flow`` the resistance comes from the energy solver
-    (``resistance.support_resistance``), which loads numpy. With ``flow``,
-    a signed per-arc unit s-t flow (positive along the arc's orientation),
-    the check is O(m) and numeric-library free, by Thomson's principle:
-    every unit s-t flow f has energy sum_a |f_a|^(r+1) / y_a^r >= R_eff, so
-    a witness whose energy is at most B * (1 + tol) proves R_eff within
-    budget. The witness must carry flow only on installed arcs with y > 0
+    (``resistance.support_resistance``), which loads numpy. Where it raises
+    NonConvergence, the reasons already found decide: the report is
+    infeasible with achievedR = inf, and with no reason the error stands.
+    With ``flow``, a signed per-arc unit s-t flow (positive along the arc's
+    orientation), the check is O(m) and numeric-library free, by Thomson's
+    principle: every unit s-t flow f has energy
+    sum_a |f_a|^(r+1) / y_a^r >= R_eff, so a witness whose energy is at most
+    B * (1 + tol) proves R_eff within budget. The witness must carry flow only on installed arcs with y > 0
     and must conserve, with net -1 at s and +1 at t, to within 2^-40 per
     arc (the float rounding of a unit flow); achievedR is then its energy,
     an upper bound on R_eff. A witness that fails proves nothing, so the
@@ -75,34 +77,35 @@ def verify(inst: Instance, sol: Solution, tol: float = 1e-9, flow=None) -> Verif
             f"solution has {len(sol.x)} / {len(sol.y)} entries for {inst.m} arcs"
         )
     reasons = []
-    for a in range(inst.m):
-        if sol.x[a] not in (0, 1):
-            reasons.append(f"x[{a}] is not binary")
-        if math.isnan(sol.y[a]) or sol.y[a] < 0.0:
-            reasons.append(f"y[{a}] is negative or NaN")
-        elif sol.y[a] > inst.ybar[a]:
-            reasons.append(f"y[{a}] exceeds its bound")
-        if sol.y[a] > 0.0 and sol.x[a] != 1:
-            reasons.append(f"y[{a}] > 0 on an uninstalled arc")
-        if math.isinf(sol.y[a]) and inst.c[a] > 0.0:
-            reasons.append(f"y[{a}] is unbounded but arc {a} has positive variable cost")
-
     cost = 0.0
-    for a in range(inst.m):
-        if sol.x[a] == 1:
+    for a, (x, y) in enumerate(zip(sol.x, sol.y)):
+        if x not in (0, 1):
+            reasons.append(f"x[{a}] is not binary")
+        elif x == 1:
             cost += inst.gamma[a]
-        if sol.y[a] > 0.0:
-            if math.isinf(sol.y[a]):
-                if inst.c[a] > 0.0:
-                    cost = math.inf
-            else:
-                cost += inst.c[a] * sol.y[a]
+        if math.isnan(y) or y < 0.0:
+            reasons.append(f"y[{a}] is negative or NaN")
+        elif y > inst.ybar[a]:
+            reasons.append(f"y[{a}] exceeds its bound")
+        if y > 0.0 and x != 1:
+            reasons.append(f"y[{a}] > 0 on an uninstalled arc")
+        if math.isinf(y) and inst.c[a] > 0.0:
+            reasons.append(f"y[{a}] is unbounded but arc {a} has positive variable cost")
+            if y > 0.0:
+                cost = math.inf
+        elif 0.0 < y < math.inf:
+            cost += inst.c[a] * y
 
     if flow is None:
         from .resistance import support_resistance
 
         # a negative or NaN y, a reason above, installs nothing here
-        achieved = support_resistance(inst, [v if v > 0.0 else 0.0 for v in sol.y])
+        try:
+            achieved = support_resistance(inst, [v if v > 0.0 else 0.0 for v in sol.y])
+        except NonConvergence:
+            if not reasons:
+                raise
+            achieved = math.inf  # the reasons decide; the energy is unknown
     else:
         achieved = _witness_energy(inst, sol, flow, reasons)
     feasible = not reasons and achieved <= inst.B * (1.0 + tol)

@@ -91,7 +91,7 @@ def _parallel_res(Ra, Rb, r: float):
     """sptree's parallel step on arrays of resistances, with its float rules:
     a conductance past the float range saturates at the largest float
     (``res_to_cond``), and a sum of two finite conductances past it is taken
-    at half scale, (ca/2 + cb/2)^(-r) * 2^(-r) (``parallel_res``)."""
+    at half scale, (ca/2 + cb/2)^(-r) * 2^(-r) (``key_res``)."""
     with np.errstate(divide="ignore", over="ignore"):
         ca = np.where(Ra > 0.0, np.minimum(Ra ** (-1.0 / r), sys.float_info.max), np.inf)
         cb = np.where(Rb > 0.0, np.minimum(Rb ** (-1.0 / r), sys.float_info.max), np.inf)

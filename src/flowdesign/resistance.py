@@ -537,14 +537,17 @@ def _block_flow(n, arcs, y, r, s, t):
     if not block:
         raise Disconnected("s and t are not connected by installed arcs")
 
-    sys_ = _BlockSystem(n, arcs, block, adj, s, t)
-    yb = np.array([y[a] for a in block], dtype=float)
-    fb = sys_.unit_flow(yb / yb.max())[0] if r == 1.0 else _newton(sys_, yb, r)
-    leak = sys_.leak(fb)
-    if not leak <= sys_.slack:  # a NaN leak fails too
-        raise NonConvergence(f"the block's flow misses conservation by {leak!r} at a node")
-    af = np.abs(fb)
-    return block, fb, float(np.sum(af * (af / yb) ** r))
+    # Past the float range the numbers turn NaN or inf; the leak test below
+    # refuses such a flow, so numpy's warnings would only precede its error.
+    with np.errstate(all="ignore"):
+        sys_ = _BlockSystem(n, arcs, block, adj, s, t)
+        yb = np.array([y[a] for a in block], dtype=float)
+        fb = sys_.unit_flow(yb / yb.max())[0] if r == 1.0 else _newton(sys_, yb, r)
+        leak = sys_.leak(fb)
+        if not leak <= sys_.slack:  # a NaN leak fails too
+            raise NonConvergence(f"the block's flow misses conservation by {leak!r} at a node")
+        af = np.abs(fb)
+        return block, fb, float(np.sum(af * (af / yb) ** r))
 
 
 def min_energy_flow(n, arcs, y, r, s, t) -> FlowState:

@@ -5,17 +5,18 @@ Ullmann 1969; Kellerer, Pferschy and Pisinger, Knapsack Problems, 2004).
 Given the resistance bound B, ``bounds`` gives every schedule node the
 largest resistance a list point may have, and every step the largest key a
 candidate pair may have, and still lead to a root point within B.
-``spdesign.fill_table`` cuts the points over their bound (``cut``) and
-``spdesign._combine`` never forms the pairs over theirs.
+``spdesign.fill_table`` cuts the leaf points over their bound (``cut``) and
+``spdesign._combine`` never forms the pairs over theirs, which keeps every
+step's points within their bound as well, so the bound is applied once.
 
 Rmin(v) is composed bottom-up from each leaf's least resistance within the
 budget, by the DP's own rules (``sptree.node_resistances``); no point of
 v's list is below it. The bounds then go top-down from ub(root) = B. A
 series child needs R + Rmin(sibling) <= ub(parent). At a parallel parent,
-kappa is the largest pair key with ``parallel_res(-kappa, -kappa)`` <=
-ub(parent), and a child needs key(R) + key(Rmin(sibling)) <= kappa, where
-key(R) is minus half the conductance: its conductance must make up
-C(ub(parent)) - Cmax(sibling), and it is unbounded when that is <= 0.
+kappa is the largest pair key with ``key_res(kappa)`` <= ub(parent), and
+a child needs key(R) + key(Rmin(sibling)) <= kappa, where key(R) is minus
+half the conductance: its conductance must make up C(ub(parent)) -
+Cmax(sibling), and it is unbounded when that is <= 0.
 
 Each bound is the exact float boundary of its test, found by
 ``_last_within`` through the DP's own operations. The inverted formulas
@@ -25,7 +26,7 @@ meets the need alone, can cost a few more evaluations but never a wrong
 cut. This relies on each operation being non-decreasing in each argument
 in floating point: ``+`` is, as IEEE 754 rounds monotonically, negation and
 halving are exact, and ``x ** e`` for a fixed exponent is assumed monotone
-in x, as ``res_to_cond``, ``cond_to_res`` and ``parallel_res`` then are. A
+in x, as ``res_to_cond``, ``cond_to_res`` and ``key_res`` then are. A
 point or pair over its node's bound then composes, with any points of the
 other nodes, to a root resistance over B.
 """
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import struct
 
-from .sptree import SPSchedule, cond_to_res, half_key, node_resistances, parallel_res
+from .sptree import SPSchedule, cond_to_res, half_key, key_res, node_resistances
 
 _F64 = struct.Struct("<d")
 _I64 = struct.Struct("<q")
@@ -110,7 +111,7 @@ def bounds(sched: SPSchedule, leaf_rmin, r: float, B: float):
         ub = res_ub[i]
         if parallel:
             kappa = _last_within(
-                lambda key: parallel_res(-key, -key, r), ub,
+                lambda key: key_res(key, r), ub,
                 half_key(max(ub, 0.0), r), -math.inf, 0.0,
             )
             key_ub[i] = kappa
@@ -129,10 +130,10 @@ def bounds(sched: SPSchedule, leaf_rmin, r: float, B: float):
 
 
 def cut(points, ub: float):
-    """Drop every point after the price-0 one whose resistance exceeds ub.
-    The price-0 point stays, as ``DPTable.at`` and ``_reconstruct`` read it
-    at every budget. Resistance falls along the list, so the dropped points
-    form a prefix of the rest."""
+    """Drop every point after the price-0 one whose resistance exceeds ub;
+    ``fill_table`` cuts only the leaf lists. The price-0 point stays, as
+    ``DPTable.at`` and ``_reconstruct`` read it at every budget. Resistance
+    falls along the list, so the dropped points form a prefix of the rest."""
     prices, res, choice = points
     j = 1
     while j < len(res) and res[j] > ub:

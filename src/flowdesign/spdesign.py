@@ -48,7 +48,7 @@ from .sptree import (
     cond_to_res,
     decompose,
     half_key,
-    parallel_res,
+    key_res,
     resistance_sp,
     sp_unit_flow,
 )
@@ -73,7 +73,7 @@ class DPTable(namedtuple("DPTable", "points iterations")):
     option index (or -1 for skip) at the leaves 0..m-1 and the budget given
     to the left child at the steps (the smallest one that reaches the best
     value). iterations counts the list points kept at leaves plus, at each
-    step, the product of its children's list lengths after the bound's cut.
+    step, the product of its children's list lengths under the bound.
     """
 
     __slots__ = ()
@@ -170,8 +170,7 @@ def _combine(left, right, parallel: bool, U: int, r: float, key_ub: float):
             lprices.append(lprice)
             last_key, last_lprice = key, lprice
     if parallel:
-        # the summed conductance is twice the half key: -key + -key
-        keys = [parallel_res(-key, -key, r) for key in keys]
+        keys = [key_res(key, r) for key in keys]
     return prices, keys, lprices
 
 
@@ -195,18 +194,23 @@ def fill_table(
     The resistance bound B prunes, by the bounding step of the knapsack
     list method: ``spbounds.bounds`` gives each node the largest
     resistance, and each step the largest pair key, that can still lead to
-    a root point within B. List points over their node's bound are cut
+    a root point within B. Leaf points over their bound are cut
     (``spbounds.cut``), and pairs over their step's bound are never formed
-    (``_combine``). Call a point live when it can lead to a root point
-    within B. Pruning changes no live point: a live point's pair is made of
-    live points, which no cut drops, and every pair the pruned lists form
-    is one the full lists form too. So at a budget where the full list's
-    point is live, the pruned list reaches the same (key, left price) at
-    the same price; at any other budget it reaches no live point either.
-    Every root point within B, and with it ``_cheapest_budget`` and
-    ``_reconstruct`` at that budget, is the same as without the bound. With
-    B = inf nothing is cut, and the lists are full, as the per-budget tests
-    read them.
+    (``_combine``), which keeps the step's points within its bound too:
+    apart from the total-0 pair, which ``cut`` keeps anyway, every pair's
+    key is at most key_ub[i]. At a series step that key is the point's
+    resistance and key_ub[i] is res_ub[i]; at a parallel step key_ub[i] is
+    kappa, the exact float boundary of the monotone test
+    ``key_res(kappa) <= res_ub[i]`` (for B >= 0, kappa = -inf passes it).
+    So no step list is cut. Call a point live when it can lead to a root point within B.
+    Pruning changes no live point: a live point's pair is made of live
+    points within their bounds, and every pair the pruned lists form is one
+    the full lists form too. So at a budget where the full list's point is
+    live, the pruned list reaches the same (key, left price) at the same
+    price; at any other budget it reaches no live point either. Every root
+    point within B, and with it ``_cheapest_budget`` and ``_reconstruct``
+    at that budget, is the same as without the bound. With B = inf nothing
+    is cut, and the lists are full, as the per-budget tests read them.
 
     Option prices must be nonnegative integers (scale first if not). The
     work, counted as leaf points plus the products of the pruned child
@@ -226,7 +230,7 @@ def fill_table(
     iterations = sum(len(points[0]) for points in lists)
     for i, (parallel, a, b) in enumerate(sched.steps, m):
         left, right = lists[a], lists[b]
-        lists.append(cut(_combine(left, right, parallel, U, r, key_ub[i]), res_ub[i]))
+        lists.append(_combine(left, right, parallel, U, r, key_ub[i]))
         iterations += len(left[0]) * len(right[0])
 
     envelope = (2 * m - 1) * (U + 1) ** 2
@@ -376,16 +380,14 @@ def solve_fixed_conductance_fptas(
     P >= 2UB. The optimum's rho-total is at most OPT / delta <= UB / delta,
     so the DP budget is clamped to U <= ceil(UB / delta) + m. A guess whose
     menus miss the resistance bound even at their largest conductances has
-    no feasible design and skips its DP.
+    no feasible design and skips its DP. Every guess keeps part of each
+    menu, so an instance that misses the bound even at its largest
+    conductances skips every DP and raises Infeasible.
     """
     check_epsilon(epsilon)
     if sched is None:
         sched = decompose(inst.n, inst.arcs, inst.s, inst.t)
     m = inst.m
-
-    ycap = [max((mu for mu, _ in opts), default=0.0) for opts in inst.options]
-    if resistance_sp(sched, ycap, inst.r) > inst.B:
-        raise Infeasible("even the highest-conductance installation misses the budget")
 
     all_prices = sorted({p for opts in inst.options for _, p in opts})
     best = None

@@ -18,7 +18,7 @@ forward loop, without solving any flow problem:
 The conventions y = 0 -> R = +inf and y = +inf -> R = 0 make the composition
 total; 0 and +inf are always branched on, never raised to a power. A power
 that leaves the float range saturates on the side that overstates R, and a
-parallel sum that leaves it is taken at half scale (``parallel_res``).
+parallel sum that leaves it is taken at half scale (``key_res``).
 
 The same schedule orients the flow: ``ends[i]`` is the terminal pair node i
 joins, the root joins s and t, parallel children join their parent's pair,
@@ -139,15 +139,16 @@ def cond_to_res(C: float, r: float) -> float:
         return math.inf
 
 
-def parallel_res(ca: float, cb: float, r: float) -> float:
-    """(ca + cb)^(-r), the resistance of conductances ca and cb in parallel.
+def key_res(key: float, r: float) -> float:
+    """(-2 key)^(-r), the resistance of a parallel join whose children's half
+    keys (``half_key``) sum to key.
 
-    A sum of two finite conductances past the float range would read R = 0;
-    it is taken at half scale instead, (ca/2 + cb/2)^(-r) * 2^(-r).
+    A -2 key past the float range, from a finite key, would read R = 0; it
+    is taken at half scale instead, (-key)^(-r) * 2^(-r).
     """
-    c = ca + cb
-    if math.isinf(c) and not (math.isinf(ca) or math.isinf(cb)):
-        return cond_to_res(ca / 2 + cb / 2, r) * 2.0 ** -r
+    c = -2.0 * key
+    if math.isinf(c) and not math.isinf(key):
+        return cond_to_res(-key, r) * 2.0 ** -r
     return cond_to_res(c, r)
 
 
@@ -160,12 +161,11 @@ def half_key(R: float, r: float) -> float:
 def node_resistances(sched: SPSchedule, leaf_res, r: float) -> list[float]:
     """Every schedule node's resistance, composed from the leaves' by the
     DP's own rules: a parallel join sums its children's half keys and takes
-    ``parallel_res`` of the negated sum twice."""
+    ``key_res`` of the sum."""
     vals = list(leaf_res)
     for parallel, a, b in sched.steps:
         if parallel:
-            key = half_key(vals[a], r) + half_key(vals[b], r)
-            vals.append(parallel_res(-key, -key, r))
+            vals.append(key_res(half_key(vals[a], r) + half_key(vals[b], r), r))
         else:
             vals.append(vals[a] + vals[b])
     return vals

@@ -13,7 +13,7 @@ from flowdesign import (
 )
 from flowdesign import cli
 from flowdesign.cli import main
-from flowdesign.oracles import brute_paths_unbounded
+from flowdesign.oracles import brute_paths_unbounded, random_sp_structure
 from flowdesign.pathdesign import solve_variable_cost_only, to_solution
 
 
@@ -490,6 +490,45 @@ class TestPathModes:
                 assert "NaN" not in out, (doc, mode)
 
 
+def near_a_float_end(rng):
+    """Log-uniform within a factor 1e8 of the largest float or of the
+    smallest normal one."""
+    if rng.random() < 0.5:
+        return sys.float_info.max / 10.0 ** rng.uniform(0.0, 8.0)
+    return sys.float_info.min * 10.0 ** rng.uniform(0.0, 8.0)
+
+
+class TestSpModes:
+    def test_bounds_near_the_float_ends_never_raise(self, tmp_path, capsys):
+        # random SP graphs with m <= 7, ybar and B near either float end, c
+        # tiny or ordinary and integer gamma: auto and sp-fptas solve the
+        # draw, sp-exact its copy with c = 0 (it prices by gamma alone).
+        # Every call ends in a typed exit with no NaN in stdout; Tier-1 turns
+        # a RuntimeWarning into an error. A feasible draw with ybar near the
+        # top discretizes into thousands of options per arc, so 100 draws
+        # take seconds; they take the parallel half-scale branch over 1,000
+        # times.
+        rng = random.Random(31)
+        path = str(tmp_path / "inst.json")
+        for _ in range(100):
+            m = rng.randint(1, 7)
+            n, arcs, s, t = random_sp_structure(rng, m)
+            doc = {"n": n, "arcs": [list(a) for a in arcs], "s": s, "t": t,
+                   "r": rng.choice([1.0, 1.5, 2.0, 4.0]),
+                   "c": [rng.choice([log_uniform(rng, 1e-300, 1e-100), rng.uniform(0.1, 10.0)])
+                         for _ in arcs],
+                   "gamma": [float(rng.randint(0, 20)) for _ in arcs],
+                   "ybar": [near_a_float_end(rng) for _ in arcs], "B": near_a_float_end(rng)}
+            for mode in ("auto", "sp-fptas", "sp-exact"):
+                if mode == "sp-exact":
+                    doc["c"] = [0.0] * m
+                write_file(tmp_path, "inst.json", json.dumps(doc))
+                code = main(["solve", "--in", path, "--mode", mode, "--eps", "0.9"])
+                out, err = capsys.readouterr()
+                assert code in (0, 2, 3, 4), (doc, mode, err)
+                assert "NaN" not in out and "Traceback" not in err, (doc, mode)
+
+
 class TestVerify:
     def build(self, tmp_path, capsys):
         inst, path = diamond_unbounded(tmp_path)
@@ -559,7 +598,6 @@ class TestResistance:
         assert "unsupported" in cap.err and "forced" in cap.err
         assert cap.out == ""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", ["resistance", "verify"])
     @pytest.mark.parametrize("arcs, y", [
         # y from 1e-264 to 1e-53 on the path 3-1-0-2-7: the solve ends in NaN
@@ -580,7 +618,43 @@ class TestResistance:
         assert main([command, "--in", path, "--sol", sol_path]) == 3
         cap = capsys.readouterr()
         assert cap.out == ""
-        assert "misses conservation" in cap.err
+        # the typed refusal is all of stderr: numpy's warnings stay silent
+        assert cap.err.startswith("unsupported: the block's flow misses conservation")
+        assert cap.err.count("\n") == 1
+
+    def test_verify_of_an_exact_answer_past_the_float_range_refuses_silently(self, tmp_path, capsys):
+        # sp-exact answers this series path (R = 9.18e30); its energy solve
+        # ends in NaN, which verify refuses with exit 3 and nothing else
+        doc = {"n": 4, "arcs": [[0, 1], [1, 2], [2, 3]], "s": 0, "t": 3, "r": 1.0,
+               "c": [0.0] * 3, "gamma": [18.0, 14.0, 11.0],
+               "ybar": [1.5524978660701941e308, 1.0525917615558071, 1.0896691548374328e-31],
+               "B": 1.417067317114291e308}
+        path = write_file(tmp_path, "inst.json", json.dumps(doc))
+        assert main(["solve", "--mode", "sp-exact", "--in", path]) == 0
+        sol_path = write_file(tmp_path, "sol.json", capsys.readouterr().out)
+        assert main(["verify", "--in", path, "--sol", sol_path]) == 3
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == "unsupported: the block's flow misses conservation by nan at a node\n"
+
+    def test_a_structural_reason_decides_where_the_energy_solve_refuses(self, tmp_path, capsys):
+        # The short-circuit design above with c = 1 on every arc: y[2] = inf
+        # on a priced arc is a reason, so the refused energy solve leaves
+        # achievedR at inf and verify exits 2 on that reason
+        doc = {"n": 8, "arcs": [[1, 0], [2, 1], [3, 2], [4, 3], [5, 4], [6, 4], [7, 0]],
+               "s": 3, "t": 7, "r": 1.0, "c": [1.0] * 7, "gamma": [0.0] * 7,
+               "ybar": ["inf"] * 7, "B": 1.0}
+        sol = {"x": [1, 1, 1, 0, 0, 0, 1], "y": [3.7288, 9.5048e75, "inf", 0, 0, 0, 46353.76],
+               "cost": 0.0, "achievedR": 1.0}
+        path = write_file(tmp_path, "inst.json", json.dumps(doc))
+        sol_path = write_file(tmp_path, "sol.json", json.dumps(sol))
+        assert main(["verify", "--in", path, "--sol", sol_path]) == 2
+        cap = capsys.readouterr()
+        assert json.loads(cap.out) == {
+            "achievedR": "inf", "cost": "inf", "feasible": False,
+            "reasons": ["y[2] is unbounded but arc 2 has positive variable cost"],
+        }
+        assert cap.err == ""
 
     @pytest.mark.parametrize("argv", [["resistance"], ["resistance", "--sol", "{sol}"],
                                       ["verify", "--sol", "{sol}"]])

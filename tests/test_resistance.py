@@ -825,7 +825,6 @@ def test_r1_flow_under_a_wide_spread_is_projected_until_it_conserves():
     assert conservation <= FLOW_SLACK_PER_ARC * len(arcs)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", UNRESOLVED)
 def test_a_flow_that_does_not_conserve_has_no_energy(case):
     from flowdesign.errors import NonConvergence
@@ -836,7 +835,6 @@ def test_a_flow_that_does_not_conserve_has_no_energy(case):
             solve(n, arcs, y, 1.0, s, t)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_newton_budget_ends_a_descent_that_never_stops():
     # three arcs in series and parallel at r = 2 whose y spread by 1e58: the
     # steps neither meet the stop test nor stall, so the budget ends them

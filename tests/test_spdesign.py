@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -30,8 +31,9 @@ from flowdesign.oracles import (
     random_sp_structure,
 )
 from flowdesign import spdesign
+from flowdesign.spbounds import bounds, cut
 from flowdesign.spdesign import OptionSet, _cheapest_budget, _reconstruct, fill_table
-from flowdesign.sptree import cond_to_res, parallel_res, res_to_cond
+from flowdesign.sptree import cond_to_res, key_res, res_to_cond
 
 
 def parallel_tree(m):
@@ -354,7 +356,7 @@ def dp_values(tree, y, r):
     for parallel, a, b in tree.steps:
         if parallel:
             key = -res_to_cond(vals[a], r) / 2 + -res_to_cond(vals[b], r) / 2
-            vals.append(parallel_res(-key, -key, r))
+            vals.append(key_res(key, r))
         else:
             vals.append(vals[a] + vals[b])
     return vals
@@ -425,6 +427,43 @@ def test_bound_changes_no_answer_property(case):
     if k is not None:
         assert _reconstruct(tree, table, k) == _reconstruct(tree, full, k)
     assert table.iterations <= full.iterations
+
+
+@st.composite
+def step_bound_cases(draw):
+    """A random SP schedule and menu with conductances log-uniform up to the
+    largest float, a budget U, an r, and a B that is a random value or the
+    composed resistance of a random design from the menus."""
+    m = draw(st.integers(1, 7))
+    n, arcs, s, t = random_sp_structure(random.Random(draw(st.integers(0, 2 ** 16))), m)
+    tree = decompose(n, arcs, s, t)
+    mu = st.one_of(
+        st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e),
+        st.floats(1e308, sys.float_info.max),
+    )
+    option = st.tuples(mu, st.integers(0, 6).map(float))
+    menus = [draw(st.lists(option, min_size=1, max_size=3)) for _ in range(m)]
+    r = draw(st.sampled_from([1.0, 1.5, 2.0, 4.0]))
+    if draw(st.booleans()):
+        design = [draw(st.sampled_from([0.0, *(mu for mu, _ in menu)])) for menu in menus]
+        B = resistance_sp(tree, design, r)
+    else:
+        B = 10.0 ** draw(st.floats(-300.0, 300.0))
+    return tree, OptionSet(tuple(map(tuple, menus))), draw(st.integers(0, 15)), r, B
+
+
+@given(step_bound_cases())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_step_lists_need_no_cut_property(case):
+    """The pair bound keeps every step's points within the node's bound:
+    cutting a step list that fill_table returns removes nothing."""
+    tree, opts, U, r, B = case
+    leaf_rmin = [spdesign._leaf_list(menu, U, r)[1][-1] for menu in opts.options]
+    res_ub, _ = bounds(tree, leaf_rmin, r, B)
+    table = fill_table(tree, opts, U, r, B)
+    for i in range(tree.m, len(table.points)):
+        points = table.points[i]
+        assert cut(tuple(map(list, points)), res_ub[i]) == points
 
 
 class TestScalingFptas:

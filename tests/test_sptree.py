@@ -10,7 +10,7 @@ from flowdesign import (
 )
 from flowdesign.core import Solution
 from flowdesign.oracles import random_sp_structure
-from flowdesign.sptree import arc_directions, cond_to_res, res_to_cond
+from flowdesign.sptree import arc_directions, cond_to_res, key_res, res_to_cond
 
 
 def test_two_parallel_arcs():
@@ -286,7 +286,7 @@ def test_unit_flow_rejects_unbounded():
         sp_unit_flow(tree, (math.inf,), 1.0)
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
@@ -299,3 +299,29 @@ def test_resistance_conductance_maps_invert_property(value, r):
     """res_to_cond and cond_to_res are inverse bijections on (0, inf)."""
     assert cond_to_res(res_to_cond(value, r), r) == pytest.approx(value, rel=1e-12)
     assert res_to_cond(cond_to_res(value, r), r) == pytest.approx(value, rel=1e-12)
+
+
+_MAX = sys.float_info.max
+
+
+@given(
+    key=st.one_of(st.floats(max_value=0.0), st.floats(-_MAX, -_MAX / 2)),
+    r=st.sampled_from([1.0, 1.5, 2.0, 4.0]),
+)
+@example(key=-_MAX, r=1.0)
+@example(key=-_MAX / 2, r=2.0)
+@example(key=math.nextafter(-_MAX / 2, -math.inf), r=4.0)
+@example(key=-math.inf, r=1.0)
+@example(key=-0.0, r=1.0)
+@example(key=-5e-324, r=1.5)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_key_res_is_the_parallel_sum_of_two_halves_property(key, r):
+    """key_res(key) is (ca + cb)^(-r) with ca = cb = -key, and a finite
+    sum past the float range is taken at half scale."""
+    ca = cb = -key
+    c = ca + cb
+    if math.isinf(c) and not math.isinf(ca):
+        want = cond_to_res(ca / 2 + cb / 2, r) * 2.0 ** -r
+    else:
+        want = cond_to_res(c, r)
+    assert key_res(key, r) == want
