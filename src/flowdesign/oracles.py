@@ -153,16 +153,16 @@ def brute_subsets_fixed(inst: FixedInstance) -> Solution:
     return Solution(x=x, y=y, cost=float(cost[winner]), achievedR=float(R[winner]))
 
 
-def _support_minimum(inst, sched, support, warm):
+def _support_minimum(inst, sched, support, ybar_s):
     """Cheapest y on one support: bisection on the budget multiplier.
 
     Each multiplier evaluation alternates two exact blocks of the jointly
     convex energy form sum(c y) + lam * sum(|f|^{r+1} / y^r): the closed-form
     per-arc y update and the exact SP unit flow for f. The resistance of the
     resulting y falls as lam grows, so the feasibility boundary is a root.
+    ybar_s is ybar on the support and 0 off it, the first search's start.
     """
     r = inst.r
-    ybar_s = [inst.ybar[a] if a in support else 0.0 for a in range(inst.m)]
 
     def evaluate(lam, y0):
         y = list(y0)
@@ -188,7 +188,7 @@ def _support_minimum(inst, sched, support, warm):
     best_y, best_cost = ybar_s, cap_cost
 
     lo, hi = 0.0, 1.0
-    y_hi = warm if warm is not None else ybar_s
+    y_hi = ybar_s
     found = False
     for _ in range(160):
         y_hi, R = evaluate(hi, y_hi)
@@ -230,7 +230,7 @@ def brute_subsets_continuous_sp(inst: Instance) -> Solution:
         ybar_s = [inst.ybar[a] if a in support else 0.0 for a in range(inst.m)]
         if resistance_sp(sched, ybar_s, inst.r) > inst.B:
             continue
-        y, cost = _support_minimum(inst, sched, support, None)
+        y, cost = _support_minimum(inst, sched, support, ybar_s)
         if best is None or cost < best[0]:
             x = tuple(int(a in support) for a in range(inst.m))
             best = (cost, x, tuple(y))

@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import namedtuple
+from itertools import accumulate
+from operator import itemgetter
 
 from .core import FixedInstance, Instance, Solution, check_epsilon, verify
 from .errors import (
@@ -58,10 +60,6 @@ class OptionSet(namedtuple("OptionSet", "options")):
     """Per-arc menus of (conductance mu, price p); skipping an arc is free."""
 
     __slots__ = ()
-
-    @property
-    def m(self) -> int:
-        return len(self.options)
 
 
 class DPTable(namedtuple("DPTable", "points iterations")):
@@ -276,12 +274,12 @@ def _reconstruct(sched: SPSchedule, table: DPTable, k: int) -> dict[int, int]:
     return install
 
 
-def _to_solution(m, r, sched, options: OptionSet, install) -> Solution:
-    x = [0] * m
-    y = [0.0] * m
+def _to_solution(sched: SPSchedule, r: float, menus, install: dict[int, int]) -> Solution:
+    x = [0] * sched.m
+    y = [0.0] * sched.m
     cost = 0.0
-    for arc, pick in sorted(install.items()):
-        mu, p = options.options[arc][pick]
+    for arc, pick in install.items():
+        mu, p = menus[arc][pick]
         x[arc] = 1
         y[arc] = mu
         cost += p
@@ -300,15 +298,14 @@ def dp_exact(sched: SPSchedule, options: OptionSet, U: int, B: float, r: float) 
     if k is None:
         raise Infeasible(f"no installation within budget {U} meets the resistance bound")
     install = _reconstruct(sched, table, k)
-    return _to_solution(options.m, r, sched, options, install)
+    return _to_solution(sched, r, options.options, install)
 
 
 def solve_sp_exact(inst: Instance) -> Solution:
-    """Exact design when every arc is all or nothing: c = 0, finite ybar and
-    integer gamma. Arc a's menu is its one option (ybar_a, gamma_a), and the
-    DP runs at the budget sum(gamma), which affords every arc."""
-    if not all(math.isfinite(v) for v in inst.ybar):
-        raise UnsupportedCase("sp-exact needs finite ybar everywhere")
+    """Exact design when every arc is all or nothing: c = 0 and integer
+    gamma. Arc a's menu is its one option (ybar_a, gamma_a); an unbounded
+    arc's is (inf, gamma_a), which ``cond_to_res`` composes as R = 0. The DP
+    runs at the budget sum(gamma), which affords every arc."""
     if any(v != 0.0 for v in inst.c):
         raise UnsupportedCase("sp-exact prices arcs by gamma alone; c must be zero")
     prices = []
@@ -356,13 +353,23 @@ def solve_fixed_conductance_fptas(
     positive price p lies in exactly one bracket P/2 < p <= P; a guess whose
     bracket holds no option price cannot be the optimum's and is skipped.
 
-    For a guess, each arc's menu keeps its options priced at most P, in
-    index order, the rest drop out. They scale to rho = floor(p / delta)
-    with delta = eps * P / (8m), and the integer DP runs with budget
-    U = m * floor(P / delta). At P = 0, delta is 1: every kept price is 0,
-    so rho and U are 0 and the DP is exact. A delta that underflows to 0
-    raises OutOfRange. Reconstructions are priced at the original costs, so
-    every candidate is genuine.
+    Each arc's menu is sorted by price once per solve, stably, so options
+    of equal price keep their index order, and the running largest
+    conductance along it is kept. A guess keeps the prefix of each sorted
+    menu priced at most P, found by bisection, and its cap is that
+    prefix's largest conductance: a guess that fails its cap test costs
+    O(m log k) for menus of at most k options. The kept options scale to
+    rho = floor(p / delta) with delta = eps * P / (8m), and the integer DP
+    runs with budget U = m * floor(P / delta). At P = 0, delta is 1: every
+    kept price is 0, so rho and U are 0 and the DP is exact. A delta that
+    underflows to 0 raises OutOfRange. The DP picks positions in the sorted
+    menus, and reconstructions are priced at the original costs, so every
+    candidate is genuine. Two tie rules read sorted positions, so they
+    differ from index order only for a menu not sorted by price (a
+    discretized menu is sorted already): a DP leaf keeps the first of its
+    options with equal scaled price and resistance, which is the cheaper
+    one, and of two guesses' candidates of equal cost the one whose
+    (arc, position) picks, in arc order, compare lower is kept.
 
     Guarantee. If p* = 0, the P = 0 guess is exact. Otherwise take the guess
     of p*'s bracket: p* <= P < 2p*, and the cap keeps this, since it only
@@ -389,51 +396,49 @@ def solve_fixed_conductance_fptas(
         sched = decompose(inst.n, inst.arcs, inst.s, inst.t)
     m = inst.m
 
-    all_prices = sorted({p for opts in inst.options for _, p in opts})
+    price = itemgetter(1)
+    menus = [sorted(opts, key=price) for opts in inst.options]
+    caps = [list(accumulate((mu for mu, _ in menu), max, initial=0.0)) for menu in menus]
+    all_prices = sorted({p for menu in menus for _, p in menu})
     best = None
     best_cost = math.inf
     for P in _price_guesses(all_prices):
         if P >= 2.0 * best_cost:
             break
-        idx_maps = [[i for i, (_, p) in enumerate(opts) if p <= P] for opts in inst.options]
-        included = [[opts[i] for i in idx] for opts, idx in zip(inst.options, idx_maps)]
-        cap = [max((mu for mu, _ in opts), default=0.0) for opts in included]
-        if resistance_sp(sched, cap, inst.r) > inst.B:
+        ends = [bisect_right(menu, P, key=price) for menu in menus]
+        if resistance_sp(sched, [cap[k] for cap, k in zip(caps, ends)], inst.r) > inst.B:
             continue
 
         delta = epsilon * P / (8 * m) if P else 1.0
         if delta == 0.0:
             raise OutOfRange(f"the price unit eps * P / (8m) at P = {P!r} underflows to 0")
         rows = []
-        for opts in included:
+        for menu, end in zip(menus, ends):
             row = []
-            for mu, p in opts:
+            for mu, p in menu[:end]:
                 rho = int(p / delta)
                 if not (delta * rho <= p * (1.0 + 1e-9) and p <= delta * rho + delta * (1.0 + 1e-9)):
                     raise BoundExceeded(f"price {p} rounds to {rho} units of {delta}")
                 row.append((mu, rho))
             rows.append(tuple(row))
-        scaled = OptionSet(tuple(rows))
         U = m * int(P / delta)
         if math.isfinite(best_cost):
             U = min(U, math.ceil(best_cost / delta) + m)
 
-        table = fill_table(sched, scaled, U, inst.r, inst.B)
+        table = fill_table(sched, OptionSet(tuple(rows)), U, inst.r, inst.B)
         k = _cheapest_budget(table, inst.B)
         if k is None:
             continue
         install = _reconstruct(sched, table, k)
-        cost = sum(inst.options[a][idx_maps[a][pick]][1] for a, pick in install.items())
-        key = (cost, tuple(sorted((a, idx_maps[a][pick]) for a, pick in install.items())))
+        cost = sum(menus[a][pick][1] for a, pick in install.items())
+        key = (cost, tuple(install.items()))
         if best is None or key < best:
             best = key
             best_cost = cost
 
     if best is None:
         raise Infeasible("no guess produced a feasible installation")
-    chosen = dict(best[1])
-    full = OptionSet(inst.options)
-    return _to_solution(m, inst.r, sched, full, chosen)
+    return _to_solution(sched, inst.r, menus, dict(best[1]))
 
 
 def _require_discretizable(inst: Instance) -> None:

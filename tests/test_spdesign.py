@@ -109,6 +109,34 @@ class TestDpExact:
             got = dp_exact(tree, opts, sum(prices), fixed.B, r)
             assert got.cost == want.cost, f"trial {trial}"
 
+    def test_sp_exact_with_unbounded_arcs_matches_subset_enumeration(self):
+        # c = 0 and integer gamma with about 30% of the arcs unbounded: an
+        # unbounded arc installs as (inf, gamma), which composes as R = 0.
+        # Each answer costs what the cheapest subset meeting B costs, and
+        # verify finds it feasible.
+        rng = random.Random(23)
+        for trial in range(300):
+            m = rng.randint(1, 7)
+            n, arcs, s, t = random_sp_structure(rng, m)
+            ybar = tuple(math.inf if rng.random() < 0.3 else rng.uniform(0.3, 4.0) for _ in range(m))
+            gamma = tuple(float(rng.randint(0, 9)) for _ in range(m))
+            r = rng.choice([1.0, 2.0, 4.0])
+            B = 10.0 ** rng.uniform(-9.0, 1.0)
+            inst = Instance(n=n, arcs=arcs, s=s, t=t, r=r, c=(0.0,) * m, gamma=gamma, ybar=ybar, B=B)
+            tree = decompose(n, arcs, s, t)
+            costs = [
+                sum(g for g, x in zip(gamma, xs) if x)
+                for xs in itertools.product((0, 1), repeat=m)
+                if resistance_sp(tree, [u if x else 0.0 for u, x in zip(ybar, xs)], r) <= B
+            ]
+            if not costs:
+                with pytest.raises(Infeasible):
+                    spdesign.solve_sp_exact(inst)
+                continue
+            sol = spdesign.solve_sp_exact(inst)
+            assert sol.cost == min(costs), f"trial {trial}"
+            assert verify(inst, sol).feasible, f"trial {trial}"
+
     def test_knapsack_family_matches_textbook_dp(self):
         rng = random.Random(4096)
         for _ in range(25):
@@ -612,6 +640,52 @@ class TestScalingFptas:
         assert len(calls) <= math.ceil(math.log2(max(prices) / min(prices))) + 2
         want = brute_subsets_fixed(fixed)
         assert sol.cost <= 1.1 * want.cost
+
+    def test_each_menu_is_walked_a_bounded_number_of_times(self):
+        # a float-edge draw whose menus hold 7,762, 4,228 and 7,596 options
+        # and whose prices span 877 guesses: the menus are sorted once, and
+        # each guess reads price prefixes of them. Sorting, the prefix maxima
+        # and the price list read each option once, the one guess that runs
+        # the DP scales its prefixes, and each guess bisects every menu.
+        inst = Instance(
+            n=4, arcs=((2, 0), (2, 1), (0, 3), (3, 1), (1, 3)), s=0, t=1, r=1.0,
+            c=(5.59, 1.77e-117, 4.04, 2.26e-260, 1.56e-205), gamma=(3.0, 16.0, 20.0, 11.0, 2.0),
+            ybar=(8.74e306, 3.81e301, 2.05e301, 9.95e-307, 7.66e-301), B=9.15e-301,
+        )
+        visits = [0]
+
+        class Option(tuple):
+            def __iter__(self):
+                visits[0] += 1
+                return super().__iter__()
+
+            def __getitem__(self, i):
+                visits[0] += 1
+                return super().__getitem__(i)
+
+        class Menu(tuple):
+            walks = 0
+
+            def __iter__(self):
+                self.walks += 1
+                return super().__iter__()
+
+        menus = tuple(
+            Menu(map(Option, menu)) for menu in discretize_conductances(inst, 0.5).options
+        )
+        fixed = FixedInstance(
+            n=inst.n, arcs=inst.arcs, s=inst.s, t=inst.t, r=inst.r, B=inst.B, options=menus,
+        )
+        visits[0] = 0  # count the solve's work only
+        for menu in menus:
+            menu.walks = 0
+        sol = solve_fixed_conductance_fptas(fixed, 0.5 / 3)
+        sizes = [len(menu) for menu in menus]
+        assert sizes == [7762, 4228, 7596, 1, 1]
+        assert max(menu.walks for menu in menus) <= 2, [menu.walks for menu in menus]
+        probes = sum(k.bit_length() for k in sizes)  # one bisection of every menu
+        assert visits[0] <= 5 * sum(sizes) + 877 * probes, visits[0]
+        assert sol.cost == 6.670688709769384e300
 
 
 class TestDiscretize:
