@@ -5,8 +5,13 @@ where L_P and F_P sum a nonnegative ``length`` and ``fixed`` cost over the
 path's arcs and phi is nondecreasing. One label-setting pass
 (``_label_search``) keeps, per node, the Pareto frontier of (cost, length)
 labels and settles them in (cost, length, arc-sequence) order; for every
-reachable integer cost it implicitly knows the least length. The unbounded
-design problem prices a path with phi(S) = S^((r+1)/r) / B^(1/r).
+reachable integer cost it implicitly knows the least length. It drops a
+label once a lower bound on the cost of every path to t through it reaches
+the best cost known: what the label has spent plus the least cost and the
+least length still left to t, from two Dijkstra passes from t, with a
+margin for float rounding. The bound changes no answer, only how many
+labels are settled. The unbounded design problem prices a path with
+phi(S) = S^((r+1)/r) / B^(1/r).
 
 The restricted shortest path (RSP) is the same frontier with a budget phi:
 phi(L) = 0 when L is within the budget and +inf otherwise. ``rsp_exact``
@@ -70,6 +75,36 @@ def st_adjacency(n, arcs, s, t):
     return adjacency(n, arcs), s, t
 
 
+def _fold(values, seq):
+    """values[a] summed over seq left to right, the order in which a label
+    accumulates them; ``sum`` compensates rounding from Python 3.12 on, so
+    it can disagree with the search in the last bit."""
+    total = 0.0
+    for a in seq:
+        total += values[a]
+    return total
+
+
+def _dist_to(adj, t, weight):
+    """The least sum of weight from each node to t (inf where t is out of
+    reach), by one Dijkstra pass from t over adj, whose arcs run both ways.
+    Sums start at the integer 0, so integer weights give exact integers."""
+    dist = [math.inf] * len(adj)
+    dist[t] = 0
+    heap = [(0, t)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        it = iter(adj[v])
+        for w in it:
+            nd = d + weight[next(it)]
+            if nd < dist[w]:
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+    return dist
+
+
 def _label_search(adj, s, t, length, fixed, phi, delta, cap):
     """One label-setting pass over (rounded fixed cost, exact length).
 
@@ -78,18 +113,57 @@ def _label_search(adj, s, t, length, fixed, phi, delta, cap):
     order, so every label already settled at a node has no larger level than
     the one in hand: the newcomer is dominated exactly when its length is not
     below the shortest one settled there, a test that also keeps paths
-    simple (see ``frontier_fptas``). A label is also dropped once its lower
-    bound phi(length) + level * delta reaches cap, which tightens to the
-    best objective phi(length) + fixed found at t, the fixed cost summed
-    left to right over the arc sequence. Returns (objective, path) for the
-    best label settled at t, or None when none was settled. Levels stop at
-    cap / delta + 1, where any label is dropped anyway, so v / delta never
-    leaves the float range. Every float is a multiple of the least one, so
-    a delta that underflows to 0 is raised to it losslessly.
+    simple (see ``frontier_fptas``). Returns (objective, path) for the best
+    label settled at t, where the objective is phi(length) plus the fixed
+    cost summed left to right over the arc sequence (``_fold``), or None
+    when none was settled. The first label settled at t is kept even when
+    its objective is at least cap; a later one replaces it only when
+    cheaper, and cap falls to the best objective.
+
+    Bound. A label of level g and length L has the own test g delta +
+    phi(L). Two Dijkstra passes from t give each node w the least level sum
+    to_t_lvl[w] (exact integers) and the least length to_t_len[w] of a w-t
+    path, and a label pushed to w is dropped once
+
+        (g + to_t_lvl[w]) delta + phi(max(L, (L + to_t_len[w]) shrink))
+
+    reaches cap, with shrink = 1 - K 2^-51 for the K nodes of adj. The bound
+    is at least the label's own test, equals it at t, and is at most the own
+    test of every extension of the label by a walk from w to t: levels are
+    exact, and a fold of nonnegative floats never falls as terms are added.
+    With u = 2^-53, L and to_t_len[w] are folds of at most K-1 lengths, so
+    L + to_t_len[w] is at most (1+u)^(K-1) times the exact length of the
+    label's path plus a simple w-t path inside the walk; the extension's
+    fold takes those at most 2K-2 lengths and maybe more, so it is at least
+    (1-u)^(2K-3) times that length. Every float sum errs by at most u
+    relatively, as a sum below 2^-1022 is exact, and the product by at most
+    2u while L + to_t_len[w] >= 2^-1022; shrink covers all three factors. Below 2^-1022, L + to_t_len[w] is exact and at most the
+    extension's length, and the product, being smaller, rounds to at most
+    it.
+
+    Why no answer moves. Call a label viable when some extension of it to
+    t has an own test below the cap in force when the label pops. A viable
+    label's bound is below cap when it is pushed, since cap never rises; a
+    settled label that dominates it is viable; and a label pushed to t has
+    a viable parent, its own test being below cap when the parent pops. So,
+    in pop order, this search and one that applies only the own test settle
+    the same viable labels, turn away the same ones, push the same labels
+    to t and settle those under the same cap; the stop rule, g delta >=
+    cap, then halts both before the same labels at t, so both return the
+    same result. Labels only one of them settles are not viable, and
+    nothing pushed to t descends from them.
+
+    Levels stop at cap / delta + 1, where any label is dropped anyway, so
+    v / delta never leaves the float range. Every float is a multiple of
+    the least one, so a delta that underflows to 0 is raised to it
+    losslessly.
     """
     delta = max(delta, math.ulp(0.0))
     top = cap / delta + 1.0
     level = [int(min(v / delta, top)) for v in fixed]
+    to_t_lvl = _dist_to(adj, t, level)
+    to_t_len = _dist_to(adj, t, length)
+    shrink = 1.0 - len(adj) * 2.0 ** -51
     shortest = [math.inf] * len(adj)
     heap = [(0, 0.0, (), s)]
     best = None
@@ -101,10 +175,7 @@ def _label_search(adj, s, t, length, fixed, phi, delta, cap):
             continue
         shortest[v] = dl
         if v == t:
-            gam = 0.0
-            for a in seq:
-                gam += fixed[a]
-            value = phi(dl) + gam
+            value = phi(dl) + _fold(fixed, seq)
             if best is None or value < best[0]:
                 best = (value, seq)
                 cap = min(cap, value)
@@ -116,7 +187,7 @@ def _label_search(adj, s, t, length, fixed, phi, delta, cap):
             if nl >= shortest[w]:
                 continue
             ng = g + level[a]
-            if ng * delta + phi(nl) >= cap:
+            if (ng + to_t_lvl[w]) * delta + phi(max(nl, (nl + to_t_len[w]) * shrink)) >= cap:
                 continue
             heapq.heappush(heap, (ng, nl, seq + (a,), w))
     return best
@@ -174,7 +245,7 @@ def rsp_fptas(inst: RspInstance, epsilon: float) -> tuple[int, ...]:
             inst.n, inst.arcs, inst.s, inst.t, inst.length, inst.cost,
             _budget_phi(inst.budget), epsilon,
         )
-        if sum(inst.length[a] for a in path) <= inst.budget:
+        if _fold(inst.length, path) <= inst.budget:
             return path
     except Disconnected:
         pass
@@ -220,12 +291,14 @@ def frontier_fptas(n, arcs, s, t, length, fixed, phi, epsilon) -> tuple[int, ...
     prefix's dominating label either is pushed and later settles, or is
     turned away by a settled label at the same node that dominates it (a
     node already on the label's own path is such a node). Unless a label's
-    lower bound phi(L) + g delta reaches the cap first, which means the
-    incumbent or an earlier path at t already costs at most OPT, the chain
-    reaches t with g <= g(P*) and L <= L(P*), hence a cost below
-    phi(L(P*)) + F(P*) + epsilon LB <= (1+epsilon) OPT. The pass stops once
-    g delta reaches the best cost found; level counts stay below
-    UB / delta <= 4k / epsilon.
+    bound reaches the cap first, the chain reaches t with g <= g(P*) and
+    L <= L(P*). The bound (see ``_label_search``) is at most the lower
+    bound phi(L) + g delta of the label extended by the rest of P*, which
+    is at most OPT; so a bound at the cap means that the incumbent or an
+    earlier path at t already costs at most OPT. A chain that reaches t
+    has a cost below phi(L(P*)) + F(P*) + epsilon LB <= (1+epsilon) OPT.
+    The pass stops once g delta reaches the best cost found; level counts
+    stay below UB / delta <= 4k / epsilon.
 
     Paths stay simple: a label that returns to a node on its own path has a
     length no smaller than the settled prefix that visited it (lengths are

@@ -1,9 +1,18 @@
+import heapq
 import itertools
+import math
 import random
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowdesign import Infeasible, RspInstance, ValidationError, rsp_exact, rsp_fptas
+from flowdesign import (
+    Disconnected, Infeasible, Instance, RspInstance, ValidationError, rsp, rsp_exact, rsp_fptas,
+)
+from flowdesign.pathdesign import phi as design_phi
+from flowdesign.pathdesign import solve_path_fptas
 
 
 def path_cost(inst, path):
@@ -258,3 +267,167 @@ def test_budget_monotonicity():
             if prev is not None:
                 assert value <= prev
             prev = value
+
+
+def test_fptas_budget_check_sums_lengths_as_the_search_does():
+    # 1.0 + 1e-16 rounds to 1.0 twice, so the search finds the one path
+    # within budget; a compensated sum (Python 3.12's ``sum``) puts it at
+    # 1.0000000000000002, over the budget. The search keeps the path only
+    # through its bound's margin: at node 1, 1.0 plus the 2e-16 still left
+    # to t is over the budget too.
+    inst = RspInstance(n=4, arcs=((0, 1), (1, 2), (2, 3)), s=0, t=3, cost=(1.0, 1.0, 1.0),
+                       length=(1.0, 1e-16, 1e-16), budget=1.0)
+    assert math.fsum(inst.length) > inst.budget
+    assert rsp_fptas(inst, 0.5) == (0, 1, 2)
+    assert rsp_exact(inst) == (0, 1, 2)
+
+
+def test_a_path_just_over_the_budget_is_infeasible():
+    # The bound's float margin shrinks the length a label has spent plus the
+    # length still left; at t it must leave the label's own test as it is
+    inst = RspInstance(n=2, arcs=((0, 1),), s=0, t=1, cost=(1.0,),
+                       length=(math.nextafter(1.0, 2.0),), budget=1.0)
+    with pytest.raises(Infeasible):
+        rsp_exact(inst)
+    with pytest.raises(Infeasible):
+        rsp_fptas(inst, 0.5)
+
+
+def reference_label_search(adj, s, t, length, fixed, phi, delta, cap, settled=None):
+    """``rsp._label_search`` without the remaining-cost bound: each label is
+    dropped only by its own test. ``settled``, when given, collects the
+    node of every label settled."""
+    delta = max(delta, math.ulp(0.0))
+    top = cap / delta + 1.0
+    level = [int(min(v / delta, top)) for v in fixed]
+    shortest = [math.inf] * len(adj)
+    heap = [(0, 0.0, (), s)]
+    best = None
+    while heap:
+        g, dl, seq, v = heapq.heappop(heap)
+        if g * delta >= cap:
+            break
+        if dl >= shortest[v]:
+            continue
+        shortest[v] = dl
+        if settled is not None:
+            settled.append(v)
+        if v == t:
+            gam = 0.0
+            for a in seq:
+                gam += fixed[a]
+            value = phi(dl) + gam
+            if best is None or value < best[0]:
+                best = (value, seq)
+                cap = min(cap, value)
+            continue
+        it = iter(adj[v])
+        for w in it:
+            a = next(it)
+            nl = dl + length[a]
+            if nl >= shortest[w]:
+                continue
+            ng = g + level[a]
+            if ng * delta + phi(nl) >= cap:
+                continue
+            heapq.heappush(heap, (ng, nl, seq + (a,), w))
+    return best
+
+
+@st.composite
+def label_search_cases(draw):
+    """Multigraphs (parallel arcs and self-loops) with small integer weights,
+    so that labels tie, real ones, or subnormal ones, whose sums are exact;
+    and either phi: a length budget or the design phi."""
+    n = draw(st.integers(2, 7))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         min_size=1, max_size=14))
+    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    weight = draw(st.sampled_from([
+        st.integers(0, 6).map(float),
+        st.floats(0.0, 6.0),
+        st.integers(0, 6).map(lambda v: v * math.ulp(0.0)),
+    ]))
+    length = tuple(draw(weight) for _ in arcs)
+    fixed = tuple(draw(weight) for _ in arcs)
+    if draw(st.booleans()):
+        phi = rsp._budget_phi(3.0 * draw(weight))
+    else:
+        B, r = draw(st.sampled_from([0.5, 1.0, 10.0, 100.0])), draw(st.sampled_from([1.0, 2.0]))
+        phi = lambda S: design_phi(S, B, r)  # noqa: E731
+    return n, tuple(arcs), s, t, length, fixed, phi
+
+
+@given(case=label_search_cases(), data=st.data())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_label_search_returns_what_the_unbounded_search_returns(case, data):
+    n, arcs, s, t, length, fixed, phi = case
+    adj, s, t = rsp.st_adjacency(n, arcs, s, t)
+    delta, cap = data.draw(st.one_of(
+        st.just((1, sum(map(int, fixed)) + 1)),  # as rsp_exact calls it
+        st.tuples(st.floats(1e-3, 20.0), st.floats(0.0, 200.0) | st.just(math.inf)),
+    ))
+    want = reference_label_search(adj, s, t, length, fixed, phi, delta, cap)
+    assert rsp._label_search(adj, s, t, length, fixed, phi, delta, cap) == want
+
+
+def _frontier_or_error(*args):
+    try:
+        return rsp.frontier_fptas(*args)
+    except Disconnected:
+        return Disconnected
+
+
+@given(case=label_search_cases(), eps=st.sampled_from([0.5, 0.1, 0.01]))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_frontier_fptas_returns_the_path_of_the_unbounded_search(case, eps):
+    n, arcs, s, t, length, fixed, phi = case
+    got = _frontier_or_error(n, arcs, s, t, length, fixed, phi, eps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rsp, "_label_search", reference_label_search)
+        assert _frontier_or_error(n, arcs, s, t, length, fixed, phi, eps) == got
+
+
+def anticorrelated_grid(k, rng, r=1.0, B=100.0):
+    """A k-by-k grid whose fixed costs run against its variable costs
+    (gamma near 100 / c), so that many (S, Gamma) labels stay Pareto."""
+    arcs = []
+    for v in range(k * k):
+        if v % k + 1 < k:
+            arcs.append((v, v + 1))
+        if v + k < k * k:
+            arcs.append((v, v + k))
+    c = [round(rng.uniform(0.1, 10.0), 6) for _ in arcs]
+    gamma = [round(100.0 / v * rng.uniform(0.5, 1.5), 6) for v in c]
+    return Instance(n=k * k, arcs=tuple(arcs), s=0, t=k * k - 1, r=r, c=tuple(c),
+                    gamma=tuple(gamma), ybar=(math.inf,) * len(arcs), B=B)
+
+
+def test_bound_settles_at_most_half_the_labels_of_the_unbounded_search():
+    # A count, not a timing: every label the bounded search settles is
+    # popped from its heap, so its label pops bound what it settles
+    inst = anticorrelated_grid(20, random.Random(20))
+    search, calls, pops = rsp._label_search, [], []
+
+    def counted_pop(heap):
+        item = heapq.heappop(heap)
+        if len(item) == 4:  # a label; the Dijkstra passes pop (distance, node)
+            pops.append(item[3])
+        return item
+
+    def spy(*args):
+        calls.append(args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rsp, "heapq", types.SimpleNamespace(heappush=heapq.heappush, heappop=counted_pop))
+            return search(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rsp, "_label_search", spy)
+        got = solve_path_fptas(inst, 0.1)
+    settled = []
+    for args in calls:
+        reference_label_search(*args, settled=settled)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rsp, "_label_search", reference_label_search)
+        assert solve_path_fptas(inst, 0.1) == got
+    assert calls and 2 * len(pops) <= len(settled), (len(pops), len(settled))
