@@ -167,7 +167,7 @@ def _support_minimum(inst, sched, support, ybar_s):
     def evaluate(lam, y0):
         y = list(y0)
         for _ in range(400):
-            f, _ = sp_unit_flow(sched, y, r)
+            f = sp_unit_flow(sched, y, r, inst.s)
             shift = 0.0
             for a in support:
                 fa = abs(f[a])

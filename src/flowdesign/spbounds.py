@@ -2,12 +2,12 @@
 
 This is the bounding step of the knapsack list method (Nemhauser and
 Ullmann 1969; Kellerer, Pferschy and Pisinger, Knapsack Problems, 2004).
-Given the resistance bound B, ``bounds`` gives every schedule node the
-largest resistance a list point may have, and every step the largest key a
-candidate pair may have, and still lead to a root point within B.
-``spdesign.fill_table`` cuts the leaf points over their bound (``cut``) and
-``spdesign._combine`` never forms the pairs over theirs, which keeps every
-step's points within their bound as well, so the bound is applied once.
+Given the resistance bound B, ``bounds`` gives every step the largest
+resistance a list point may have, and the largest key a candidate pair may
+have, and still lead to a root point within B. ``spdesign._combine`` never
+forms the pairs over their step's key bound, which keeps every step's
+points within their bound as well, so the bound is applied once, as that
+pair test.
 
 Rmin(v) is composed bottom-up from each leaf's least resistance within the
 budget, by the DP's own rules (``sptree.node_resistances``); no point of
@@ -16,14 +16,17 @@ series child needs R + Rmin(sibling) <= ub(parent). At a parallel parent,
 kappa is the largest pair key with ``key_res(kappa)`` <= ub(parent), and
 a child needs key(R) + key(Rmin(sibling)) <= kappa, where key(R) is minus
 half the conductance: its conductance must make up C(ub(parent)) -
-Cmax(sibling), and it is unbounded when that is <= 0.
+Cmax(sibling), and it is unbounded when that is <= 0. Leaves need no bound
+of their own: a leaf point over the bound its test would give forms, with
+every sibling point (each at least Rmin(sibling)), a pair over its parent
+step's key bound, so the pair test already skips it.
 
 Each bound is the exact float boundary of its test, found by
 ``_last_within`` through the DP's own operations. The inverted formulas
 (ub - Rmin, the resistance of C(ub) - Cmax) only seed that search, so their
 rounding, and the cancellation in C(ub) - Cmax when the sibling nearly
 meets the need alone, can cost a few more evaluations but never a wrong
-cut. This relies on each operation being non-decreasing in each argument
+skip. This relies on each operation being non-decreasing in each argument
 in floating point: ``+`` is, as IEEE 754 rounds monotonically, negation and
 halving are exact, and ``x ** e`` for a fixed exponent is assumed monotone
 in x, as ``res_to_cond``, ``cond_to_res`` and ``key_res`` then are. A
@@ -96,47 +99,38 @@ def _last_within(f, T: float, hint: float, lo: float, hi: float) -> float:
 
 
 def bounds(sched: SPSchedule, leaf_rmin, r: float, B: float):
-    """(res_ub, key_ub) per schedule node: the largest resistance of a list
-    point, and (at steps) the largest key of a candidate pair, that can
-    still lead to a root point within B. leaf_rmin holds each leaf's least
-    resistance within the budget. With B = inf every bound is the largest
-    value of its kind, inf or the key 0.0, and nothing is cut."""
-    m = sched.m
+    """(res_ub, key_ub) per step j, schedule node m + j: the largest
+    resistance of a list point, and the largest key of a candidate pair,
+    that can still lead to a root point within B. leaf_rmin holds each
+    leaf's least resistance within the budget. With B = inf every bound is
+    the largest value of its kind, inf or the key 0.0, and no pair is
+    skipped."""
+    m, steps = sched.m, sched.steps
     rmin = node_resistances(sched, leaf_rmin, r)
-    res_ub = [math.inf] * len(rmin)
-    key_ub = [math.inf] * len(rmin)
-    res_ub[-1] = B
-    for i in range(len(rmin) - 1, m - 1, -1):
-        parallel, a, b = sched.steps[i - m]
-        ub = res_ub[i]
+    res_ub = [math.inf] * len(steps)
+    key_ub = [math.inf] * len(steps)
+    if steps:
+        res_ub[-1] = B
+    for j in range(len(steps) - 1, -1, -1):
+        parallel, a, b = steps[j]
+        ub = res_ub[j]
         if parallel:
             kappa = _last_within(
                 lambda key: key_res(key, r), ub,
                 half_key(max(ub, 0.0), r), -math.inf, 0.0,
             )
-            key_ub[i] = kappa
+            key_ub[j] = kappa
             for child, sib in ((a, b), (b, a)):
-                ks = half_key(rmin[sib], r)
-                res_ub[child] = _last_within(
-                    lambda R: half_key(R, r) + ks, kappa,
-                    cond_to_res(max(2 * (ks - kappa), 0.0), r), 0.0, math.inf,
-                )
+                if child >= m:
+                    ks = half_key(rmin[sib], r)
+                    res_ub[child - m] = _last_within(
+                        lambda R: half_key(R, r) + ks, kappa,
+                        cond_to_res(max(2 * (ks - kappa), 0.0), r), 0.0, math.inf,
+                    )
         else:
-            key_ub[i] = ub
+            key_ub[j] = ub
             for child, sib in ((a, b), (b, a)):
-                rs = rmin[sib]
-                res_ub[child] = _last_within(lambda R: R + rs, ub, ub - rs, 0.0, math.inf)
+                if child >= m:
+                    rs = rmin[sib]
+                    res_ub[child - m] = _last_within(lambda R: R + rs, ub, ub - rs, 0.0, math.inf)
     return res_ub, key_ub
-
-
-def cut(points, ub: float):
-    """Drop every point after the price-0 one whose resistance exceeds ub;
-    ``fill_table`` cuts only the leaf lists. The price-0 point stays, as
-    ``DPTable.at`` and ``_reconstruct`` read it at every budget. Resistance
-    falls along the list, so the dropped points form a prefix of the rest."""
-    prices, res, choice = points
-    j = 1
-    while j < len(res) and res[j] > ub:
-        j += 1
-    del prices[1:j], res[1:j], choice[1:j]
-    return points

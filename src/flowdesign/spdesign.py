@@ -12,8 +12,8 @@ children's points that fit the budget, pruned to the pairs that beat every
 cheaper pair; among equal values the pair that gives the left child less
 budget wins, which is the first best split of the per-budget recursion.
 Given the resistance bound B, the DP also bounds, as the list method
-does: a point or pair that cannot lead to a root point within B, even
-with every other node at its least resistance, is never kept or formed.
+does: a pair that cannot lead to a root point within B, even with every
+other node at its least resistance, is never formed.
 The bounds are exact float boundaries of the DP's own operations, so the
 root points within B, and every answer, are those of the unbounded DP.
 The kernel is plain Python, so the exact mode runs without numpy. With
@@ -43,10 +43,9 @@ from .errors import (
     ValidationError,
     VerificationFailed,
 )
-from .spbounds import bounds, cut
+from .spbounds import bounds
 from .sptree import (
     SPSchedule,
-    arc_directions,
     cond_to_res,
     decompose,
     half_key,
@@ -70,8 +69,8 @@ class DPTable(namedtuple("DPTable", "points iterations")):
     ``at`` reads it at a budget, and points[-1] is the root's. A choice is an
     option index (or -1 for skip) at the leaves 0..m-1 and the budget given
     to the left child at the steps (the smallest one that reaches the best
-    value). iterations counts the list points kept at leaves plus, at each
-    step, the product of its children's list lengths under the bound.
+    value). iterations counts the points of the full leaf lists plus, at
+    each step, the product of its children's list lengths under the bound.
     """
 
     __slots__ = ()
@@ -118,7 +117,9 @@ def _combine(left, right, parallel: bool, U: int, r: float, key_ub: float):
     pair reached are then scanned, in ascending order: a total survives
     when its (key, left price) is lexicographically below every cheaper
     total's, so each point is the first best split over budgets. A step's
-    cost thus follows its pairs and its children's top prices, not U.
+    cost thus follows its pairs and its children's top prices, not U. Totals
+    too many for memory to hold those lists, as huge integer prices give,
+    raise OutOfRange.
 
     A pair keyed above key_ub cannot lead to a root point within B (see
     ``spbounds``). Keys fall along both lists, so for each left point the
@@ -133,8 +134,11 @@ def _combine(left, right, parallel: bool, U: int, r: float, key_ub: float):
         lv = [half_key(v, r) for v in lv]
         rv = [half_key(v, r) for v in rv]
     top = min(U, lp[-1] + rp[-1])
-    best_key = [math.inf] * (top + 1)
-    best_lprice = [-1] * (top + 1)
+    try:
+        best_key = [math.inf] * (top + 1)
+        best_lprice = [-1] * (top + 1)
+    except (MemoryError, OverflowError):
+        raise OutOfRange("the DP cannot allocate its lists over the total prices") from None
     # Total 0 has one pair, the two price-0 points. It is entered here, over
     # the bound or not, so every list keeps its true price-0 point: a
     # series key there can be inf, which no strict improvement records, and
@@ -190,29 +194,32 @@ def fill_table(
     rows are stored.
 
     The resistance bound B prunes, by the bounding step of the knapsack
-    list method: ``spbounds.bounds`` gives each node the largest
-    resistance, and each step the largest pair key, that can still lead to
-    a root point within B. Leaf points over their bound are cut
-    (``spbounds.cut``), and pairs over their step's bound are never formed
-    (``_combine``), which keeps the step's points within its bound too:
-    apart from the total-0 pair, which ``cut`` keeps anyway, every pair's
-    key is at most key_ub[i]. At a series step that key is the point's
-    resistance and key_ub[i] is res_ub[i]; at a parallel step key_ub[i] is
+    list method: ``spbounds.bounds`` gives each step the largest
+    resistance, and the largest pair key, that can still lead to a root
+    point within B, and pairs over their step's key bound are never formed
+    (``_combine``). That one test keeps each step's points within its
+    resistance bound: apart from the total-0 pair, which stays so that
+    every list starts at price 0, every pair's key is at most the key
+    bound. At a series step that key is the point's resistance and the key
+    bound is the resistance bound; at a parallel step the key bound is
     kappa, the exact float boundary of the monotone test
-    ``key_res(kappa) <= res_ub[i]`` (for B >= 0, kappa = -inf passes it).
-    So no step list is cut. Call a point live when it can lead to a root point within B.
-    Pruning changes no live point: a live point's pair is made of live
-    points within their bounds, and every pair the pruned lists form is one
-    the full lists form too. So at a budget where the full list's point is
-    live, the pruned list reaches the same (key, left price) at the same
-    price; at any other budget it reaches no live point either. Every root
-    point within B, and with it ``_cheapest_budget`` and ``_reconstruct``
-    at that budget, is the same as without the bound. With B = inf nothing
-    is cut, and the lists are full, as the per-budget tests read them.
+    ``key_res(kappa) <= ub`` (for B >= 0, kappa = -inf passes it). Leaf
+    lists stay full: a leaf point over the bound its test would give forms,
+    with every sibling point (each at least the sibling's least
+    resistance), a pair over the key bound, so no pair is formed from it.
+    Call a point live when it can lead to a root point within B. Pruning
+    changes no live point: a live point's pair is made of live points, and
+    every pair the pruned lists form is one the full lists form too. So at
+    a budget where the full list's point is live, the pruned list reaches
+    the same (key, left price) at the same price; at any other budget it
+    reaches no live point either. Every root point within B, and with it
+    ``_cheapest_budget`` and ``_reconstruct`` at that budget, is the same
+    as without the bound. With B = inf no pair is skipped, and the lists
+    are full, as the per-budget tests read them.
 
     Option prices must be nonnegative integers (scale first if not). The
-    work, counted as leaf points plus the products of the pruned child
-    lists at steps, is checked against its analytic envelope
+    work, counted as leaf points plus the products of the child lists at
+    steps, is checked against its analytic envelope
     (2m - 1) * (U + 1)^2; exceeding it raises BoundExceeded.
     """
     if U < 0:
@@ -223,12 +230,11 @@ def fill_table(
                 raise ValidationError("fill_table needs nonnegative integer option prices")
     m = sched.m
     lists = [_leaf_list(options.options[a], U, r) for a in range(m)]
-    res_ub, key_ub = bounds(sched, [res[-1] for _, res, _ in lists], r, B)
-    lists = [cut(points, ub) for points, ub in zip(lists, res_ub)]
+    _, key_ub = bounds(sched, [res[-1] for _, res, _ in lists], r, B)
     iterations = sum(len(points[0]) for points in lists)
-    for i, (parallel, a, b) in enumerate(sched.steps, m):
+    for (parallel, a, b), kub in zip(sched.steps, key_ub):
         left, right = lists[a], lists[b]
-        lists.append(_combine(left, right, parallel, U, r, key_ub[i]))
+        lists.append(_combine(left, right, parallel, U, r, kub))
         iterations += len(left[0]) * len(right[0])
 
     envelope = (2 * m - 1) * (U + 1) ** 2
@@ -513,8 +519,8 @@ def solve_sp_fptas(inst: Instance, epsilon: float) -> Solution:
     Discretize at eps, then run the fixed-menu scheme at eps/3; the combined
     loss (1 + eps/3)^2 stays within 1 + eps on (0, 1). The result is
     re-checked against the original instance before it is returned: the
-    schedule's minimum-energy unit flow on the design, signed by
-    ``arc_directions``, is handed to ``verify`` as a witness, which checks
+    schedule's signed minimum-energy unit flow on the design
+    (``sp_unit_flow``) is handed to ``verify`` as a witness, which checks
     its conservation and energy on the graph itself and so does not trust
     the composition. A design that fails the check raises
     VerificationFailed. The arcs are checked before the graph, so an
@@ -531,9 +537,7 @@ def solve_sp_fptas(inst: Instance, epsilon: float) -> Solution:
         options=menus.options,
     )
     sol = solve_fixed_conductance_fptas(fixed, epsilon / 3.0, sched=sched)
-    magnitudes, _ = sp_unit_flow(sched, sol.y, inst.r)
-    flow = [d * f for d, f in zip(arc_directions(sched, inst.arcs, inst.s), magnitudes)]
-    report = verify(inst, sol, tol=1e-9, flow=flow)
+    report = verify(inst, sol, tol=1e-9, flow=sp_unit_flow(sched, sol.y, inst.r, inst.s))
     if not report.feasible:
         raise VerificationFailed(
             f"reconstructed solution failed verification: {report.reasons}, "

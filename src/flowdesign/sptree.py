@@ -22,9 +22,9 @@ parallel sum that leaves it is taken at half scale (``key_res``).
 
 The same schedule orients the flow: ``ends[i]`` is the terminal pair node i
 joins, the root joins s and t, parallel children join their parent's pair,
-and series children meet at the one terminal they share, so a backward loop
-runs the unit flow from the parent's entry into one child, through the
-shared terminal, and out of the other.
+and series children meet at the one terminal they share, so the backward
+loop of ``sp_unit_flow`` runs the unit flow from the parent's entry into one
+child, through the shared terminal, and out of the other.
 """
 
 from __future__ import annotations
@@ -191,50 +191,38 @@ def _split(flow: float, ha: float, hb: float) -> tuple[float, float]:
     return flow * (ha / total), flow * (hb / total)
 
 
-def sp_unit_flow(sched: SPSchedule, y, r: float) -> tuple[list[float], float]:
-    """Magnitudes of the minimum-energy unit flow, plus the resistance.
+def sp_unit_flow(sched: SPSchedule, y, r: float, s: int) -> list[float]:
+    """The minimum-energy unit s-t flow on every arc, signed: positive along
+    the arc's orientation (tail to head), negative against it.
 
     Requires finite conductances. A parallel junction splits the incoming
     flow in proportion to its children's effective conductances, read as
     half keys off ``node_resistances``, which is exact on series-parallel
     graphs for every r >= 1; arcs in branches of zero conductance carry
     nothing, and a branch of infinite conductance (one whose resistance
-    underflowed to 0) carries all of it. The resistance is that pass's
-    root, so it equals ``resistance_sp`` bit for bit.
+    underflowed to 0) carries all of it. The same loop tracks entry[i], the
+    terminal of ends[i] where the flow enters node i; a leaf's ends are its
+    arc, so its entry signs it.
     """
     for v in y:
         if math.isinf(v):
             raise ValidationError("sp_unit_flow needs finite conductances")
 
-    m, steps = sched.m, sched.steps
+    m, steps, ends = sched.m, sched.steps, sched.ends
     res = node_resistances(sched, [cond_to_res(y[a], r) for a in range(m)], r)
     f = [0.0] * len(res)
     f[-1] = 1.0
+    entry = [s] * len(res)
     for i in range(len(res) - 1, m - 1, -1):
-        parallel, a, b = steps[i - m]
-        if not parallel:
-            f[a] = f[b] = f[i]
-        elif f[i] != 0.0:
-            f[a], f[b] = _split(f[i], -half_key(res[a], r), -half_key(res[b], r))
-    return f[:m], res[-1]
-
-
-def arc_directions(sched: SPSchedule, arcs, s: int) -> list[int]:
-    """Direction of each arc in the schedule's s->t flow: +1 along the arc's
-    orientation (tail to head), -1 against it.
-
-    Signed by these, the magnitudes of ``sp_unit_flow`` form a unit s-t
-    flow.
-    """
-    m, steps, ends = sched.m, sched.steps, sched.ends
-    entry = [s] * len(ends)
-    for i in range(len(ends) - 1, m - 1, -1):
         parallel, a, b = steps[i - m]
         if parallel:
             entry[a] = entry[b] = entry[i]
+            if f[i] != 0.0:
+                f[a], f[b] = _split(f[i], -half_key(res[a], r), -half_key(res[b], r))
         else:
+            f[a] = f[b] = f[i]
             first, second = (a, b) if entry[i] in ends[a] else (b, a)
             u, v = ends[first]
             entry[first] = entry[i]
             entry[second] = v if u == entry[i] else u
-    return [1 if arcs[a][0] == entry[a] else -1 for a in range(m)]
+    return [f[a] if ends[a][0] == entry[a] else -f[a] for a in range(m)]

@@ -316,6 +316,16 @@ class TestSolve:
         sol = read_solution(capsys.readouterr().out)
         assert sol.cost == 1.0 and sol.x == (1, 0) and sol.achievedR == 0.0
 
+    @pytest.mark.parametrize("price", [1e15, 1e300])
+    def test_sp_exact_refuses_prices_too_large_for_its_lists(self, tmp_path, capsys, price):
+        # the DP's lists over the total prices 0..2 * price cannot be built:
+        # 1e15 runs out of memory, 1e300 past the index range
+        fields = {**self.KNAPSACK, "gamma": (price, price), "ybar": (1.0, 1.0), "B": 0.6}
+        path = write_file(tmp_path, "ks.json", write_instance(Instance(**fields)))
+        assert main(["solve", "--in", path, "--mode", "sp-exact"]) == 3
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err.startswith("unsupported: ") and cap.err.count("\n") == 1
+
     def test_brute_mode_on_partition_instance(self, tmp_path, capsys):
         assert main(["gen", "--family", "partition", "--numbers", "1,1,2",
                      "--out", str(tmp_path / "p.json")]) == 0
@@ -1278,9 +1288,8 @@ class TestGuardsUnderOptimize:
         proc = self.run_optimized(
             tmp_path,
             "unit_flow = spdesign.sp_unit_flow\n"
-            "def half_flow(tree, y, r):\n"
-            "    f, R = unit_flow(tree, y, r)\n"
-            "    return [v / 2 for v in f], R\n"
+            "def half_flow(tree, y, r, s):\n"
+            "    return [v / 2 for v in unit_flow(tree, y, r, s)]\n"
             "spdesign.sp_unit_flow = half_flow",
         )
         assert proc.returncode == 4, proc.stderr

@@ -31,7 +31,7 @@ from flowdesign.oracles import (
     random_sp_structure,
 )
 from flowdesign import spdesign
-from flowdesign.spbounds import bounds, cut
+from flowdesign.spbounds import bounds
 from flowdesign.spdesign import OptionSet, _cheapest_budget, _reconstruct, fill_table
 from flowdesign.sptree import cond_to_res, key_res, res_to_cond
 
@@ -484,14 +484,15 @@ def step_bound_cases(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_step_lists_need_no_cut_property(case):
     """The pair bound keeps every step's points within the node's bound:
-    cutting a step list that fill_table returns removes nothing."""
+    each step list point past price 0 is within its step's exact bound, and
+    the leaf lists stay full."""
     tree, opts, U, r, B = case
-    leaf_rmin = [spdesign._leaf_list(menu, U, r)[1][-1] for menu in opts.options]
-    res_ub, _ = bounds(tree, leaf_rmin, r, B)
+    leaves = [spdesign._leaf_list(menu, U, r) for menu in opts.options]
+    res_ub, _ = bounds(tree, [res[-1] for _, res, _ in leaves], r, B)
     table = fill_table(tree, opts, U, r, B)
-    for i in range(tree.m, len(table.points)):
-        points = table.points[i]
-        assert cut(tuple(map(list, points)), res_ub[i]) == points
+    assert table.points[:tree.m] == tuple(leaves)
+    for (_, res, _), ub in zip(table.points[tree.m:], res_ub, strict=True):
+        assert all(R <= ub for R in res[1:])
 
 
 class TestScalingFptas:

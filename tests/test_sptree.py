@@ -10,7 +10,7 @@ from flowdesign import (
 )
 from flowdesign.core import Solution
 from flowdesign.oracles import random_sp_structure
-from flowdesign.sptree import arc_directions, cond_to_res, key_res, res_to_cond
+from flowdesign.sptree import cond_to_res, key_res, res_to_cond
 
 
 def test_two_parallel_arcs():
@@ -154,11 +154,11 @@ def test_unit_flow_matches_energy_solver():
         y = tuple(rng.uniform(0.1, 10.0) for _ in range(m))
         r = rng.choice([1.0, 1.5, 2.0])
         tree = decompose(n, arcs, s, t)
-        f, R = sp_unit_flow(tree, y, r)
+        f = sp_unit_flow(tree, y, r, s)
         state = min_energy_flow(n, arcs, y, r, s, t)
-        assert R == pytest.approx(state.energy, rel=1e-8)
+        assert resistance_sp(tree, y, r) == pytest.approx(state.energy, rel=1e-8)
         for got, want in zip(f, state.f):
-            assert got == pytest.approx(abs(want), abs=1e-7)
+            assert got == pytest.approx(want, abs=1e-7)
 
 
 def test_unit_flow_conservation():
@@ -168,20 +168,18 @@ def test_unit_flow_conservation():
         n, arcs, s, t = random_sp_structure(rng, m)
         y = tuple(rng.uniform(0.1, 5.0) for _ in range(m))
         tree = decompose(n, arcs, s, t)
-        f, _ = sp_unit_flow(tree, y, 2.0)
-        state = min_energy_flow(n, arcs, y, 2.0, s, t)
+        f = sp_unit_flow(tree, y, 2.0, s)
         net = [0.0] * n
-        for (u, v), mag, signed in zip(arcs, f, state.f):
-            flow = math.copysign(mag, signed) if signed != 0.0 else 0.0
+        for (u, v), flow in zip(arcs, f):
             net[u] -= flow
             net[v] += flow
         assert net[s] == pytest.approx(-1.0, abs=1e-6)
         assert net[t] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_arc_directions_sign_a_unit_flow():
-    """Signed by arc_directions, sp_unit_flow conserves on the graph itself,
-    arcs reversed at random included, and is the minimum-energy flow."""
+def test_signed_unit_flow_on_reversed_arcs():
+    """sp_unit_flow's signed flow conserves on the graph itself, arcs
+    reversed at random included, and is the minimum-energy flow."""
     rng = random.Random(4141)
     for trial in range(30):
         m = rng.randint(1, 14)
@@ -190,10 +188,7 @@ def test_arc_directions_sign_a_unit_flow():
         y = tuple(rng.uniform(0.1, 10.0) for _ in range(m))
         r = rng.choice([1.0, 1.5, 2.0, 3.0])
         tree = decompose(n, arcs, s, t)
-        mags, _ = sp_unit_flow(tree, y, r)
-        sign = arc_directions(tree, arcs, s)
-        assert set(sign) <= {1, -1}
-        flow = [d * f for d, f in zip(sign, mags)]
+        flow = sp_unit_flow(tree, y, r, s)
         net = [0.0] * n
         for (u, v), f in zip(arcs, flow):
             net[u] -= f
@@ -208,11 +203,11 @@ def test_arc_directions_sign_a_unit_flow():
             assert got == pytest.approx(want, abs=1e-8), f"trial {trial}"
 
 
-def test_arc_directions_on_a_reversed_series_chain():
+def test_signed_unit_flow_on_a_reversed_series_chain():
     arcs = ((1, 0), (1, 2), (3, 2))
     tree = decompose(4, arcs, 0, 3)
-    assert arc_directions(tree, arcs, 0) == [-1, 1, -1]
-    assert arc_directions(tree, arcs, 3) == [1, -1, 1]
+    assert sp_unit_flow(tree, (1.0, 2.0, 3.0), 2.0, 0) == [-1.0, 1.0, -1.0]
+    assert sp_unit_flow(tree, (1.0, 2.0, 3.0), 2.0, 3) == [1.0, -1.0, 1.0]
 
 
 def test_powers_past_the_float_range_overstate_resistance():
@@ -229,19 +224,18 @@ def test_overflowing_parallel_sum_is_taken_at_half_scale():
     tree = decompose(3, ((0, 1), (0, 1), (1, 2)), 0, 2)
     y = (1.7e308,) * 3
     assert resistance_sp(tree, y, 1.0) == pytest.approx(1.5 / 1.7e308, rel=1e-12)
-    mags, _ = sp_unit_flow(tree, y, 1.0)
-    assert mags == [0.5, 0.5, 1.0]
+    assert sp_unit_flow(tree, y, 1.0, 0) == [0.5, 0.5, 1.0]
 
 
 def test_infinite_conductance_child_takes_the_flow():
     # 1e200^-2 underflows to R = 0, so arc 0 reads infinite conductance
     tree = decompose(2, ((0, 1), (0, 1), (0, 1)), 0, 1)
-    assert sp_unit_flow(tree, (1e200, 1.0, 1.0), 2.0)[0] == [1.0, 0.0, 0.0]
-    assert sp_unit_flow(tree, (1.0, 1e200, 1e200), 2.0)[0] == [0.0, 0.5, 0.5]
+    assert sp_unit_flow(tree, (1e200, 1.0, 1.0), 2.0, 0) == [1.0, 0.0, 0.0]
+    assert sp_unit_flow(tree, (1.0, 1e200, 1e200), 2.0, 0) == [0.0, 0.5, 0.5]
 
 
 def test_witness_conserves_across_the_float_range():
-    """Signed by arc_directions, sp_unit_flow passes verify's conservation
+    """sp_unit_flow's signed flow passes verify's conservation
     check whenever resistance_sp is finite, with conductances log-uniform
     over the whole float range. Draws with R = +inf have no unit flow of
     finite energy and are left out."""
@@ -257,8 +251,7 @@ def test_witness_conserves_across_the_float_range():
         if math.isinf(resistance_sp(tree, y, r)):
             continue
         checked += 1
-        mags, _ = sp_unit_flow(tree, y, r)
-        flow = [d * f for d, f in zip(arc_directions(tree, arcs, s), mags)]
+        flow = sp_unit_flow(tree, y, r, s)
         inst = Instance(
             n=n, arcs=arcs, s=s, t=t, r=r,
             c=(1.0,) * m, gamma=(0.0,) * m, ybar=y, B=sys.float_info.max,
@@ -268,22 +261,10 @@ def test_witness_conserves_across_the_float_range():
     assert checked >= 200
 
 
-def test_unit_flow_resistance_is_resistance_sp():
-    """sp_unit_flow's resistance is the root of resistance_sp's own pass."""
-    rng = random.Random(900)
-    for trial in range(900):
-        m = rng.randint(3, 30)
-        n, arcs, s, t = random_sp_structure(rng, m)
-        r = rng.choice([1.0, 1.5, 2.0, 3.0])
-        y = tuple(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(m))
-        tree = decompose(n, arcs, s, t)
-        assert sp_unit_flow(tree, y, r)[1] == resistance_sp(tree, y, r), f"trial {trial}"
-
-
 def test_unit_flow_rejects_unbounded():
     tree = decompose(2, ((0, 1),), 0, 1)
     with pytest.raises(ValidationError):
-        sp_unit_flow(tree, (math.inf,), 1.0)
+        sp_unit_flow(tree, (math.inf,), 1.0, 0)
 
 
 from hypothesis import example, given, settings
